@@ -2,7 +2,7 @@
 
 Modules:
 
-* ``core`` - domain types, trial tallying, CHSH statistic
+* ``core`` - domain types, the columnar ``ContextTable``, CHSH statistic
 * ``couplings`` - the five coupling-model families (exact laws and samplers)
 * ``protocol`` - source-based and event-ready protocol simulators
 * ``pipeline`` - coincidence pairing and post-selection
@@ -21,10 +21,8 @@ from .core import (  # noqa: F401
     ContextTable,
     CorrelationSummary,
     SettingPair,
-    TrialRecord,
     chsh,
     estimate,
-    tally,
 )
 from .couplings import (  # noqa: F401
     ContextualModel,
@@ -35,10 +33,8 @@ from .couplings import (  # noqa: F401
     StochasticLHVModel,
     disjoint_support_model,
     exact_chsh,
-    exact_expectation,
     max_deterministic_chsh,
     pearle_model,
     sample_batch,
-    sample_trial,
     statistical_dependence,
 )

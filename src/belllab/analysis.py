@@ -39,7 +39,7 @@ from .core import (
     CorrelationSummary,
     SettingPair,
 )
-from .couplings import CouplingModel, deterministic_strategies, exact_expectation, sample_batch
+from .couplings import CouplingModel, deterministic_strategies, sample_batch
 from .errors import AnalysisError
 
 __all__ = [
@@ -492,7 +492,7 @@ def pairwise_tables(model: CouplingModel) -> dict[SettingPair, np.ndarray]:
     tables = {}
     outcome = np.array([1.0, -1.0])
     for s in CONTEXTS:
-        m = exact_expectation(model, s)
+        m = model.exact_expectation(s)
         if m.e_ab is None:
             raise AnalysisError(f"context {s.key()} starves; no conditional table exists")
         t = (
@@ -545,7 +545,7 @@ def theta_sweep(
     for idx, theta in enumerate(thetas):
         model = model_factory(float(theta))
         if n_trials is None:
-            m = exact_expectation(model, context)
+            m = model.exact_expectation(context)
             points.append(SweepPoint(theta=float(theta), e_ab=m.e_ab, stderr=0.0, n=0))
             continue
         g = _rng.stream(seed, "sweep", idx)

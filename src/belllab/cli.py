@@ -2,7 +2,7 @@
 
 Every command is a pure function of (config file, flags): identical inputs
 produce byte-identical output files, for any BELLLAB_THREADS value. Configs
-are JSON with a documented schema, validated before any computation; the
+are JSON with a documented schema, validated before any output is written; the
 seed is mandatory (``--seed`` overrides the config) and is echoed, together
 with the resolved config, into every metadata output.
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -31,13 +31,7 @@ from .analysis import (
     nosignalling_test,
     theta_sweep,
 )
-from .core import (
-    CONTEXTS,
-    AngleAssignment,
-    ContextTable,
-    chsh,
-    estimate,
-)
+from .core import CONTEXTS, AngleAssignment, ContextTable, SettingPair, chsh, estimate
 from .couplings import (
     ContextualModel,
     CouplingModel,
@@ -66,6 +60,10 @@ _MISSING = object()
 
 
 # --- config plumbing --------------------------------------------------------
+#
+# The helpers below check JSON *types* and build field paths. The *range* of
+# each value is checked once, by the constructor it feeds; ``_section``
+# re-raises that constructor's ValueError as a ConfigError on the section path.
 
 
 def load_config(path: Path) -> dict:
@@ -82,80 +80,76 @@ def load_config(path: Path) -> dict:
     return cfg
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@contextmanager
+def _section(path: str):
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from e
+
+
 def _get(obj: dict, key: str, path: str, default=_MISSING):
+    """``obj[key]``, or ``default`` when absent; a missing required field is an error."""
     if not isinstance(obj, dict):
         raise ConfigError(path or key, f"must be an object, got {obj!r}")
     if key in obj:
         return obj[key]
     if default is _MISSING:
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        raise ConfigError(_join(path, key), "missing required field")
     return default
 
 
-def _number(obj: dict, key: str, path: str, *, lo=None, hi=None, default=_MISSING) -> float:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"must be an object, got {obj!r}")
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}", "must be finite")
-    if lo is not None and v < lo or hi is not None and v > hi:
-        raise ConfigError(f"{path}.{key}", f"must be in [{lo}, {hi}], got {value!r}")
-    return v
+def _finite(value, path: str) -> float:
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # The bound also rejects NaN, and JSON integers too large for a float.
+    if not (is_number and abs(value) <= sys.float_info.max):
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
+    return float(value)
 
 
-def _integer(obj: dict, key: str, path: str, *, lo=None, default=_MISSING) -> int:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"must be an object, got {obj!r}")
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}", f"must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}.{key}", f"must be >= {lo}, got {value}")
-    return int(value)
+# A returned default is valid by construction, so only values read from the
+# config are type-checked.
 
 
-def _choice(obj: dict, key: str, path: str, choices: tuple[str, ...], default=_MISSING) -> str:
+def _number(obj: dict, key: str, path: str, default=_MISSING) -> float:
     value = _get(obj, key, path, default)
-    if value not in choices:
-        raise ConfigError(f"{path}.{key}", f"must be one of {choices}, got {value!r}")
+    return value if value is default else _finite(value, _join(path, key))
+
+
+def _integer(obj: dict, key: str, path: str, default=_MISSING) -> int:
+    value = _get(obj, key, path, default)
+    if value is not default and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(_join(path, key), f"must be an integer, got {value!r}")
     return value
 
 
 def _pair(obj: dict, key: str, path: str, default=_MISSING) -> tuple[float, float]:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, f"must be an object, got {obj!r}")
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = obj[key]
+    value = _get(obj, key, path, default)
+    if value is default:
+        return value
     if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{path}.{key}", "must be a 2-element array")
-    return (float(value[0]), float(value[1]))
+        raise ConfigError(_join(path, key), f"must be a 2-element array, got {value!r}")
+    return (_finite(value[0], _join(path, key)), _finite(value[1], _join(path, key)))
 
 
-def _angles(obj: dict, path: str) -> AngleAssignment:
-    spec = _get(obj, "angles", path)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}.angles", "must be an object with alice/bob arrays")
-    try:
-        return AngleAssignment(
-            alice=_pair(spec, "alice", f"{path}.angles"),
-            bob=_pair(spec, "bob", f"{path}.angles"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"{path}.angles", str(e)) from e
+def _choice(obj: dict, key: str, path: str, choices: tuple[str, ...]) -> str:
+    value = _get(obj, key, path)
+    if value not in choices:
+        raise ConfigError(_join(path, key), f"must be one of {choices}, got {value!r}")
+    return value
+
+
+def _path(obj: dict, key: str, path: str) -> Path:
+    value = _get(obj, key, path)
+    if not isinstance(value, str):
+        raise ConfigError(_join(path, key), f"must be a file path, got {value!r}")
+    return Path(value)
 
 
 def _array(obj: dict, key: str, path: str) -> np.ndarray:
@@ -163,20 +157,34 @@ def _array(obj: dict, key: str, path: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}.{key}", f"must be a numeric array: {e}") from e
+        raise ConfigError(_join(path, key), f"must be a numeric array: {e}") from e
 
 
-def _rejection(obj: dict, path: str) -> Callable[[np.ndarray], np.ndarray]:
+def _context_arrays(obj: dict, key: str, path: str) -> dict[SettingPair, np.ndarray]:
+    """A map of context keys "00".."11" to numeric arrays."""
+    spec = _get(obj, key, path)
+    if not isinstance(spec, dict):
+        raise ConfigError(_join(path, key), 'must map context keys "00".."11" to arrays')
+    return {s: _array(spec, s.key(), _join(path, key)) for s in CONTEXTS}
+
+
+def _angles(obj: dict, path: str) -> AngleAssignment:
+    spec = _get(obj, "angles", path)
+    path = _join(path, "angles")
+    return AngleAssignment(alice=_pair(spec, "alice", path), bob=_pair(spec, "bob", path))
+
+
+def _rejection(obj: dict, path: str) -> Callable[[np.ndarray], np.ndarray] | None:
     spec = _get(obj, "rejection", path, default=None)
     if spec is None:
-        return rejection_curve("linear", max_reject=0.8)
-    kind = _choice(spec, "kind", f"{path}.rejection", ("linear", "power"))
-    max_reject = _number(spec, "max_reject", f"{path}.rejection", lo=0.0, hi=1.0, default=0.8)
-    exponent = _number(spec, "exponent", f"{path}.rejection", lo=0.0, default=1.0)
-    try:
-        return rejection_curve(kind, max_reject=max_reject, exponent=exponent)
-    except ValueError as e:
-        raise ConfigError(f"{path}.rejection", str(e)) from e
+        return None  # pearle_model's default curve
+    path = _join(path, "rejection")
+    with _section(path):
+        return rejection_curve(
+            _get(spec, "kind", path),
+            max_reject=_number(spec, "max_reject", path, default=0.8),
+            exponent=_number(spec, "exponent", path, default=1.0),
+        )
 
 
 MODEL_FAMILIES = (
@@ -189,15 +197,22 @@ MODEL_FAMILIES = (
     "disjoint_support",
 )
 
+#: Families whose angles a theta sweep can set.
+THETA_FAMILIES = ("quantum_singlet", "pearle")
 
-def build_model(spec: dict, path: str) -> CouplingModel:
-    """Construct a coupling model from its JSON description."""
+
+def build_model(spec: dict, path: str, angles: AngleAssignment | None = None) -> CouplingModel:
+    """Construct a coupling model from its JSON description.
+
+    ``angles`` replaces the spec's own ``angles`` field; theta sweeps use it
+    to set the relative angle per point.
+    """
     family = _choice(spec, "family", path, MODEL_FAMILIES)
-    try:
+    with _section(path):
         if family == "quantum_singlet":
             return QuantumSingletModel(
-                angles=_angles(spec, path),
-                visibility=_number(spec, "visibility", path, lo=0.0, hi=1.0, default=1.0),
+                angles=angles or _angles(spec, path),
+                visibility=_number(spec, "visibility", path, default=1.0),
             )
         if family == "deterministic_lhv":
             return DeterministicLHVModel(
@@ -212,20 +227,10 @@ def build_model(spec: dict, path: str) -> CouplingModel:
                 bob_plus=_array(spec, "bob_plus", path),
             )
         if family == "contextual":
-            tables = _get(spec, "instrument_weights", path)
-            if not isinstance(tables, dict):
-                raise ConfigError(
-                    f"{path}.instrument_weights", 'must map context keys "00".."11" to tables'
-                )
-            first = np.asarray(_get(tables, "00", f"{path}.instrument_weights"), dtype=np.float64)
-            iw = np.zeros((2, 2) + first.shape)
-            for s in CONTEXTS:
-                iw[s.x, s.y] = np.asarray(
-                    _get(tables, s.key(), f"{path}.instrument_weights"), dtype=np.float64
-                )
+            tables = list(_context_arrays(spec, "instrument_weights", path).values())
             return ContextualModel(
                 source_weights=_array(spec, "source_weights", path),
-                instrument_weights=iw,
+                instrument_weights=np.stack(tables).reshape((2, 2) + tables[0].shape),
                 alice=_array(spec, "alice", path),
                 bob=_array(spec, "bob", path),
             )
@@ -239,57 +244,26 @@ def build_model(spec: dict, path: str) -> CouplingModel:
             )
         if family == "pearle":
             return pearle_model(
-                angles=_angles(spec, path),
+                angles=angles or _angles(spec, path),
                 rejection=_rejection(spec, path),
-                bins=_integer(spec, "bins", path, lo=2, default=720),
-                threshold_bins=_integer(spec, "threshold_bins", path, lo=1, default=64),
+                bins=_integer(spec, "bins", path, default=720),
+                threshold_bins=_integer(spec, "threshold_bins", path, default=64),
             )
         return disjoint_support_model()
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from e
 
 
-def _theta_factory(spec: dict, path: str) -> Callable[[float], CouplingModel]:
-    """Model factory for theta sweeps: theta is the relative angle at (0, 0)."""
-    family = _choice(spec, "family", path, MODEL_FAMILIES)
-    if family == "quantum_singlet":
-        visibility = _number(spec, "visibility", path, lo=0.0, hi=1.0, default=1.0)
-        return lambda theta: QuantumSingletModel(
-            angles=AngleAssignment(alice=(theta, 0.0), bob=(0.0, 0.0)),
-            visibility=visibility,
-        )
-    if family == "pearle":
-        rejection = _rejection(spec, path)
-        bins = _integer(spec, "bins", path, lo=2, default=720)
-        threshold_bins = _integer(spec, "threshold_bins", path, lo=1, default=64)
-        return lambda theta: pearle_model(
-            angles=AngleAssignment(alice=(theta, 0.0), bob=(0.0, 0.0)),
-            rejection=rejection,
-            bins=bins,
-            threshold_bins=threshold_bins,
-        )
-    raise ConfigError(f"{path}.family", f"theta sweeps need an angle-parameterized family, got {family!r}")
+def _setup(args, *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:
+    """Load the config, resolve the seed (``--seed`` wins) and make the output directory.
 
-
-def _resolve_seed(args, cfg: dict, *, required: bool = True) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        seed = cfg["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed", f"must be an integer, got {seed!r}")
-        return seed
-    if required:
-        raise ConfigError("seed", "missing required field (set it in the config or pass --seed)")
-    return 0
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    The returned config carries the resolved seed, as echoed into metadata.
+    """
+    cfg = load_config(Path(args.config))
+    seed = args.seed if args.seed is not None else _integer(cfg, "seed", "", default=seed_default)
+    out = None
+    if args.out is not None:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+    return {**cfg, "seed": seed}, seed, out
 
 
 def _write(path: Path, text: str) -> None:
@@ -297,15 +271,14 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _metadata(command: str, seed: int, cfg: dict, counts: dict, warnings: list[str]) -> dict:
+def _document(command: str, seed: int, **fields) -> dict:
+    """A JSON output document: versions, command and seed, then ``fields``."""
     return {
         "schema_version": bio.SCHEMA_VERSION,
         "belllab_version": __version__,
         "command": command,
         "seed": seed,
-        "config": cfg,
-        "counts": counts,
-        "warnings": warnings,
+        **fields,
     }
 
 
@@ -313,43 +286,41 @@ def _metadata(command: str, seed: int, cfg: dict, counts: dict, warnings: list[s
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(Path(args.config))
-    seed = _resolve_seed(args, cfg)
-    cfg = {**cfg, "seed": seed}
-    out = _out_dir(args)
+    cfg, seed, out = _setup(args)
     proto = _get(cfg, "protocol", "")
-    if not isinstance(proto, dict):
-        raise ConfigError("protocol", "must be an object")
     kind = _choice(proto, "kind", "protocol", ("event_ready", "source"))
 
     if kind == "event_ready":
-        ev = EventReadyConfig(
-            herald_prob=_number(proto, "herald_prob", "protocol", lo=0.0, hi=1.0),
-            visibility=_number(proto, "visibility", "protocol", lo=0.0, hi=1.0, default=1.0),
-            fidelity_a=_number(proto, "fidelity_a", "protocol", lo=0.5, hi=1.0, default=1.0),
-            fidelity_b=_number(proto, "fidelity_b", "protocol", lo=0.5, hi=1.0, default=1.0),
-        )
-        angles = _angles(proto, "protocol")
-        n_trials = _integer(proto, "n_trials", "protocol", lo=1)
-        run = run_event_ready(ev, angles, n_trials, seed)
+        with _section("protocol"):
+            ev = EventReadyConfig(
+                herald_prob=_number(proto, "herald_prob", "protocol"),
+                visibility=_number(proto, "visibility", "protocol", default=1.0),
+                fidelity_a=_number(proto, "fidelity_a", "protocol", default=1.0),
+                fidelity_b=_number(proto, "fidelity_b", "protocol", default=1.0),
+            )
+            n_trials = _integer(proto, "n_trials", "protocol")
+            run = run_event_ready(ev, _angles(proto, "protocol"), n_trials, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
         print(f"wrote {out / 'trials.csv'}")
-        meta = _metadata("simulate", seed, cfg, run.metadata, [])
+        meta = _document("simulate", seed, config=cfg, counts=run.metadata, warnings=[])
         _write(out / "metadata.json", bio.dump_json(meta))
         return EXIT_OK
 
-    delays = _get(proto, "setting_delay", "protocol", default={}) or {}
-    odelays = _get(proto, "outcome_delay", "protocol", default={}) or {}
-    src = SourceProtocolConfig(
-        pair_rate=_number(proto, "pair_rate", "protocol", lo=0.0),
-        duration=_number(proto, "duration", "protocol"),
-        jitter_sd=_number(proto, "jitter_sd", "protocol", lo=0.0, default=0.0),
-        dark_rate=_number(proto, "dark_rate", "protocol", lo=0.0, default=0.0),
-        setting_delay_a=_pair(delays, "alice", "protocol.setting_delay", default=(0.0, 0.0)),
-        setting_delay_b=_pair(delays, "bob", "protocol.setting_delay", default=(0.0, 0.0)),
-        outcome_delay_a=_pair(odelays, "alice", "protocol.outcome_delay", default=(0.0, 0.0)),
-        outcome_delay_b=_pair(odelays, "bob", "protocol.outcome_delay", default=(0.0, 0.0)),
-    )
+    def delay(key: str, station: str) -> tuple[float, float]:
+        spec = _get(proto, key, "protocol", default=None)  # absent or null: no delays
+        return _pair({} if spec is None else spec, station, f"protocol.{key}", default=(0.0, 0.0))
+
+    with _section("protocol"):
+        src = SourceProtocolConfig(
+            pair_rate=_number(proto, "pair_rate", "protocol"),
+            duration=_number(proto, "duration", "protocol"),
+            jitter_sd=_number(proto, "jitter_sd", "protocol", default=0.0),
+            dark_rate=_number(proto, "dark_rate", "protocol", default=0.0),
+            setting_delay_a=delay("setting_delay", "alice"),
+            setting_delay_b=delay("setting_delay", "bob"),
+            outcome_delay_a=delay("outcome_delay", "alice"),
+            outcome_delay_b=delay("outcome_delay", "bob"),
+        )
     model = build_model(_get(cfg, "model", ""), "model")
     run = run_source_experiment(src, model, seed)
     bio.write_timetags_csv(out / "timetags_a.csv", run.stream_a, seed)
@@ -359,7 +330,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote {out / name}")
     counts = dict(run.metadata)
     warnings = counts.pop("warnings", [])
-    meta = _metadata("simulate", seed, cfg, counts, warnings)
+    meta = _document("simulate", seed, config=cfg, counts=counts, warnings=warnings)
     _write(out / "metadata.json", bio.dump_json(meta))
     return EXIT_OK
 
@@ -391,10 +362,7 @@ def _hypothesis_blocks(final_table: ContextTable, warnings: list[str]) -> tuple[
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(Path(args.config))
-    seed = _resolve_seed(args, cfg)
-    cfg = {**cfg, "seed": seed}
-    out = _out_dir(args)
+    cfg, seed, out = _setup(args)
     inputs = _get(cfg, "inputs", "")
     if not isinstance(inputs, dict):
         raise ConfigError("inputs", "must be an object")
@@ -402,18 +370,20 @@ def cmd_analyze(args) -> int:
     window_block = None
 
     if "trials" in inputs:
-        x, y, a, b = bio.read_trials_csv(Path(inputs["trials"]))
-        raw_table = ContextTable.from_arrays(x, y, a, b)
-        nonzero = (a.astype(np.int16) * b.astype(np.int16)) != 0
-        final_table = ContextTable.from_arrays(x[nonzero], y[nonzero], a[nonzero], b[nonzero])
-    elif "timetags_a" in inputs or "timetags_b" in inputs:
-        stream_a = bio.read_timetags_csv(Path(_get(inputs, "timetags_a", "inputs")))
-        stream_b = bio.read_timetags_csv(Path(_get(inputs, "timetags_b", "inputs")))
-        wspec = _get(inputs, "window", "inputs")
-        policy = CoincidencePolicy(
-            window_ns=_integer(wspec, "width_ns", "inputs.window", lo=1),
-            strategy=_choice(wspec, "strategy", "inputs.window", ("lattice", "greedy"), default="lattice"),
+        # The reader keeps ready trials only, and those have nonzero outcomes:
+        # post-selection leaves the table as it is.
+        raw_table = final_table = ContextTable.from_arrays(
+            *bio.read_trials_csv(_path(inputs, "trials", "inputs"))
         )
+    elif "timetags_a" in inputs or "timetags_b" in inputs:
+        stream_a = bio.read_timetags_csv(_path(inputs, "timetags_a", "inputs"))
+        stream_b = bio.read_timetags_csv(_path(inputs, "timetags_b", "inputs"))
+        wspec = _get(inputs, "window", "inputs")
+        with _section("inputs.window"):
+            policy = CoincidencePolicy(
+                window_ns=_integer(wspec, "width_ns", "inputs.window"),
+                strategy=_get(wspec, "strategy", "inputs.window", default="lattice"),
+            )
         pairs = match_coincidences(stream_a, stream_b, policy)
         final, c_table = postselect(pairs)
         final_table = final.to_context_table()
@@ -422,7 +392,7 @@ def cmd_analyze(args) -> int:
             "pairing": final.meta,
         }
         if "raw_pairs" in inputs:
-            raw_table = bio.read_pairs_csv(Path(inputs["raw_pairs"])).to_context_table()
+            raw_table = bio.read_pairs_csv(_path(inputs, "raw_pairs", "inputs")).to_context_table()
         else:
             raw_table = None
             warnings.append(
@@ -442,145 +412,96 @@ def cmd_analyze(args) -> int:
     if raw_table is None:
         ns_json["raw_from_truth_record"] = False
 
-    report = {
-        "schema_version": bio.SCHEMA_VERSION,
-        "belllab_version": __version__,
-        "command": "analyze",
-        "seed": seed,
-        "config": cfg,
-        "summary": summary.to_json(),
-        "chsh": s,
-        "chsh_abs": None if s is None else abs(s),
-        "hypothesis": hypothesis,
-        "hypothesis_abs": hypothesis_abs,
-        "no_signalling": ns_json,
-        "raw_table": raw_table.to_json() if raw_table is not None else None,
-        "final_table": final_table.to_json(),
-        "window": window_block,
-        "warnings": warnings,
-    }
+    report = _document(
+        "analyze",
+        seed,
+        config=cfg,
+        summary=summary.to_json(),
+        chsh=s,
+        chsh_abs=None if s is None else abs(s),
+        hypothesis=hypothesis,
+        hypothesis_abs=hypothesis_abs,
+        no_signalling=ns_json,
+        raw_table=raw_table.to_json() if raw_table is not None else None,
+        final_table=final_table.to_json(),
+        window=window_block,
+        warnings=warnings,
+    )
     _write(out / "report.json", bio.dump_json(report))
     if args.format == "csv":
-        header = f"# belllab schema_version={bio.SCHEMA_VERSION} kind=summary seed={seed}"
-        lines = [header, "context,e_ab,e_a,e_b,c,n_pairs,n_total"]
-        for k in CONTEXTS:
-            est = summary[k]
-            cells = [
-                k.key(),
-                "" if est.e_ab is None else repr(est.e_ab),
-                "" if est.e_a is None else repr(est.e_a),
-                "" if est.e_b is None else repr(est.e_b),
-                "" if est.c is None else repr(est.c),
-                str(est.n_pairs),
-                str(est.n_total),
-            ]
-            lines.append(",".join(cells))
-        _write(out / "summary.csv", "\n".join(lines) + "\n")
+        _write(out / "summary.csv", bio.summary_csv(summary, seed))
     return EXIT_OK
 
 
+def _thetas(spec: dict) -> list[float]:
+    grid = _get(spec, "thetas", "sweep")
+    if isinstance(grid, dict):
+        count = _integer(grid, "count", "sweep.thetas")
+        if count < 1:
+            raise ConfigError("sweep.thetas.count", f"must be >= 1, got {count}")
+        start, stop = _number(grid, "start", "sweep.thetas"), _number(grid, "stop", "sweep.thetas")
+        return np.linspace(start, stop, count).tolist()
+    if isinstance(grid, list) and grid:
+        return [_finite(t, "sweep.thetas") for t in grid]
+    raise ConfigError("sweep.thetas", "must be a non-empty array or {start, stop, count}")
+
+
 def cmd_sweep(args) -> int:
-    cfg = load_config(Path(args.config))
-    seed = _resolve_seed(args, cfg)
-    cfg = {**cfg, "seed": seed}
-    out = _out_dir(args)
+    cfg, seed, out = _setup(args)
     spec = _get(cfg, "sweep", "")
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep", "must be an object")
     kind = _choice(spec, "kind", "sweep", ("theta", "window"))
 
     if kind == "theta":
-        factory = _theta_factory(_get(spec, "model", "sweep"), "sweep.model")
-        grid = _get(spec, "thetas", "sweep")
-        if isinstance(grid, dict):
-            start = _number(grid, "start", "sweep.thetas")
-            stop = _number(grid, "stop", "sweep.thetas")
-            count = _integer(grid, "count", "sweep.thetas", lo=1)
-            thetas = np.linspace(start, stop, count).tolist()
-        elif isinstance(grid, list) and grid:
-            thetas = [float(t) for t in grid]
-        else:
-            raise ConfigError("sweep.thetas", "must be a non-empty array or {start, stop, count}")
-        n_per_point = _get(spec, "n_per_point", "sweep", default=None)
-        if n_per_point is not None:
-            n_per_point = _integer(spec, "n_per_point", "sweep", lo=1)
-        points = theta_sweep(factory, thetas, n_trials=n_per_point, seed=seed)
-        _write(out / "sweep.csv", bio.theta_sweep_csv(points, seed))
-        if args.format == "json":
-            _write(
-                out / "sweep.json",
-                bio.dump_json(
-                    {
-                        "schema_version": bio.SCHEMA_VERSION,
-                        "seed": seed,
-                        "points": [p.to_json() for p in points],
-                    }
+        mspec = _get(spec, "model", "sweep")
+        _choice(mspec, "family", "sweep.model", THETA_FAMILIES)
+        thetas = _thetas(spec)
+        n_per_point = _integer(spec, "n_per_point", "sweep", default=None)
+        with _section("sweep"):
+            points = theta_sweep(
+                # theta is the relative angle at the (0, 0) context
+                lambda theta: build_model(
+                    mspec, "sweep.model", AngleAssignment(alice=(theta, 0.0), bob=(0.0, 0.0))
                 ),
+                thetas,
+                n_trials=n_per_point,
+                seed=seed,
             )
+        name, text = "sweep", bio.theta_sweep_csv(points, seed)
         counts = {"points": len(points), "n_per_point": n_per_point}
     else:
-        stream_a = bio.read_timetags_csv(Path(_get(spec, "timetags_a", "sweep")))
-        stream_b = bio.read_timetags_csv(Path(_get(spec, "timetags_b", "sweep")))
+        stream_a = bio.read_timetags_csv(_path(spec, "timetags_a", "sweep"))
+        stream_b = bio.read_timetags_csv(_path(spec, "timetags_b", "sweep"))
         windows = _get(spec, "windows_ns", "sweep")
-        if not isinstance(windows, list) or not windows:
-            raise ConfigError("sweep.windows_ns", "must be a non-empty array of widths")
-        for w in windows:
-            if isinstance(w, bool) or not isinstance(w, int) or w <= 0:
-                raise ConfigError("sweep.windows_ns", f"widths must be positive integers, got {w!r}")
-        strategy = _choice(spec, "strategy", "sweep", ("lattice", "greedy"), default="lattice")
-        points = window_sweep(stream_a, stream_b, windows, strategy=strategy)
-        _write(out / "windows.csv", bio.window_sweep_csv(points, seed))
-        if args.format == "json":
-            _write(
-                out / "windows.json",
-                bio.dump_json(
-                    {
-                        "schema_version": bio.SCHEMA_VERSION,
-                        "seed": seed,
-                        "points": [
-                            {
-                                "window_ns": p.window_ns,
-                                "S": p.s,
-                                "summary": p.summary.to_json(),
-                                "c_by_context": p.c_by_context,
-                            }
-                            for p in points
-                        ],
-                    }
-                ),
-            )
+        if not isinstance(windows, list) or any(
+            isinstance(w, bool) or not isinstance(w, int) for w in windows
+        ):
+            raise ConfigError("sweep.windows_ns", f"must be an array of integers, got {windows!r}")
+        strategy = _get(spec, "strategy", "sweep", default="lattice")
+        with _section("sweep"):
+            points = window_sweep(stream_a, stream_b, windows, strategy=strategy)
+        name, text = "windows", bio.window_sweep_csv(points, seed)
         counts = {"points": len(points), "strategy": strategy}
 
-    meta = _metadata("sweep", seed, cfg, counts, [])
+    _write(out / f"{name}.csv", text)
+    if args.format == "json":
+        points_json = [p.to_json() for p in points]
+        doc = {"schema_version": bio.SCHEMA_VERSION, "seed": seed, "points": points_json}
+        _write(out / f"{name}.json", bio.dump_json(doc))
+    meta = _document("sweep", seed, config=cfg, counts=counts, warnings=[])
     _write(out / "metadata.json", bio.dump_json(meta))
     return EXIT_OK
 
 
 def cmd_feasibility(args) -> int:
-    cfg = load_config(Path(args.config))
-    seed = _resolve_seed(args, cfg, required=False)
-    contexts = _get(cfg, "contexts", "")
-    if not isinstance(contexts, dict):
-        raise ConfigError("contexts", 'must map context keys "00".."11" to 2x2 tables')
-    tables = {}
-    for s in CONTEXTS:
-        raw = _get(contexts, s.key(), "contexts")
-        try:
-            tables[s] = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"contexts.{s.key()}", f"must be a numeric 2x2 table: {e}") from e
-    result = coupling_feasibility(tables)
-    doc = {
-        "schema_version": bio.SCHEMA_VERSION,
-        "belllab_version": __version__,
-        "command": "feasibility",
-        "seed": seed,
-        "chsh_combinations": chsh_combinations(tables),
-        **result.to_json(),
-    }
+    cfg, seed, out = _setup(args, seed_default=0)
+    tables = _context_arrays(cfg, "contexts", "")
+    with _section("contexts"):
+        result = coupling_feasibility(tables)
+    doc = _document(
+        "feasibility", seed, chsh_combinations=chsh_combinations(tables), **result.to_json()
+    )
     text = bio.dump_json(doc)
-    if args.out is not None:
-        out = _out_dir(args)
+    if out is not None:
         _write(out / "feasibility.json", text)
     else:
         sys.stdout.write(text)

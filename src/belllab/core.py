@@ -1,10 +1,11 @@
-"""Shared domain types, trial tallying, and the CHSH statistic.
+"""Shared domain types, columnar trial tallying, and the CHSH statistic.
 
 A Bell-test run produces trials labelled by a setting pair (x, y), with
 x, y in {0, 1} (0 = unprimed, 1 = primed). Outcomes are +1, -1, or 0,
-where 0 means "no detection". Trials fold into a ContextTable of 9-cell
-counts per context; estimation conditions pairwise expectations on the
-nonzero-pair subset and reports the retained fraction C per context.
+where 0 means "no detection". Trials, held as parallel arrays, fold into a
+ContextTable of 9-cell counts per context (``ContextTable.from_arrays``);
+estimation conditions pairwise expectations on the nonzero-pair subset and
+reports the retained fraction C per context.
 
 Sign convention: the minus sign of the CHSH combination sits on the
 (1, 1) context, i.e. S = E00 + E01 + E10 - E11. Callers that compare
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,17 +29,12 @@ __all__ = [
     "CHSH_SIGNS",
     "AngleAssignment",
     "CANONICAL_ANGLES",
-    "TrialRecord",
     "ContextTable",
     "ContextEstimate",
     "CorrelationSummary",
-    "tally",
     "estimate",
     "chsh",
 ]
-
-#: Valid outcome values; 0 is "no detection".
-OUTCOMES = (1, -1, 0)
 
 #: Row/column position of each outcome in a ContextTable cell block.
 OUTCOME_INDEX = {1: 0, -1: 1, 0: 2}
@@ -88,25 +84,6 @@ class AngleAssignment:
 CANONICAL_ANGLES = AngleAssignment(
     alice=(0.0, math.pi / 2), bob=(math.pi / 4, -math.pi / 4)
 )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial: context, two outcomes, and the event-ready herald flag."""
-
-    trial_id: int
-    settings: SettingPair
-    a: int
-    b: int
-    ready: bool = True
-
-    def __post_init__(self) -> None:
-        if self.trial_id < 0:
-            raise ValueError("trial_id must be >= 0")
-        if self.a not in OUTCOMES or self.b not in OUTCOMES:
-            raise ValueError(f"outcomes must be +1, -1 or 0, got ({self.a}, {self.b})")
-        if self.ready and (self.a == 0 or self.b == 0):
-            raise ValueError("ready trials must have nonzero outcomes")
 
 
 class ContextTable:
@@ -192,17 +169,6 @@ def _outcome_indices(values: np.ndarray) -> np.ndarray:
     if (idx < 0).any():
         raise ValueError("outcomes must be +1, -1 or 0")
     return idx
-
-
-def tally(records: Iterable[TrialRecord]) -> ContextTable:
-    """Fold trial records into a ContextTable.
-
-    Pure and order-independent; an empty input yields the all-zero table.
-    """
-    counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
-    for r in records:
-        counts[r.settings.x, r.settings.y, OUTCOME_INDEX[r.a], OUTCOME_INDEX[r.b]] += 1
-    return ContextTable(counts)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,7 @@ __all__ = [
     "ContextualModel",
     "PostSelectionModel",
     "CouplingModel",
-    "exact_expectation",
     "exact_chsh",
-    "sample_trial",
     "sample_batch",
     "max_deterministic_chsh",
     "deterministic_strategies",
@@ -411,17 +409,6 @@ CouplingModel = Union[
 ]
 
 
-def exact_expectation(model: CouplingModel, s: SettingPair) -> ExactMoments:
-    """Exact moments for ``model`` under context ``s``.
-
-    For the singlet this is the closed form -V*cos(theta); for finite models
-    an exact sum over the tabulated hidden values. Post-selection models
-    normalize by the retained fraction and return ``None`` expectations for
-    starved contexts.
-    """
-    return model.exact_expectation(s)
-
-
 def exact_chsh(model: CouplingModel) -> float | None:
     """CHSH combination of the exact pairwise expectations (None if starved)."""
     e = {}
@@ -431,16 +418,6 @@ def exact_chsh(model: CouplingModel) -> float | None:
             return None
         e[s] = m.e_ab
     return chsh_from_expectations(e)
-
-
-def sample_trial(
-    model: CouplingModel, s: SettingPair, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw one trial (a, b) from the model's law under context ``s``."""
-    x = np.array([s.x])
-    y = np.array([s.y])
-    a, b = model.sample_batch(x, y, rng)
-    return int(a[0]), int(b[0])
 
 
 def sample_batch(
@@ -534,12 +511,12 @@ def rejection_curve(kind: str = "linear", *, max_reject: float = 0.8, exponent: 
     ``power``:  r(c) = max_reject * (1 - c) ** exponent.
     """
     if not (0.0 <= max_reject < 1.0):
-        raise ValueError("max_reject must be in [0, 1)")
+        raise ValueError(f"max_reject must be in [0, 1), got {max_reject!r}")
+    if not exponent > 0:
+        raise ValueError(f"exponent must be positive, got {exponent!r}")
     if kind == "linear":
         return lambda c: max_reject * (1.0 - c)
     if kind == "power":
-        if exponent <= 0:
-            raise ValueError("exponent must be positive")
         return lambda c: max_reject * (1.0 - c) ** exponent
     raise ValueError(f"unknown rejection curve kind: {kind!r}")
 

@@ -13,6 +13,7 @@ Column schemas:
 * pairs CSV: ``x,y,a,b`` (settings 0/1 or -1 when unknown)
 * theta sweep CSV: ``theta_rad,E,stderr,n`` (empty E for starved points)
 * window sweep CSV: per-width S, per-context E, retention C, pair counts
+* summary CSV: ``context,e_ab,e_a,e_b,c,n_pairs,n_total`` (empty when undefined)
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import SweepPoint
-from .core import CONTEXTS
+from .core import CONTEXTS, CorrelationSummary
 from .errors import ConfigError
 from .pipeline import PairedRawData, WindowPoint
 from .protocol import EventReadyRun, RawEventStream
@@ -42,6 +43,7 @@ __all__ = [
     "read_pairs_csv",
     "theta_sweep_csv",
     "window_sweep_csv",
+    "summary_csv",
     "dump_json",
 ]
 
@@ -108,9 +110,17 @@ def write_trials_csv(path: Path, run: EventReadyRun, seed: int) -> None:
 
 
 def read_trials_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a trials CSV; returns (x, y, a, b) with ready rows only."""
+    """Read a trials CSV; returns (x, y, a, b) with ready rows only.
+
+    A ready trial has both outcomes nonzero; a file that breaks this is rejected.
+    """
     _, data = _read_int_csv(path, "trials", ("trial_id", "x", "y", "a", "b", "ready"))
-    ready = data[:, 5] != 0
+    if not np.isin(data[:, 5], (0, 1)).all():
+        raise ConfigError(str(path), "ready must be 0 or 1")
+    ready = data[:, 5] == 1
+    bad = np.flatnonzero(ready & ((data[:, 3] == 0) | (data[:, 4] == 0)))
+    if bad.size:
+        raise ConfigError(str(path), f"data row {bad[0] + 1}: a ready trial needs nonzero outcomes")
     return data[ready, 1], data[ready, 2], data[ready, 3], data[ready, 4]
 
 
@@ -126,9 +136,12 @@ def read_timetags_csv(path: Path) -> RawEventStream:
     station = header.get("station")
     if station not in ("A", "B"):
         raise ConfigError(str(path), "header must carry station=A or station=B")
-    return RawEventStream(
-        station=station, times=data[:, 0], settings=data[:, 1], outcomes=data[:, 2]
-    )
+    try:
+        return RawEventStream(
+            station=station, times=data[:, 0], settings=data[:, 1], outcomes=data[:, 2]
+        )
+    except ValueError as e:
+        raise ConfigError(str(path), str(e)) from e
 
 
 def write_pairs_csv(path: Path, pairs: PairedRawData, seed: int) -> None:
@@ -138,7 +151,10 @@ def write_pairs_csv(path: Path, pairs: PairedRawData, seed: int) -> None:
 
 def read_pairs_csv(path: Path) -> PairedRawData:
     _, data = _read_int_csv(path, "pairs", ("x", "y", "a", "b"))
-    return PairedRawData(x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3])
+    try:
+        return PairedRawData(x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3])
+    except ValueError as e:
+        raise ConfigError(str(path), str(e)) from e
 
 
 def _cell(value: float | None) -> str:
@@ -167,6 +183,15 @@ def window_sweep_csv(points: Sequence[WindowPoint], seed: int) -> str:
         row += [_cell(p.c_by_context[s.key()]) for s in CONTEXTS]
         row += [str(p.summary[s].n_pairs) for s in CONTEXTS]
         lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def summary_csv(summary: CorrelationSummary, seed: int) -> str:
+    lines = [_header("summary", seed), "context,e_ab,e_a,e_b,c,n_pairs,n_total"]
+    for s in CONTEXTS:
+        est = summary[s]
+        cells = [_cell(v) for v in (est.e_ab, est.e_a, est.e_b, est.c)]
+        lines.append(",".join([s.key(), *cells, str(est.n_pairs), str(est.n_total)]))
     return "\n".join(lines) + "\n"
 
 

@@ -80,20 +80,19 @@ class PairedRawData:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("x", "y", "a", "b"):
-            arr = np.asarray(getattr(self, name), dtype=np.int8).copy()
-            arr.setflags(write=False)
-            arrays[name] = arr
+        arrays = {name: np.asarray(getattr(self, name)) for name in ("x", "y", "a", "b")}
         lengths = {len(v) for v in arrays.values()}
         if len(lengths) > 1:
             raise PipelineError("paired-data columns must have equal length")
+        # Check the values as given, before narrowing: int8(255) would read as -1.
         if not np.isin(arrays["a"], (-1, 0, 1)).all() or not np.isin(arrays["b"], (-1, 0, 1)).all():
             raise PipelineError("outcomes must be in {-1, 0, +1}")
         for name in ("x", "y"):
             if not np.isin(arrays[name], (UNKNOWN_SETTING, 0, 1)).all():
                 raise PipelineError("settings must be 0, 1 or the unknown sentinel")
         for name, arr in arrays.items():
+            arr = arr.astype(np.int8)
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
@@ -282,6 +281,14 @@ class WindowPoint:
     s: float | None
     c_by_context: dict
     meta: dict
+
+    def to_json(self) -> dict:
+        return {
+            "window_ns": self.window_ns,
+            "S": self.s,
+            "summary": self.summary.to_json(),
+            "c_by_context": self.c_by_context,
+        }
 
 
 def window_sweep(

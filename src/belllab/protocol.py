@@ -34,13 +34,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import rng as _rng
-from .core import AngleAssignment, SettingPair, TrialRecord
+from .core import AngleAssignment
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
+from .errors import ConfigError
 from .pipeline import PairedRawData
 
 __all__ = [
@@ -63,12 +63,11 @@ CHUNK = 1 << 16
 def worker_count() -> int:
     """Worker cap from BELLLAB_THREADS (default: all cores). Never affects results."""
     raw = os.environ.get("BELLLAB_THREADS")
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("BELLLAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ConfigError("BELLLAB_THREADS", f"must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _run_chunks(n_items: int, make_chunk) -> list:
@@ -103,12 +102,11 @@ class SourceProtocolConfig:
     outcome_delay_b: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.pair_rate < 0 or self.dark_rate < 0:
-            raise ValueError("rates must be >= 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.jitter_sd < 0:
-            raise ValueError("jitter_sd must be >= 0")
+        for name in ("pair_rate", "dark_rate", "jitter_sd"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not self.duration > 0:
+            raise ValueError(f"duration must be positive, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -140,16 +138,21 @@ class RawEventStream:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.int64)
-        settings = np.asarray(self.settings, dtype=np.int8)
-        outcomes = np.asarray(self.outcomes, dtype=np.int8)
         if self.station not in ("A", "B"):
             raise ValueError("station must be 'A' or 'B'")
+        times = np.asarray(self.times, dtype=np.int64)
+        settings = np.asarray(self.settings)
+        outcomes = np.asarray(self.outcomes)
         if not (len(times) == len(settings) == len(outcomes)):
             raise ValueError("stream columns must have equal length")
+        # Check the values as given, before narrowing: int8(257) would read as 1.
+        if not np.isin(settings, (0, 1)).all():
+            raise ValueError("stream settings must be 0 or 1")
         if not np.isin(outcomes, (-1, 1)).all():
             raise ValueError("stream outcomes must be +/-1")
-        for arr, name in ((times, "times"), (settings, "settings"), (outcomes, "outcomes")):
+        settings = settings.astype(np.int8)
+        outcomes = outcomes.astype(np.int8)
+        for arr in (times, settings, outcomes):
             arr.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "settings", settings)
@@ -172,8 +175,8 @@ class SourceRun:
     metadata: dict = field(default_factory=dict)
 
 
-class EventReadyRun(Sequence[TrialRecord]):
-    """Event-ready trial results, stored columnar, viewable as TrialRecords."""
+class EventReadyRun:
+    """Event-ready trial results as parallel columns; every trial is ready."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, metadata: dict):
         self.x = np.asarray(x, dtype=np.int8)
@@ -186,26 +189,6 @@ class EventReadyRun(Sequence[TrialRecord]):
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def __getitem__(self, i) -> TrialRecord:
-        if isinstance(i, slice):
-            raise TypeError("slicing not supported; index trials individually")
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        if not (0 <= i < len(self)):
-            raise IndexError(i)
-        return TrialRecord(
-            trial_id=i,
-            settings=SettingPair(int(self.x[i]), int(self.y[i])),
-            a=int(self.a[i]),
-            b=int(self.b[i]),
-            ready=True,
-        )
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def run_event_ready(
@@ -232,6 +215,11 @@ def run_event_ready(
         m = stop - start
         g = _rng.stream(seed, "event-ready", index)
         attempts = g.geometric(cfg.herald_prob, size=m)
+        if attempts.max() > np.iinfo(np.int64).max // m:
+            # geometric() saturates at INT64_MAX and the chunk sum would wrap.
+            raise ValueError(
+                f"herald_prob={cfg.herald_prob!r} is too small: herald attempt counts overflow"
+            )
         x = g.integers(0, 2, size=m, dtype=np.int8)
         y = g.integers(0, 2, size=m, dtype=np.int8)
         a, b = sample_batch(model, x, y, g)

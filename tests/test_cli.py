@@ -11,6 +11,9 @@ import pytest
 
 from belllab import io as bio
 from belllab.cli import main
+from belllab.core import AngleAssignment, SettingPair
+from belllab.couplings import pearle_model, rejection_curve
+from belllab.protocol import RawEventStream
 
 SQRT2 = math.sqrt(2)
 REPO = Path(__file__).resolve().parents[1]
@@ -307,6 +310,142 @@ class TestSweep:
             },
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def source_config(model=None, **overrides):
+    proto = {"kind": "source", "pair_rate": 10.0, "duration": 1.0}
+    proto.update(overrides)
+    model = model or {"family": "quantum_singlet", "angles": CANONICAL_ANGLES_JSON}
+    return {"seed": 1, "protocol": proto, "model": model}
+
+
+def text_file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def stream_inputs(tmp_path, window, **files):
+    """Analyze config on two one-event streams; ``files`` are input files given as text."""
+    inputs = {"window": window}
+    for key, station in (("timetags_a", "A"), ("timetags_b", "B")):
+        stream = RawEventStream(station, np.array([5]), np.array([0]), np.array([1]))
+        bio.write_timetags_csv(tmp_path / f"{key}.csv", stream, seed=1)
+        inputs[key] = str(tmp_path / f"{key}.csv")
+    for key, text in files.items():
+        inputs[key] = text_file(tmp_path / f"{key}.csv", text)
+    return {"seed": 1, "inputs": inputs}
+
+
+PEARLE_MAX_REJECT_1 = {
+    "family": "pearle",
+    "angles": CANONICAL_ANGLES_JSON,
+    "rejection": {"kind": "linear", "max_reject": 1.0},
+}
+PEARLE_EXPONENT_0 = {
+    "family": "pearle",
+    "angles": CANONICAL_ANGLES_JSON,
+    "rejection": {"kind": "power", "exponent": 0},
+}
+LATTICE_15 = {"width_ns": 15}
+BAD_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n5,257,1\n"
+BAD_PAIRS = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n0,0,255,1\n"
+BAD_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,0,1,1\n"
+
+#: (command, config builder, text the error must carry: the field path first).
+MALFORMED = {
+    "nan_setting_delay": (
+        "simulate",
+        lambda tmp: source_config(setting_delay={"alice": [math.nan, 0.0]}),
+        "protocol.setting_delay.alice: must be a finite number",
+    ),
+    "bool_outcome_delay": (
+        "simulate",
+        lambda tmp: source_config(outcome_delay={"bob": [True, 3]}),
+        "protocol.outcome_delay.bob: must be a finite number",
+    ),
+    "number_setting_delay": (
+        "simulate",
+        lambda tmp: source_config(setting_delay=0),
+        "protocol.setting_delay: must be an object",
+    ),
+    "missing_protocol": ("simulate", lambda tmp: {"seed": 1}, "error: protocol: missing required field"),
+    "herald_prob_zero": (
+        "simulate",
+        lambda tmp: event_ready_config(10, herald_prob=0),
+        "protocol: herald_prob",
+    ),
+    "herald_prob_tiny": (
+        "simulate",
+        lambda tmp: event_ready_config(10, herald_prob=1e-300),
+        "protocol: herald_prob",
+    ),
+    "max_reject_one": (
+        "simulate",
+        lambda tmp: source_config(PEARLE_MAX_REJECT_1),
+        "model.rejection: max_reject",
+    ),
+    "exponent_zero": ("simulate", lambda tmp: source_config(PEARLE_EXPONENT_0), "model.rejection: exponent"),
+    "duration_zero": ("simulate", lambda tmp: source_config(duration=0), "protocol: duration"),
+    "huge_integer_rate": (
+        "simulate",
+        lambda tmp: source_config(pair_rate=10**400),
+        "protocol.pair_rate: must be a finite number",
+    ),
+    "negative_dark_rate": ("simulate", lambda tmp: source_config(dark_rate=-1.0), "protocol: dark_rate"),
+    "width_zero": ("analyze", lambda tmp: stream_inputs(tmp, {"width_ns": 0}), "inputs.window: window"),
+    "theta_sweep_lhv": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {"kind": "theta", "model": {"family": "deterministic_lhv"}, "thetas": [0.0]},
+        },
+        "sweep.model.family",
+    ),
+    "timetags_setting_257": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=BAD_TAGS),
+        "timetags_a.csv: stream settings",
+    ),
+    "pairs_outcome_255": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, LATTICE_15, raw_pairs=BAD_PAIRS),
+        "raw_pairs.csv: outcomes",
+    ),
+    "ready_trial_zero_outcome": (
+        "analyze",
+        lambda tmp: {"seed": 1, "inputs": {"trials": text_file(tmp / "trials.csv", BAD_TRIALS)}},
+        "trials.csv: data row 1",
+    ),
+}
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, case):
+        command, build, expected = MALFORMED[case]
+        cfg = write_config(tmp_path / "c.json", build(tmp_path))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_pearle_theta_sweep_takes_its_angles_from_the_sweep(self, tmp_path):
+        rejection = {"kind": "power", "max_reject": 0.5, "exponent": 2.0}
+        model = {"family": "pearle", "bins": 90, "threshold_bins": 8, "rejection": rejection}
+        thetas = [0.0, 0.7, 2.0]
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"seed": 1, "sweep": {"kind": "theta", "model": model, "thetas": thetas}},
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == len(thetas)
+        for row, theta in zip(rows, thetas):
+            direct = pearle_model(
+                AngleAssignment(alice=(theta, 0.0), bob=(0.0, 0.0)),
+                rejection_curve("power", max_reject=0.5, exponent=2.0),
+                bins=90,
+                threshold_bins=8,
+            )
+            assert row.split(",")[1] == repr(direct.exact_expectation(SettingPair(0, 0)).e_ab)
 
 
 class TestFeasibilityCommand:

@@ -1,4 +1,4 @@
-"""Core types, tallying, estimation, and the CHSH statistic."""
+"""Core types, columnar tallying, estimation, and the CHSH statistic."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belllab.core import (
+    OUTCOME_INDEX,
     CHSH_SIGNS,
     CONTEXTS,
     AngleAssignment,
@@ -16,20 +17,17 @@ from belllab.core import (
     ContextTable,
     CorrelationSummary,
     SettingPair,
-    TrialRecord,
     chsh,
     estimate,
-    tally,
 )
 
 SQRT2 = math.sqrt(2)
 
 
-def make_records(rows):
-    return [
-        TrialRecord(trial_id=i, settings=SettingPair(x, y), a=a, b=b, ready=(a != 0 and b != 0))
-        for i, (x, y, a, b) in enumerate(rows)
-    ]
+def table_of(rows):
+    """ContextTable of (x, y, a, b) rows, through the columnar path."""
+    x, y, a, b = np.array(list(rows), dtype=np.int64).reshape(-1, 4).T
+    return ContextTable.from_arrays(x, y, a, b)
 
 
 def summary_from(e_ab_by_ctx, n=1000):
@@ -67,13 +65,13 @@ class TestAngles:
 
 class TestTally:
     def test_empty_input_all_zero(self):
-        table = tally([])
+        table = table_of([])
         assert table.counts.sum() == 0
         for s in CONTEXTS:
             assert table.n_total(s) == 0
 
     def test_single_cell_fold(self):
-        table = tally(make_records([(0, 0, 1, -1)] * 3))
+        table = table_of([(0, 0, 1, -1)] * 3)
         assert table.count(SettingPair(0, 0), 1, -1) == 3
         assert table.counts.sum() == 3
 
@@ -88,7 +86,7 @@ class TestTally:
         naive = {}
         for row in rows:
             naive[row] = naive.get(row, 0) + 1
-        table = tally(make_records(rows))
+        table = table_of(rows)
         for (x, y, a, b), count in naive.items():
             assert table.count(SettingPair(x, y), a, b) == count
         assert table.counts.sum() == 1000
@@ -101,13 +99,13 @@ class TestTally:
     def test_permutation_invariance(self, rows, pyrandom):
         shuffled = list(rows)
         pyrandom.shuffle(shuffled)
-        assert tally(make_records(rows)) == tally(make_records(shuffled))
+        assert table_of(rows) == table_of(shuffled)
 
     def test_merge_matches_concatenation(self):
         rows1 = [(0, 0, 1, 1), (1, 1, -1, 1)]
         rows2 = [(0, 1, 0, -1), (1, 1, -1, 1)]
-        merged = tally(make_records(rows1)).merge(tally(make_records(rows2)))
-        assert merged == tally(make_records(rows1 + rows2))
+        merged = table_of(rows1).merge(table_of(rows2))
+        assert merged == table_of(rows1 + rows2)
 
     def test_from_arrays_matches_record_fold(self):
         rng = np.random.default_rng(7)
@@ -115,11 +113,21 @@ class TestTally:
         y = rng.integers(0, 2, 500)
         a = rng.choice([-1, 0, 1], 500)
         b = rng.choice([-1, 0, 1], 500)
-        expected = tally(make_records(zip(x, y, a, b)))
-        assert ContextTable.from_arrays(x, y, a, b) == expected
+        # Oracle: one cell increment per row, in a plain Python loop.
+        counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
+        for row in zip(x, y, a, b):
+            xi, yi, ai, bi = map(int, row)
+            counts[xi, yi, OUTCOME_INDEX[ai], OUTCOME_INDEX[bi]] += 1
+        assert ContextTable.from_arrays(x, y, a, b) == ContextTable(counts)
+
+    def test_from_arrays_rejects_bad_codes(self):
+        # Outcome 2, setting 2, and codes that an int8 cast would wrap to valid ones.
+        for row in [(0, 0, 2, 1), (0, 0, 1, 2), (2, 0, 1, 1), (0, 0, 255, 1), (257, 0, 1, 1)]:
+            with pytest.raises(ValueError):
+                table_of([row])
 
     def test_json_round_trip(self):
-        table = tally(make_records([(0, 1, 1, 0), (1, 0, -1, -1)]))
+        table = table_of([(0, 1, 1, 0), (1, 0, -1, -1)])
         assert ContextTable.from_json(table.to_json()) == table
 
 
@@ -183,7 +191,7 @@ class TestEstimate:
              int(rng.choice([-1, 1])), int(rng.choice([-1, 1])))
             for _ in range(200)
         ]
-        summary = estimate(tally(make_records(rows)))
+        summary = estimate(table_of(rows))
         for s in CONTEXTS:
             if summary[s].n_total > 0:
                 assert summary[s].c == 1.0
@@ -238,8 +246,8 @@ class TestChsh:
             for _ in range(400)
         ]
         flipped = [(x, y, -a, b) for (x, y, a, b) in rows]
-        s1 = chsh(estimate(tally(make_records(rows))))
-        s2 = chsh(estimate(tally(make_records(flipped))))
+        s1 = chsh(estimate(table_of(rows)))
+        s2 = chsh(estimate(table_of(flipped)))
         assert s1 == pytest.approx(-s2, abs=1e-12)
 
     def test_linearity_in_each_context(self):
@@ -248,13 +256,3 @@ class TestChsh:
             bumped = dict(base)
             bumped[(s.x, s.y)] = 0.25
             assert chsh(summary_from(bumped)) == pytest.approx(CHSH_SIGNS[s] * 0.25)
-
-
-class TestTrialRecord:
-    def test_ready_requires_nonzero_outcomes(self):
-        with pytest.raises(ValueError):
-            TrialRecord(trial_id=0, settings=SettingPair(0, 0), a=0, b=1, ready=True)
-
-    def test_rejects_bad_outcome(self):
-        with pytest.raises(ValueError):
-            TrialRecord(trial_id=0, settings=SettingPair(0, 0), a=2, b=1)

@@ -15,13 +15,11 @@ from belllab.couplings import (
     deterministic_strategies,
     disjoint_support_model,
     exact_chsh,
-    exact_expectation,
     max_deterministic_chsh,
     pearle_model,
     rejection_curve,
     rotation_invariant_contextual,
     sample_batch,
-    sample_trial,
     statistical_dependence,
 )
 from belllab.rng import stream
@@ -46,11 +44,11 @@ def angles_with_theta(theta):
 class TestQuantumSinglet:
     def test_aligned_settings_anticorrelate(self):
         m = QuantumSingletModel(angles=angles_with_theta(0.0))
-        assert exact_expectation(m, C00).e_ab == -1.0
+        assert m.exact_expectation(C00).e_ab == -1.0
 
     def test_orthogonal_settings_uncorrelated(self):
         m = QuantumSingletModel(angles=angles_with_theta(math.pi / 2))
-        assert exact_expectation(m, C00).e_ab == pytest.approx(0.0, abs=1e-15)
+        assert m.exact_expectation(C00).e_ab == pytest.approx(0.0, abs=1e-15)
 
     def test_canonical_chsh_value(self):
         s = exact_chsh(QuantumSingletModel(angles=CANONICAL_ANGLES))
@@ -63,7 +61,7 @@ class TestQuantumSinglet:
     def test_marginals_unbiased_and_lossless(self):
         m = QuantumSingletModel(angles=CANONICAL_ANGLES, visibility=0.7)
         for s in CONTEXTS:
-            e = exact_expectation(m, s)
+            e = m.exact_expectation(s)
             assert e.e_a == 0.0 and e.e_b == 0.0 and e.c == 1.0
 
     def test_sampler_joint_distribution(self):
@@ -98,14 +96,14 @@ class TestDeterministicModel:
             bob=np.array([[-1], [-1]]),
         )
         for s in CONTEXTS:
-            assert exact_expectation(m, s).e_ab == -1.0
+            assert m.exact_expectation(s).e_ab == -1.0
         assert exact_chsh(m) == -2.0
 
     def test_sampler_is_table_lookup(self):
         rng = np.random.default_rng(0)
         m = random_deterministic_model(rng, n_hidden=4)
-        a, b = sample_trial(m, SettingPair(1, 0), stream(5, "sampling", 0))
-        assert a in (-1, 1) and b in (-1, 1)
+        a, b = sample_batch(m, np.array([1]), np.array([0]), stream(5, "sampling", 0))
+        assert a[0] in (-1, 1) and b[0] in (-1, 1)
         # With a single hidden value the outcome is forced.
         m1 = DeterministicLHVModel(
             weights=np.array([1.0]),
@@ -113,9 +111,9 @@ class TestDeterministicModel:
             bob=np.array([[-1], [1]]),
         )
         for s in CONTEXTS:
-            for trial in range(5):
-                a, b = sample_trial(m1, s, stream(trial, "sampling", 1))
-                assert a == int(m1.alice[s.x, 0]) and b == int(m1.bob[s.y, 0])
+            g = stream(1, "sampling", 2 * s.x + s.y)
+            a, b = sample_batch(m1, np.full(5, s.x), np.full(5, s.y), g)
+            assert (a == m1.alice[s.x, 0]).all() and (b == m1.bob[s.y, 0]).all()
 
     def test_random_models_respect_local_bound(self):
         rng = np.random.default_rng(42)
@@ -147,7 +145,7 @@ class TestStochasticModel:
         )
         # Hand computation: E_ab = sum w * (2pa-1)(2pb-1).
         expected = 0.25 * (1.0 * -1.0) + 0.75 * (-1.0 * 1.0)
-        assert exact_expectation(m, C00).e_ab == pytest.approx(expected)
+        assert m.exact_expectation(C00).e_ab == pytest.approx(expected)
 
     def test_random_models_respect_local_bound(self):
         rng = np.random.default_rng(43)
@@ -158,7 +156,7 @@ class TestStochasticModel:
     def test_sampler_converges_to_exact(self):
         rng = np.random.default_rng(2)
         m = random_stochastic_model(rng, n_hidden=3)
-        exact = exact_expectation(m, C00).e_ab
+        exact = m.exact_expectation(C00).e_ab
         n = 200_000
         a, b = sample_batch(m, np.zeros(n, dtype=int), np.zeros(n, dtype=int), stream(8, "sampling", 0))
         est = float((a * b).mean())
@@ -173,7 +171,7 @@ class TestContextualModel:
             m = random_contextual_model(rng)
             for s in CONTEXTS:
                 e_ab, e_a, e_b = brute_force_contextual(m, s)
-                got = exact_expectation(m, s)
+                got = m.exact_expectation(s)
                 assert got.e_ab == pytest.approx(e_ab, abs=1e-12)
                 assert got.e_a == pytest.approx(e_a, abs=1e-12)
                 assert got.e_b == pytest.approx(e_b, abs=1e-12)
@@ -187,7 +185,7 @@ class TestContextualModel:
         alice = np.array([[[1], [-1]], [[1], [1]]])  # [x][k1][mu]
         bob = np.array([[[1], [1]], [[-1], [1]]])
         m = ContextualModel(source_weights=src, instrument_weights=iw, alice=alice, bob=bob)
-        e = exact_expectation(m, SettingPair(0, 1))
+        e = m.exact_expectation(SettingPair(0, 1))
         # E = 0.5 * A_0(k=0) B_1(k=0) + 0.5 * A_0(k=1) B_1(k=1) = 0.5*(1*-1) + 0.5*(-1*1)
         assert e.e_ab == pytest.approx(-1.0)
 
@@ -212,7 +210,7 @@ class TestContextualModel:
         rng = np.random.default_rng(4)
         m = random_contextual_model(rng)
         s = SettingPair(1, 1)
-        exact = exact_expectation(m, s).e_ab
+        exact = m.exact_expectation(s).e_ab
         n = 200_000
         a, b = sample_batch(m, np.full(n, 1), np.full(n, 1), stream(12, "sampling", 0))
         sigma = math.sqrt((1 - exact**2) / n)
@@ -227,7 +225,7 @@ class TestPostSelectionModel:
             m = random_postselection_model(rng)
             for s in CONTEXTS:
                 e_ab, e_a, e_b, c = brute_force_postselection(m, s)
-                got = exact_expectation(m, s)
+                got = m.exact_expectation(s)
                 assert got.c == pytest.approx(c, abs=1e-12)
                 if e_ab is None:
                     assert got.e_ab is None
@@ -259,9 +257,9 @@ class TestPostSelectionModel:
             alice=np.array([[[1]], [[0]]]),  # setting 1 never detects
             bob=np.array([[[1]], [[1]]]),
         )
-        starved = exact_expectation(m, SettingPair(1, 0))
+        starved = m.exact_expectation(SettingPair(1, 0))
         assert starved.e_ab is None and starved.c == 0.0
-        fine = exact_expectation(m, SettingPair(0, 0))
+        fine = m.exact_expectation(SettingPair(0, 0))
         assert fine.e_ab == 1.0 and fine.c == 1.0
 
     def test_all_starved_model_rejected(self):
@@ -278,7 +276,7 @@ class TestPostSelectionModel:
         rng = np.random.default_rng(6)
         m = random_postselection_model(rng, n1=3, n2=2)
         s = SettingPair(0, 1)
-        exact = exact_expectation(m, s)
+        exact = m.exact_expectation(s)
         n = 300_000
         a, b = sample_batch(m, np.full(n, s.x), np.full(n, s.y), stream(21, "sampling", 0))
         prod = (a.astype(float) * b.astype(float))
@@ -352,7 +350,7 @@ class TestPresets:
         m = disjoint_support_model()
         assert exact_chsh(m) == 4.0
         for s in CONTEXTS:
-            e = exact_expectation(m, s)
+            e = m.exact_expectation(s)
             assert e.c == pytest.approx(0.25)
             assert abs(e.e_ab) == 1.0
 
@@ -369,7 +367,7 @@ class TestPresets:
         assert abs(s) > 2.0
         assert statistical_dependence(m) == 0.0
         for ctx in CONTEXTS:
-            e = exact_expectation(m, ctx)
+            e = m.exact_expectation(ctx)
             assert 0.0 < e.c < 1.0
 
     def test_pearle_rejection_strength_monotone(self):
@@ -383,7 +381,7 @@ class TestPresets:
         m = pearle_model(CANONICAL_ANGLES, rejection_curve("linear", max_reject=0.0))
         assert abs(exact_chsh(m)) == pytest.approx(2.0, abs=0.02)
         for ctx in CONTEXTS:
-            assert exact_expectation(m, ctx).c == pytest.approx(1.0)
+            assert m.exact_expectation(ctx).c == pytest.approx(1.0)
 
     def test_rotation_invariant_constructor_depends_on_theta_only(self):
         def law(theta):
@@ -417,7 +415,7 @@ class TestMomentBounds:
             models.append(random_postselection_model(rng))
         for model in models:
             for s in CONTEXTS:
-                m = exact_expectation(model, s)
+                m = model.exact_expectation(s)
                 assert 0.0 <= m.c <= 1.0 + 1e-12
                 for value in (m.e_ab, m.e_a, m.e_b):
                     if value is not None:
@@ -450,7 +448,7 @@ class TestMonteCarloAgreement:
         ]
         n = 1_000_000
         for i, (model, s) in enumerate(cases):
-            exact = exact_expectation(model, s).e_ab
+            exact = model.exact_expectation(s).e_ab
             a, b = sample_batch(
                 model, np.full(n, s.x), np.full(n, s.y), stream(100 + i, "sampling", 0)
             )

@@ -81,3 +81,34 @@ def test_wrong_columns_rejected(tmp_path):
     path.write_text("# belllab schema_version=1 kind=timetags seed=1 station=A\nt,s\n1,0\n")
     with pytest.raises(ConfigError, match="columns"):
         bio.read_timetags_csv(path)
+
+
+def _csv(path, header, columns, rows):
+    path.write_text(f"# belllab schema_version=1 {header}\n{columns}\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("row", ["9,257,1", "9,0,255", "9,2,1", "9,0,0"])
+def test_timetags_codes_checked_before_narrowing(tmp_path, row):
+    # An int8 cast reads setting 257 as 1 and outcome 255 as -1.
+    path = _csv(tmp_path / "tags.csv", "kind=timetags seed=1 station=A", "time_ns,setting,outcome", ["1,0,1", row])
+    with pytest.raises(ConfigError, match="tags.csv"):
+        bio.read_timetags_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,0,255,1", "0,0,1,-255", "257,0,1,1", "0,2,1,1"])
+def test_pairs_codes_checked_before_narrowing(tmp_path, row):
+    path = _csv(tmp_path / "pairs.csv", "kind=pairs seed=1", "x,y,a,b", ["0,1,1,-1", row])
+    with pytest.raises(ConfigError, match="pairs.csv"):
+        bio.read_pairs_csv(path)
+
+
+def test_ready_trial_with_zero_outcome_rejected(tmp_path):
+    columns = "trial_id,x,y,a,b,ready"
+    ok = _csv(tmp_path / "ok.csv", "kind=trials seed=1", columns, ["0,0,1,1,-1,1", "1,1,0,0,0,0"])
+    x, y, a, b = bio.read_trials_csv(ok)  # not-ready rows may carry zeros; they are dropped
+    assert list(a) == [1] and list(b) == [-1]
+    for row in ("1,1,0,0,1,1", "1,1,0,1,0,1", "1,1,0,1,1,2"):
+        path = _csv(tmp_path / "bad.csv", "kind=trials seed=1", columns, ["0,0,1,1,-1,1", row])
+        with pytest.raises(ConfigError, match="bad.csv"):
+            bio.read_trials_csv(path)

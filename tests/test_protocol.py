@@ -24,8 +24,13 @@ class TestEventReady:
         cfg = EventReadyConfig(herald_prob=0.5)
         run = run_event_ready(cfg, CANONICAL_ANGLES, 1000, seed=1)
         assert len(run) == 1000
-        assert run[0].ready and run[999].ready
         assert np.isin(run.a, (-1, 1)).all() and np.isin(run.b, (-1, 1)).all()
+
+    def test_tiny_herald_prob_rejected_before_the_count_wraps(self):
+        # geometric() saturates at INT64_MAX; a chunk sum of such draws wraps negative.
+        for p in (1e-300, 1e-15):
+            with pytest.raises(ValueError, match="herald_prob"):
+                run_event_ready(EventReadyConfig(herald_prob=p), CANONICAL_ANGLES, CHUNK, seed=1)
 
     def test_perfect_case_anticorrelates(self):
         angles = AngleAssignment(alice=(0.2, 0.2), bob=(0.2, 0.2))  # theta = 0 everywhere
