@@ -35,6 +35,7 @@ from . import rng as _rng
 from .core import (
     CHSH_SIGNS,
     CONTEXTS,
+    MAX_ITEMS,
     ContextTable,
     CorrelationSummary,
     SettingPair,
@@ -539,8 +540,8 @@ def theta_sweep(
     """
     if len(thetas) == 0:
         raise AnalysisError("theta sweep needs a non-empty grid")
-    if n_trials is not None and (n_trials < 1 or seed is None):
-        raise AnalysisError("Monte-Carlo sweeps need n_trials >= 1 and a seed")
+    if n_trials is not None and (not 1 <= n_trials <= MAX_ITEMS or seed is None):
+        raise AnalysisError(f"Monte-Carlo sweeps need 1 <= n_trials <= {MAX_ITEMS} and a seed")
     points = []
     for idx, theta in enumerate(thetas):
         model = model_factory(float(theta))

@@ -31,7 +31,7 @@ from .analysis import (
     nosignalling_test,
     theta_sweep,
 )
-from .core import CONTEXTS, AngleAssignment, ContextTable, SettingPair, chsh, estimate
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, ContextTable, SettingPair, chsh, estimate
 from .couplings import (
     ContextualModel,
     CouplingModel,
@@ -437,8 +437,8 @@ def _thetas(spec: dict) -> list[float]:
     grid = _get(spec, "thetas", "sweep")
     if isinstance(grid, dict):
         count = _integer(grid, "count", "sweep.thetas")
-        if count < 1:
-            raise ConfigError("sweep.thetas.count", f"must be >= 1, got {count}")
+        if not 1 <= count <= MAX_ITEMS:
+            raise ConfigError("sweep.thetas.count", f"must be in [1, {MAX_ITEMS}], got {count}")
         start, stop = _number(grid, "start", "sweep.thetas"), _number(grid, "stop", "sweep.thetas")
         return np.linspace(start, stop, count).tolist()
     if isinstance(grid, list) and grid:

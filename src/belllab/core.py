@@ -58,6 +58,11 @@ class SettingPair:
 #: The four contexts in fixed (x, y) lexicographic order.
 CONTEXTS = (SettingPair(0, 0), SettingPair(0, 1), SettingPair(1, 0), SettingPair(1, 1))
 
+#: Largest number of trials, emissions, expected dark counts or table entries
+#: one run may ask for. Sizes read from a config are checked against it before
+#: anything is allocated, so a typo is an input error, not an out-of-memory kill.
+MAX_ITEMS = 10**8
+
 #: CHSH sign per context: +1 everywhere except the (1, 1) context.
 CHSH_SIGNS = {s: (-1.0 if (s.x, s.y) == (1, 1) else 1.0) for s in CONTEXTS}
 

@@ -34,7 +34,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import CONTEXTS, AngleAssignment, SettingPair, chsh_from_expectations
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair, chsh_from_expectations
 
 __all__ = [
     "ExactMoments",
@@ -76,6 +76,15 @@ def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _responses(name: str, table: np.ndarray, allowed: tuple[int, ...]) -> np.ndarray:
+    """A read-only int8 copy of a response table whose entries must lie in ``allowed``."""
+    table = np.asarray(table)
+    # Check the values as given, before narrowing: int8(255) would read as -1.
+    if not np.isin(table, allowed).all():
+        raise ValueError(f"{name} responses must be in {allowed}")
+    return _as_readonly(table, np.int8)
 
 
 def _check_distribution(name: str, w: np.ndarray) -> None:
@@ -145,8 +154,8 @@ class DeterministicLHVModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _as_readonly(self.weights, np.float64))
-        object.__setattr__(self, "alice", _as_readonly(self.alice, np.int8))
-        object.__setattr__(self, "bob", _as_readonly(self.bob, np.int8))
+        for name in ("alice", "bob"):
+            object.__setattr__(self, name, _responses(name, getattr(self, name), (-1, 1)))
         n = self.weights.shape[0]
         if self.weights.ndim != 1 or n == 0:
             raise ValueError("weights must be a nonempty vector")
@@ -154,8 +163,6 @@ class DeterministicLHVModel:
         for name, table in (("alice", self.alice), ("bob", self.bob)):
             if table.shape != (2, n):
                 raise ValueError(f"{name} responses must have shape (2, {n})")
-            if not np.isin(table, (-1, 1)).all():
-                raise ValueError(f"{name} responses must be +/-1")
 
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         a = self.alice[s.x].astype(np.float64)
@@ -240,8 +247,8 @@ class ContextualModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "source_weights", _as_readonly(self.source_weights, np.float64))
         object.__setattr__(self, "instrument_weights", _as_readonly(self.instrument_weights, np.float64))
-        object.__setattr__(self, "alice", _as_readonly(self.alice, np.int8))
-        object.__setattr__(self, "bob", _as_readonly(self.bob, np.int8))
+        for name in ("alice", "bob"):
+            object.__setattr__(self, name, _responses(name, getattr(self, name), (-1, 1)))
         if self.source_weights.ndim != 2:
             raise ValueError("source_weights must be a 2-d joint table")
         n1, n2 = self.source_weights.shape
@@ -258,9 +265,6 @@ class ContextualModel:
             raise ValueError(f"alice responses must have shape (2, {n1}, {mx})")
         if self.bob.shape != (2, n2, my):
             raise ValueError(f"bob responses must have shape (2, {n2}, {my})")
-        for name, table in (("alice", self.alice), ("bob", self.bob)):
-            if not np.isin(table, (-1, 1)).all():
-                raise ValueError(f"{name} responses must be +/-1")
 
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         w = self.source_weights
@@ -318,8 +322,8 @@ class PostSelectionModel:
         object.__setattr__(self, "source_weights", _as_readonly(self.source_weights, np.float64))
         object.__setattr__(self, "alice_instrument", _as_readonly(self.alice_instrument, np.float64))
         object.__setattr__(self, "bob_instrument", _as_readonly(self.bob_instrument, np.float64))
-        object.__setattr__(self, "alice", _as_readonly(self.alice, np.int8))
-        object.__setattr__(self, "bob", _as_readonly(self.bob, np.int8))
+        for name in ("alice", "bob"):
+            object.__setattr__(self, name, _responses(name, getattr(self, name), (-1, 0, 1)))
         if self.source_weights.ndim != 2:
             raise ValueError("source_weights must be a 2-d joint table")
         n1, n2 = self.source_weights.shape
@@ -338,9 +342,6 @@ class PostSelectionModel:
             raise ValueError(f"alice responses must have shape (2, {n1}, {mx})")
         if self.bob.shape != (2, n2, my):
             raise ValueError(f"bob responses must have shape (2, {n2}, {my})")
-        for name, table in (("alice", self.alice), ("bob", self.bob)):
-            if not np.isin(table, (-1, 0, 1)).all():
-                raise ValueError(f"{name} responses must be in {{-1, 0, +1}}")
         if all(self.exact_expectation(s).c <= 0.0 for s in CONTEXTS):
             raise ValueError("all contexts starve: no context retains any pairs")
 
@@ -539,6 +540,8 @@ def pearle_model(
     """
     if bins < 2 or threshold_bins < 1:
         raise ValueError("bins must be >= 2 and threshold_bins >= 1")
+    if bins * max(bins, threshold_bins) > MAX_ITEMS:
+        raise ValueError(f"bins * max(bins, threshold_bins) must be <= {MAX_ITEMS}")
     if rejection is None:
         rejection = rejection_curve("linear", max_reject=0.8)
     centers = (np.arange(bins) + 0.5) * (2.0 * math.pi / bins)

@@ -6,6 +6,11 @@ fields. All writers are deterministic (sorted JSON keys, integer columns,
 repr-precision floats, no timestamps), so identical inputs produce
 byte-identical files.
 
+The integer CSV writers format whole columns at once with numpy, in blocks
+of ``BLOCK_ROWS`` rows, so memory stays flat however long the file. The
+readers parse the two header lines, then hand the open file to
+``np.loadtxt``, which streams the rows without a copy of the text.
+
 Column schemas:
 
 * trials CSV: ``trial_id,x,y,a,b,ready`` (outcomes +1/-1/0, ready 0/1)
@@ -18,7 +23,6 @@ Column schemas:
 
 from __future__ import annotations
 
-import io as _io
 import json
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +36,10 @@ from .pipeline import PairedRawData, WindowPoint
 from .protocol import EventReadyRun, RawEventStream
 
 SCHEMA_VERSION = 1
+
+#: Rows formatted per write by the integer CSV writers. Output bytes do not
+#: depend on it; it bounds the writers' memory.
+BLOCK_ROWS = 1 << 18
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,29 +74,69 @@ def _parse_header(line: str, path: str) -> dict[str, str]:
     return fields
 
 
-def _int_csv(columns: dict[str, np.ndarray]) -> str:
-    buf = _io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    stacked = np.column_stack([np.asarray(v, dtype=np.int64) for v in columns.values()])
-    np.savetxt(buf, stacked, fmt="%d", delimiter=",")
-    return buf.getvalue()
+def _digits(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """Characters of ``values`` as decimal integers, one row each, then ``sep``.
+
+    Returns a ``(rows, width)`` uint8 matrix holding ``-``, the digits
+    right-aligned and ``sep``, and the mask of the characters each value uses.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    # abs() wraps INT64_MIN onto itself; as uint64 that is its magnitude, 2**63.
+    mag = np.abs(v).view(np.uint64)
+    width = len(str(int(mag.max())))
+    chars = np.empty((len(v), width + 2), dtype=np.uint8)
+    mask = np.ones(chars.shape, dtype=bool)
+    chars[:, 0] = ord("-")
+    mask[:, 0] = v < 0
+    # A digit is used when the value reaches its place; the units digit always is.
+    places = np.array([10**k for k in range(width - 1, 0, -1)] + [0], dtype=np.uint64)
+    mask[:, 1:-1] = mag[:, None] >= places
+    for j in range(width, 0, -1):
+        mag, chars[:, j] = np.divmod(mag, 10)
+    chars[:, 1:-1] += ord("0")
+    chars[:, -1] = ord(sep)
+    return chars, mask
+
+
+def _int_csv(path: Path, header: str, columns: dict[str, np.ndarray]) -> None:
+    """Write ``header``, the column names and the rows as decimal integers.
+
+    Rows are formatted and written BLOCK_ROWS at a time, which bounds the
+    memory of the character matrices whatever the file size.
+    """
+    arrays = list(columns.values())
+    with path.open("wb") as f:
+        f.write(f"{header}\n{','.join(columns)}\n".encode())
+        for start in range(0, len(arrays[0]), BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            parts = [
+                _digits(a[start:stop], "\n" if i == len(arrays) - 1 else ",")
+                for i, a in enumerate(arrays)
+            ]
+            chars = np.hstack([c for c, _ in parts])
+            f.write(chars[np.hstack([m for _, m in parts])].tobytes())
 
 
 def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, np.ndarray]:
-    text = path.read_text()
-    lines = text.splitlines()
-    if not lines:
-        raise ConfigError(str(path), "empty file")
-    header = _parse_header(lines[0], str(path))
-    if header.get("kind") != kind:
-        raise ConfigError(str(path), f"expected kind={kind}, got {header.get('kind')!r}")
-    if len(lines) < 2 or lines[1].split(",") != list(columns):
-        raise ConfigError(str(path), f"expected columns {','.join(columns)}")
-    body = "\n".join(lines[2:])
-    if body.strip():
-        data = np.loadtxt(_io.StringIO(body), dtype=np.int64, delimiter=",", ndmin=2)
-    else:
-        data = np.zeros((0, len(columns)), dtype=np.int64)
+    with path.open() as f:
+        first = f.readline()
+        if not first:
+            raise ConfigError(str(path), "empty file")
+        header = _parse_header(first, str(path))
+        if header.get("kind") != kind:
+            raise ConfigError(str(path), f"expected kind={kind}, got {header.get('kind')!r}")
+        if f.readline().rstrip("\n").split(",") != list(columns):
+            raise ConfigError(str(path), f"expected columns {','.join(columns)}")
+        body = f.tell()
+        # loadtxt warns on a body with no data; such a body holds zero rows.
+        if any(line.strip() for line in iter(f.readline, "")):
+            f.seek(body)
+            try:
+                data = np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2)
+            except ValueError as e:
+                raise ConfigError(str(path), str(e)) from e
+        else:
+            data = np.zeros((0, len(columns)), dtype=np.int64)
     if data.shape[1] != len(columns):
         raise ConfigError(str(path), f"expected {len(columns)} columns")
     return header, data
@@ -96,7 +144,9 @@ def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, 
 
 def write_trials_csv(path: Path, run: EventReadyRun, seed: int) -> None:
     n = len(run)
-    body = _int_csv(
+    _int_csv(
+        path,
+        _header("trials", seed),
         {
             "trial_id": np.arange(n),
             "x": run.x,
@@ -104,9 +154,8 @@ def write_trials_csv(path: Path, run: EventReadyRun, seed: int) -> None:
             "a": run.a,
             "b": run.b,
             "ready": np.ones(n, dtype=np.int64),
-        }
+        },
     )
-    path.write_text(_header("trials", seed) + "\n" + body)
 
 
 def read_trials_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -125,10 +174,11 @@ def read_trials_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 def write_timetags_csv(path: Path, stream: RawEventStream, seed: int) -> None:
-    body = _int_csv(
-        {"time_ns": stream.times, "setting": stream.settings, "outcome": stream.outcomes}
+    _int_csv(
+        path,
+        _header("timetags", seed, station=stream.station),
+        {"time_ns": stream.times, "setting": stream.settings, "outcome": stream.outcomes},
     )
-    path.write_text(_header("timetags", seed, station=stream.station) + "\n" + body)
 
 
 def read_timetags_csv(path: Path) -> RawEventStream:
@@ -145,8 +195,7 @@ def read_timetags_csv(path: Path) -> RawEventStream:
 
 
 def write_pairs_csv(path: Path, pairs: PairedRawData, seed: int) -> None:
-    body = _int_csv({"x": pairs.x, "y": pairs.y, "a": pairs.a, "b": pairs.b})
-    path.write_text(_header("pairs", seed) + "\n" + body)
+    _int_csv(path, _header("pairs", seed), {"x": pairs.x, "y": pairs.y, "a": pairs.a, "b": pairs.b})
 
 
 def read_pairs_csv(path: Path) -> PairedRawData:

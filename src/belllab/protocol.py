@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .core import AngleAssignment
+from .core import MAX_ITEMS, AngleAssignment
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
 from .errors import ConfigError
 from .pipeline import PairedRawData
@@ -105,8 +105,13 @@ class SourceProtocolConfig:
         for name in ("pair_rate", "dark_rate", "jitter_sd"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration!r}")
+        # Emission times are int64 nanoseconds.
+        if not 0 < self.duration * 1e9 < 2**63:
+            raise ValueError(f"duration must be in (0, 2**63 ns), got {self.duration!r}")
+        for name in ("pair_rate", "dark_rate"):
+            count = getattr(self, name) * self.duration
+            if count > MAX_ITEMS:
+                raise ValueError(f"{name} * duration must be <= {MAX_ITEMS}, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -207,8 +212,8 @@ def run_event_ready(
 
     Per-chunk draw order: herald attempts, x, y, model draws, flip draws.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if not 1 <= n_trials <= MAX_ITEMS:
+        raise ValueError(f"n_trials must be in [1, {MAX_ITEMS}], got {n_trials}")
     model = QuantumSingletModel(angles=angles, visibility=cfg.visibility)
 
     def make_chunk(start: int, stop: int, index: int):

@@ -7,6 +7,7 @@ check.
 
 from __future__ import annotations
 
+import io
 import itertools
 
 import numpy as np
@@ -18,6 +19,15 @@ from belllab.couplings import (
     PostSelectionModel,
     StochasticLHVModel,
 )
+
+
+def savetxt_int_csv(header: str, columns: dict[str, np.ndarray]) -> bytes:
+    """An integer CSV file as ``np.savetxt`` formats it: the writers' reference."""
+    buf = io.StringIO()
+    buf.write(f"{header}\n{','.join(columns)}\n")
+    rows = np.column_stack([np.asarray(v, dtype=np.int64) for v in columns.values()])
+    np.savetxt(buf, rows, fmt="%d", delimiter=",")
+    return buf.getvalue().encode()
 
 
 def random_deterministic_model(rng: np.random.Generator, n_hidden: int = 6) -> DeterministicLHVModel:

@@ -350,6 +350,26 @@ LATTICE_15 = {"width_ns": 15}
 BAD_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n5,257,1\n"
 BAD_PAIRS = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n0,0,255,1\n"
 BAD_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,0,1,1\n"
+FLOAT_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,1.0,1,1\n"
+WIDE_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n9223372036854775808,0,1\n"
+# Response tables holding one entry that an int8 cast turns into a valid
+# response (1.5 -> 1, 255 -> -1), one per table-driven family.
+LHV_NARROWED = {"family": "deterministic_lhv", "weights": [1.0], "alice": [[1.5], [255]], "bob": [[1], [1]]}
+CONTEXTUAL_NARROWED = {
+    "family": "contextual",
+    "source_weights": [[1.0]],
+    "instrument_weights": {k: [[1.0]] for k in ("00", "01", "10", "11")},
+    "alice": [[[1]], [[1]]],
+    "bob": [[[255]], [[1]]],
+}
+POST_SELECTION_NARROWED = {
+    "family": "post_selection",
+    "source_weights": [[1.0]],
+    "alice_instrument": [[1.0], [1.0]],
+    "bob_instrument": [[1.0], [1.0]],
+    "alice": [[[1]], [[-1.5]]],
+    "bob": [[[1]], [[1]]],
+}
 
 #: (command, config builder, text the error must carry: the field path first).
 MALFORMED = {
@@ -410,6 +430,50 @@ MALFORMED = {
         "analyze",
         lambda tmp: stream_inputs(tmp, LATTICE_15, raw_pairs=BAD_PAIRS),
         "raw_pairs.csv: outcomes",
+    ),
+    "lhv_table_narrowed": ("simulate", lambda tmp: source_config(LHV_NARROWED), "model: alice responses"),
+    "contextual_table_narrowed": (
+        "simulate",
+        lambda tmp: source_config(CONTEXTUAL_NARROWED),
+        "model: bob responses",
+    ),
+    "post_selection_table_narrowed": (
+        "simulate",
+        lambda tmp: source_config(POST_SELECTION_NARROWED),
+        "model: alice responses",
+    ),
+    "trials_float_cell": (
+        "analyze",
+        lambda tmp: {"seed": 1, "inputs": {"trials": text_file(tmp / "trials.csv", FLOAT_TRIALS)}},
+        "trials.csv: could not convert string '1.0'",
+    ),
+    "timetags_cell_above_int64": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=WIDE_TAGS),
+        "timetags_a.csv: could not convert string '9223372036854775808'",
+    ),
+    # The size cap is checked before anything is allocated.
+    "pair_rate_above_cap": ("simulate", lambda tmp: source_config(pair_rate=1e15), "protocol: pair_rate * duration"),
+    "dark_rate_above_cap": ("simulate", lambda tmp: source_config(dark_rate=1e15), "protocol: dark_rate * duration"),
+    "duration_above_int64_ns": ("simulate", lambda tmp: source_config(duration=1e300), "protocol: duration"),
+    "n_trials_above_cap": ("simulate", lambda tmp: event_ready_config(10**15), "protocol: n_trials"),
+    "pearle_bins_above_cap": (
+        "simulate",
+        lambda tmp: source_config({"family": "pearle", "angles": CANONICAL_ANGLES_JSON, "bins": 10**6}),
+        "model: bins",
+    ),
+    "n_per_point_above_cap": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {
+                "kind": "theta",
+                "model": {"family": "quantum_singlet"},
+                "thetas": [0.0],
+                "n_per_point": 10**15,
+            },
+        },
+        "sweep: Monte-Carlo sweeps need 1 <= n_trials <= 100000000",
     ),
     "ready_trial_zero_outcome": (
         "analyze",
