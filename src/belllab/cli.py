@@ -302,7 +302,7 @@ def cmd_simulate(args) -> int:
             run = run_event_ready(ev, _angles(proto, "protocol"), n_trials, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
         print(f"wrote {out / 'trials.csv'}")
-        meta = _document("simulate", seed, config=cfg, counts=run.metadata, warnings=[])
+        meta = _document("simulate", seed, config=cfg, counts=run.meta, warnings=[])
         _write(out / "metadata.json", bio.dump_json(meta))
         return EXIT_OK
 
@@ -372,9 +372,8 @@ def cmd_analyze(args) -> int:
     if "trials" in inputs:
         # The reader keeps ready trials only, and those have nonzero outcomes:
         # post-selection leaves the table as it is.
-        raw_table = final_table = ContextTable.from_arrays(
-            *bio.read_trials_csv(_path(inputs, "trials", "inputs"))
-        )
+        trials = bio.read_trials_csv(_path(inputs, "trials", "inputs"))
+        raw_table = final_table = trials.to_context_table()
     elif "timetags_a" in inputs or "timetags_b" in inputs:
         stream_a = bio.read_timetags_csv(_path(inputs, "timetags_a", "inputs"))
         stream_b = bio.read_timetags_csv(_path(inputs, "timetags_b", "inputs"))

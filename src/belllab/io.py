@@ -33,7 +33,7 @@ from .analysis import SweepPoint
 from .core import CONTEXTS, CorrelationSummary
 from .errors import ConfigError
 from .pipeline import PairedRawData, WindowPoint
-from .protocol import EventReadyRun, RawEventStream
+from .protocol import RawEventStream
 
 SCHEMA_VERSION = 1
 
@@ -142,7 +142,7 @@ def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, 
     return header, data
 
 
-def write_trials_csv(path: Path, run: EventReadyRun, seed: int) -> None:
+def write_trials_csv(path: Path, run: PairedRawData, seed: int) -> None:
     n = len(run)
     _int_csv(
         path,
@@ -158,19 +158,28 @@ def write_trials_csv(path: Path, run: EventReadyRun, seed: int) -> None:
     )
 
 
-def read_trials_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a trials CSV; returns (x, y, a, b) with ready rows only.
+def read_trials_csv(path: Path) -> PairedRawData:
+    """Read a trials CSV, keeping the ready rows.
 
-    A ready trial has both outcomes nonzero; a file that breaks this is rejected.
+    A ready trial has settings 0 or 1 and outcomes +1 or -1; a file that
+    breaks this is rejected.
     """
     _, data = _read_int_csv(path, "trials", ("trial_id", "x", "y", "a", "b", "ready"))
-    if not np.isin(data[:, 5], (0, 1)).all():
+    # Comparisons on the column views allocate no int64 copies of the file.
+    x, y, a, b, ready = data[:, 1:].T
+    if not ((ready == 0) | (ready == 1)).all():
         raise ConfigError(str(path), "ready must be 0 or 1")
-    ready = data[:, 5] == 1
-    bad = np.flatnonzero(ready & ((data[:, 3] == 0) | (data[:, 4] == 0)))
+    ready = ready == 1
+    settings_known = ((x == 0) | (x == 1)) & ((y == 0) | (y == 1))
+    valid = settings_known & ((a == 1) | (a == -1)) & ((b == 1) | (b == -1))
+    bad = np.flatnonzero(ready & ~valid)
     if bad.size:
-        raise ConfigError(str(path), f"data row {bad[0] + 1}: a ready trial needs nonzero outcomes")
-    return data[ready, 1], data[ready, 2], data[ready, 3], data[ready, 4]
+        raise ConfigError(
+            str(path),
+            f"data row {bad[0] + 1}: a ready trial needs settings 0 or 1 and outcomes +1 or -1",
+        )
+    # Every kept code is checked, so the cast changes no value.
+    return PairedRawData(*(column[ready].astype(np.int8) for column in (x, y, a, b)))
 
 
 def write_timetags_csv(path: Path, stream: RawEventStream, seed: int) -> None:

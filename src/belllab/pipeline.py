@@ -4,6 +4,12 @@ Two time-tagged detection streams are converted into raw paired data using a
 coincidence window of width W, then the nonzero-outcome pairs are extracted
 ("post-selection") with the retained fraction C reported per context.
 
+Streams are validated as time-sorted when they are built or read (see
+``RawEventStream``), so pairing never sorts or checks them again. Each
+strategy decides only which events share a row, as one event index per row
+and station (-1 where that station has none); one row builder turns those
+indices into columns and the conservation audit.
+
 Two pairing strategies are provided because "synchronized time windows" can
 be read either way; the strategy used is recorded in the pairing metadata:
 
@@ -58,8 +64,9 @@ class CoincidencePolicy:
     strategy: str = "lattice"
 
     def __post_init__(self) -> None:
-        if self.window_ns <= 0:
-            raise PipelineError(f"window width must be positive, got {self.window_ns}")
+        # Bins and time differences are int64 nanoseconds.
+        if not 0 < self.window_ns < 2**63:
+            raise PipelineError(f"window width must be in (0, 2**63) ns, got {self.window_ns}")
         if self.strategy not in ("lattice", "greedy"):
             raise PipelineError(f"unknown pairing strategy: {self.strategy!r}")
 
@@ -113,119 +120,90 @@ class PairedRawData:
         return ContextTable.from_arrays(self.x[m], self.y[m], self.a[m], self.b[m])
 
 
-def _require_sorted(stream: "RawEventStream") -> None:
-    t = stream.times
-    if len(t) > 1:
-        bad = np.flatnonzero(np.diff(t) < 0)
-        if bad.size:
-            i = int(bad[0])
-            raise PipelineError(
-                f"stream {stream.station} is not time-sorted at index {i + 1} "
-                f"(t[{i}]={int(t[i])}, t[{i + 1}]={int(t[i + 1])})"
-            )
+def _paired(
+    a: "RawEventStream", b: "RawEventStream", ia: np.ndarray, ib: np.ndarray, strategy: str, w: int
+) -> PairedRawData:
+    """Rows from per-row event indices of each station, -1 where a station has none.
 
-
-def _match_lattice(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
-    bins_a = a.times // w
-    bins_b = b.times // w
-    # Streams are sorted, so the first index in each bin is the earliest event.
-    ua, first_a, counts_a = np.unique(bins_a, return_index=True, return_counts=True)
-    ub, first_b, counts_b = np.unique(bins_b, return_index=True, return_counts=True)
-    common, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
-    only_a = ~np.isin(ua, common, assume_unique=False)
-    only_b = ~np.isin(ub, common, assume_unique=False)
-
-    rows_bin = np.concatenate([common, ua[only_a], ub[only_b]])
-    rows_x = np.concatenate(
-        [
-            a.settings[first_a[ia]],
-            a.settings[first_a[only_a]],
-            np.full(int(only_b.sum()), UNKNOWN_SETTING, dtype=np.int8),
-        ]
-    )
-    rows_y = np.concatenate(
-        [
-            b.settings[first_b[ib]],
-            np.full(int(only_a.sum()), UNKNOWN_SETTING, dtype=np.int8),
-            b.settings[first_b[only_b]],
-        ]
-    )
-    rows_a = np.concatenate(
-        [
-            a.outcomes[first_a[ia]],
-            a.outcomes[first_a[only_a]],
-            np.zeros(int(only_b.sum()), dtype=np.int8),
-        ]
-    )
-    rows_b = np.concatenate(
-        [
-            b.outcomes[first_b[ib]],
-            np.zeros(int(only_a.sum()), dtype=np.int8),
-            b.outcomes[first_b[only_b]],
-        ]
-    )
-    order = np.argsort(rows_bin, kind="stable")
-    dropped_a = int((counts_a - 1).sum())
-    dropped_b = int((counts_b - 1).sum())
+    The audit follows from the indices: an event in no row was dropped as an extra.
+    """
+    ia = np.asarray(ia, dtype=np.intp)
+    ib = np.asarray(ib, dtype=np.intp)
+    has_a, has_b = ia >= 0, ib >= 0
+    matched = int((has_a & has_b).sum())
+    rows_a, rows_b = int(has_a.sum()), int(has_b.sum())
     meta = {
-        "strategy": "lattice",
+        "strategy": strategy,
         "window_ns": int(w),
         "events_a": len(a),
         "events_b": len(b),
-        "matched": int(len(common)),
-        "one_sided_a": int(only_a.sum()),
-        "one_sided_b": int(only_b.sum()),
-        "dropped_extra_a": dropped_a,
-        "dropped_extra_b": dropped_b,
+        "matched": matched,
+        "one_sided_a": rows_a - matched,
+        "one_sided_b": rows_b - matched,
+        "dropped_extra_a": len(a) - rows_a,
+        "dropped_extra_b": len(b) - rows_b,
     }
+    # Index -1 picks the appended entry: the unknown setting, or a zero outcome.
     return PairedRawData(
-        x=rows_x[order], y=rows_y[order], a=rows_a[order], b=rows_b[order], meta=meta
+        x=np.append(a.settings, UNKNOWN_SETTING)[ia],
+        y=np.append(b.settings, UNKNOWN_SETTING)[ib],
+        a=np.append(a.outcomes, 0)[ia],
+        b=np.append(b.outcomes, 0)[ib],
+        meta=meta,
     )
 
 
-def _match_greedy(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
-    ta, tb = a.times, b.times
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``values`` that differ from the one before."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+def _match_lattice(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    # Streams are sorted, so bins are too: a bin's first event is its earliest.
+    bins_a, bins_b = ta // w, tb // w
+    first_a = np.flatnonzero(_run_starts(bins_a))
+    first_b = np.flatnonzero(_run_starts(bins_b))
+    occupied = np.concatenate([bins_a[first_a], bins_b[first_b]])
+    # Sorting puts a bin occupied at both stations as two adjacent entries,
+    # which form one row; every other entry is a row of its own. The stable
+    # sort merges the two sorted runs in linear time.
+    order = np.argsort(occupied, kind="stable")
+    starts = _run_starts(occupied[order])
+    row = np.cumsum(starts) - 1
+    from_b = order >= len(first_a)
+    ia = np.full(int(starts.sum()), -1, dtype=np.intp)
+    ib = ia.copy()
+    ia[row[~from_b]] = first_a[order[~from_b]]
+    ib[row[from_b]] = first_b[order[from_b] - len(first_a)]
+    return ia, ib
+
+
+def _match_greedy(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[list[int], list[int]]:
+    ta, tb = ta.tolist(), tb.tolist()
     na, nb = len(ta), len(tb)
-    rows: list[tuple[int, int, int, int]] = []
+    ia: list[int] = []
+    ib: list[int] = []
     i = j = 0
-    matched = 0
     while i < na and j < nb:
         # Earliest-first; simultaneous events process station A first.
-        if ta[i] <= tb[j]:
-            if tb[j] - ta[i] <= w:
-                rows.append((a.settings[i], b.settings[j], a.outcomes[i], b.outcomes[j]))
-                matched += 1
-                i += 1
-                j += 1
-            else:
-                rows.append((a.settings[i], UNKNOWN_SETTING, a.outcomes[i], 0))
-                i += 1
+        if abs(ta[i] - tb[j]) <= w:
+            ia.append(i)
+            ib.append(j)
+            i += 1
+            j += 1
+        elif ta[i] <= tb[j]:
+            ia.append(i)
+            ib.append(-1)
+            i += 1
         else:
-            if ta[i] - tb[j] <= w:
-                rows.append((a.settings[i], b.settings[j], a.outcomes[i], b.outcomes[j]))
-                matched += 1
-                i += 1
-                j += 1
-            else:
-                rows.append((UNKNOWN_SETTING, b.settings[j], 0, b.outcomes[j]))
-                j += 1
-    for k in range(i, na):
-        rows.append((a.settings[k], UNKNOWN_SETTING, a.outcomes[k], 0))
-    for k in range(j, nb):
-        rows.append((UNKNOWN_SETTING, b.settings[k], 0, b.outcomes[k]))
-    arr = np.asarray(rows, dtype=np.int8).reshape(-1, 4)
-    meta = {
-        "strategy": "greedy",
-        "window_ns": int(w),
-        "events_a": na,
-        "events_b": nb,
-        "matched": matched,
-        "one_sided_a": int(na - matched),
-        "one_sided_b": int(nb - matched),
-        "dropped_extra_a": 0,
-        "dropped_extra_b": 0,
-    }
-    return PairedRawData(x=arr[:, 0], y=arr[:, 1], a=arr[:, 2], b=arr[:, 3], meta=meta)
+            ia.append(-1)
+            ib.append(j)
+            j += 1
+    ia += list(range(i, na)) + [-1] * (nb - j)
+    ib += [-1] * (na - i) + list(range(j, nb))
+    return ia, ib
 
 
 def match_coincidences(
@@ -235,13 +213,10 @@ def match_coincidences(
 
     Every event enters exactly one output row or a drop counter; the
     metadata carries the conservation audit (matched, one-sided, dropped).
-    Unsorted streams are rejected.
     """
-    _require_sorted(stream_a)
-    _require_sorted(stream_b)
-    if policy.strategy == "lattice":
-        return _match_lattice(stream_a, stream_b, policy.window_ns)
-    return _match_greedy(stream_a, stream_b, policy.window_ns)
+    match = _match_lattice if policy.strategy == "lattice" else _match_greedy
+    ia, ib = match(stream_a.times, stream_b.times, policy.window_ns)
+    return _paired(stream_a, stream_b, ia, ib, policy.strategy, policy.window_ns)
 
 
 def postselect(

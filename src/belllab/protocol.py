@@ -40,7 +40,7 @@ import numpy as np
 from . import rng as _rng
 from .core import MAX_ITEMS, AngleAssignment
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
-from .errors import ConfigError
+from .errors import ConfigError, PipelineError
 from .pipeline import PairedRawData
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "EventReadyConfig",
     "RawEventStream",
     "SourceRun",
-    "EventReadyRun",
     "run_source_experiment",
     "run_event_ready",
     "worker_count",
@@ -112,6 +111,17 @@ class SourceProtocolConfig:
             count = getattr(self, name) * self.duration
             if count > MAX_ITEMS:
                 raise ValueError(f"{name} * duration must be <= {MAX_ITEMS}, got {count!r}")
+        # A time tag is an emission time shifted by jitter plus one setting and
+        # one outcome delay; it must fit int64 after the cast. A float64 normal
+        # draw stays below 64 sd, and 2**62 leaves room for float rounding.
+        for s in ("a", "b"):
+            delays = (getattr(self, f"setting_delay_{s}"), getattr(self, f"outcome_delay_{s}"))
+            reach = float(self.duration * 1e9 + np.abs(delays).sum() + 64 * self.jitter_sd)
+            if not reach < 2**62:
+                raise ValueError(
+                    f"setting_delay_{s}, outcome_delay_{s} and jitter_sd must keep "
+                    f"time tags within 2**62 ns, got a reach of {reach!r} ns"
+                )
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,10 @@ class EventReadyConfig:
 
 @dataclass(frozen=True)
 class RawEventStream:
-    """One station's time-tagged detections, sorted by (time, sequence number)."""
+    """One station's time-tagged detections, sorted by (time, sequence number).
+
+    Times must be non-decreasing; the pairing strategies rely on it.
+    """
 
     station: str
     times: np.ndarray
@@ -155,6 +168,13 @@ class RawEventStream:
             raise ValueError("stream settings must be 0 or 1")
         if not np.isin(outcomes, (-1, 1)).all():
             raise ValueError("stream outcomes must be +/-1")
+        bad = np.flatnonzero(times[1:] < times[:-1])
+        if bad.size:
+            i = int(bad[0])
+            raise PipelineError(
+                f"stream {self.station} is not time-sorted at index {i + 1} "
+                f"(t[{i}]={int(times[i])}, t[{i + 1}]={int(times[i + 1])})"
+            )
         settings = settings.astype(np.int8)
         outcomes = outcomes.astype(np.int8)
         for arr in (times, settings, outcomes):
@@ -165,9 +185,6 @@ class RawEventStream:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def is_sorted(self) -> bool:
-        return bool((np.diff(self.times) >= 0).all()) if len(self) > 1 else True
 
 
 @dataclass(frozen=True)
@@ -180,29 +197,13 @@ class SourceRun:
     metadata: dict = field(default_factory=dict)
 
 
-class EventReadyRun:
-    """Event-ready trial results as parallel columns; every trial is ready."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray, metadata: dict):
-        self.x = np.asarray(x, dtype=np.int8)
-        self.y = np.asarray(y, dtype=np.int8)
-        self.a = np.asarray(a, dtype=np.int8)
-        self.b = np.asarray(b, dtype=np.int8)
-        self.metadata = metadata
-        for arr in (self.x, self.y, self.a, self.b):
-            arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
 def run_event_ready(
     cfg: EventReadyConfig,
     angles: AngleAssignment,
     n_trials: int,
     seed: int,
-) -> EventReadyRun:
-    """Simulate ``n_trials`` heralded trials.
+) -> PairedRawData:
+    """Simulate ``n_trials`` heralded trials, as paired rows with counts in ``meta``.
 
     Per trial: the herald retries until success (attempt counts go to
     metadata), both settings are drawn uniformly and independently, the
@@ -245,7 +246,7 @@ def run_event_ready(
         "herald_attempts": int(total_attempts),
         "seed": int(seed),
     }
-    return EventReadyRun(x, y, a, b, metadata)
+    return PairedRawData(x, y, a, b, meta=metadata)
 
 
 def _emission_events(

@@ -19,6 +19,8 @@ from belllab.couplings import (
     PostSelectionModel,
     StochasticLHVModel,
 )
+from belllab.pipeline import UNKNOWN_SETTING, PairedRawData
+from belllab.protocol import RawEventStream
 
 
 def savetxt_int_csv(header: str, columns: dict[str, np.ndarray]) -> bytes:
@@ -28,6 +30,114 @@ def savetxt_int_csv(header: str, columns: dict[str, np.ndarray]) -> bytes:
     rows = np.column_stack([np.asarray(v, dtype=np.int64) for v in columns.values()])
     np.savetxt(buf, rows, fmt="%d", delimiter=",")
     return buf.getvalue().encode()
+
+
+# The two pairing strategies as they were first written: a set-based lattice
+# and a row-tuple greedy loop. They are the references for the pipeline's
+# index-based pairing core.
+
+
+def _match_lattice(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
+    bins_a = a.times // w
+    bins_b = b.times // w
+    # Streams are sorted, so the first index in each bin is the earliest event.
+    ua, first_a, counts_a = np.unique(bins_a, return_index=True, return_counts=True)
+    ub, first_b, counts_b = np.unique(bins_b, return_index=True, return_counts=True)
+    common, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
+    only_a = ~np.isin(ua, common, assume_unique=False)
+    only_b = ~np.isin(ub, common, assume_unique=False)
+
+    rows_bin = np.concatenate([common, ua[only_a], ub[only_b]])
+    rows_x = np.concatenate(
+        [
+            a.settings[first_a[ia]],
+            a.settings[first_a[only_a]],
+            np.full(int(only_b.sum()), UNKNOWN_SETTING, dtype=np.int8),
+        ]
+    )
+    rows_y = np.concatenate(
+        [
+            b.settings[first_b[ib]],
+            np.full(int(only_a.sum()), UNKNOWN_SETTING, dtype=np.int8),
+            b.settings[first_b[only_b]],
+        ]
+    )
+    rows_a = np.concatenate(
+        [
+            a.outcomes[first_a[ia]],
+            a.outcomes[first_a[only_a]],
+            np.zeros(int(only_b.sum()), dtype=np.int8),
+        ]
+    )
+    rows_b = np.concatenate(
+        [
+            b.outcomes[first_b[ib]],
+            np.zeros(int(only_a.sum()), dtype=np.int8),
+            b.outcomes[first_b[only_b]],
+        ]
+    )
+    order = np.argsort(rows_bin, kind="stable")
+    dropped_a = int((counts_a - 1).sum())
+    dropped_b = int((counts_b - 1).sum())
+    meta = {
+        "strategy": "lattice",
+        "window_ns": int(w),
+        "events_a": len(a),
+        "events_b": len(b),
+        "matched": int(len(common)),
+        "one_sided_a": int(only_a.sum()),
+        "one_sided_b": int(only_b.sum()),
+        "dropped_extra_a": dropped_a,
+        "dropped_extra_b": dropped_b,
+    }
+    return PairedRawData(
+        x=rows_x[order], y=rows_y[order], a=rows_a[order], b=rows_b[order], meta=meta
+    )
+
+
+def _match_greedy(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
+    ta, tb = a.times, b.times
+    na, nb = len(ta), len(tb)
+    rows: list[tuple[int, int, int, int]] = []
+    i = j = 0
+    matched = 0
+    while i < na and j < nb:
+        # Earliest-first; simultaneous events process station A first.
+        if ta[i] <= tb[j]:
+            if tb[j] - ta[i] <= w:
+                rows.append((a.settings[i], b.settings[j], a.outcomes[i], b.outcomes[j]))
+                matched += 1
+                i += 1
+                j += 1
+            else:
+                rows.append((a.settings[i], UNKNOWN_SETTING, a.outcomes[i], 0))
+                i += 1
+        else:
+            if ta[i] - tb[j] <= w:
+                rows.append((a.settings[i], b.settings[j], a.outcomes[i], b.outcomes[j]))
+                matched += 1
+                i += 1
+                j += 1
+            else:
+                rows.append((UNKNOWN_SETTING, b.settings[j], 0, b.outcomes[j]))
+                j += 1
+    for k in range(i, na):
+        rows.append((a.settings[k], UNKNOWN_SETTING, a.outcomes[k], 0))
+    for k in range(j, nb):
+        rows.append((UNKNOWN_SETTING, b.settings[k], 0, b.outcomes[k]))
+    arr = np.asarray(rows, dtype=np.int8).reshape(-1, 4)
+    meta = {
+        "strategy": "greedy",
+        "window_ns": int(w),
+        "events_a": na,
+        "events_b": nb,
+        "matched": matched,
+        "one_sided_a": int(na - matched),
+        "one_sided_b": int(nb - matched),
+        "dropped_extra_a": 0,
+        "dropped_extra_b": 0,
+    }
+    return PairedRawData(x=arr[:, 0], y=arr[:, 1], a=arr[:, 2], b=arr[:, 3], meta=meta)
 
 
 def random_deterministic_model(rng: np.random.Generator, n_hidden: int = 6) -> DeterministicLHVModel:

@@ -336,6 +336,13 @@ def stream_inputs(tmp_path, window, **files):
     return {"seed": 1, "inputs": inputs}
 
 
+def window_sweep_config(tmp_path, windows_ns):
+    inputs = stream_inputs(tmp_path, None)["inputs"]
+    sweep = {"kind": "window", "windows_ns": windows_ns}
+    sweep.update((key, inputs[key]) for key in ("timetags_a", "timetags_b"))
+    return {"seed": 1, "sweep": sweep}
+
+
 PEARLE_MAX_REJECT_1 = {
     "family": "pearle",
     "angles": CANONICAL_ANGLES_JSON,
@@ -351,6 +358,7 @@ BAD_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,s
 BAD_PAIRS = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n0,0,255,1\n"
 BAD_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,0,1,1\n"
 FLOAT_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,1.0,1,1\n"
+UNSORTED_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n10,0,1\n5,0,1\n"
 WIDE_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n9223372036854775808,0,1\n"
 # Response tables holding one entry that an int8 cast turns into a valid
 # response (1.5 -> 1, 255 -> -1), one per table-driven family.
@@ -413,6 +421,24 @@ MALFORMED = {
     ),
     "negative_dark_rate": ("simulate", lambda tmp: source_config(dark_rate=-1.0), "protocol: dark_rate"),
     "width_zero": ("analyze", lambda tmp: stream_inputs(tmp, {"width_ns": 0}), "inputs.window: window"),
+    # Widths, delays and jitter that would take bins or time tags out of int64.
+    "width_above_int64": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, {"width_ns": 2**70}),
+        "inputs.window: window width",
+    ),
+    "sweep_width_above_int64": ("sweep", lambda tmp: window_sweep_config(tmp, [2**64]), "sweep: window width"),
+    "huge_setting_delay": (
+        "simulate",
+        lambda tmp: source_config(setting_delay={"alice": [1e300, 0.0]}),
+        "protocol: setting_delay_a",
+    ),
+    "huge_jitter_sd": ("simulate", lambda tmp: source_config(jitter_sd=1e300), "and jitter_sd must keep time tags"),
+    "unsorted_timetags": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=UNSORTED_TAGS),
+        "timetags_a.csv: stream A is not time-sorted at index 1 (t[0]=10, t[1]=5)",
+    ),
     "theta_sweep_lhv": (
         "sweep",
         lambda tmp: {

@@ -11,7 +11,7 @@ from belllab import io as bio
 from belllab.core import CANONICAL_ANGLES
 from belllab.errors import ConfigError
 from belllab.pipeline import PairedRawData
-from belllab.protocol import EventReadyConfig, EventReadyRun, RawEventStream, run_event_ready
+from belllab.protocol import EventReadyConfig, RawEventStream, run_event_ready
 
 INT64 = np.iinfo(np.int64)
 
@@ -20,9 +20,8 @@ def test_trials_round_trip(tmp_path):
     run = run_event_ready(EventReadyConfig(herald_prob=0.9), CANONICAL_ANGLES, 300, seed=1)
     path = tmp_path / "trials.csv"
     bio.write_trials_csv(path, run, seed=1)
-    x, y, a, b = bio.read_trials_csv(path)
-    assert (x == run.x).all() and (y == run.y).all()
-    assert (a == run.a).all() and (b == run.b).all()
+    back = bio.read_trials_csv(path)
+    assert all((getattr(back, k) == getattr(run, k)).all() for k in "xyab")
 
 
 def test_timetags_round_trip(tmp_path):
@@ -86,13 +85,13 @@ def test_writers_stream_row_blocks(tmp_path, monkeypatch):
     def codes(values):
         return rng.choice(values, size=n).astype(np.int8)
 
-    run = EventReadyRun(codes([0, 1]), codes([0, 1]), codes([-1, 1]), codes([-1, 1]), {})
+    run = PairedRawData(codes([0, 1]), codes([0, 1]), codes([-1, 1]), codes([-1, 1]))
     bio.write_trials_csv(tmp_path / "trials.csv", run, seed=1)
     columns = {"trial_id": np.arange(n), "x": run.x, "y": run.y, "a": run.a, "b": run.b}
     expected = savetxt_int_csv(bio._header("trials", 1), {**columns, "ready": np.ones(n)})
     assert (tmp_path / "trials.csv").read_bytes() == expected
     back = bio.read_trials_csv(tmp_path / "trials.csv")
-    assert all((u == v).all() for u, v in zip(back, (run.x, run.y, run.a, run.b)))
+    assert all((getattr(back, k) == getattr(run, k)).all() for k in "xyab")
 
     times = np.sort(rng.integers(INT64.min, INT64.max, size=n))
     stream = RawEventStream("A", times, codes([0, 1]), codes([-1, 1]))
@@ -174,9 +173,9 @@ def test_pairs_codes_checked_before_narrowing(tmp_path, row):
 def test_ready_trial_with_zero_outcome_rejected(tmp_path):
     columns = "trial_id,x,y,a,b,ready"
     ok = _csv(tmp_path / "ok.csv", "kind=trials seed=1", columns, ["0,0,1,1,-1,1", "1,1,0,0,0,0"])
-    x, y, a, b = bio.read_trials_csv(ok)  # not-ready rows may carry zeros; they are dropped
-    assert list(a) == [1] and list(b) == [-1]
-    for row in ("1,1,0,0,1,1", "1,1,0,1,0,1", "1,1,0,1,1,2"):
+    back = bio.read_trials_csv(ok)  # not-ready rows may carry zeros; they are dropped
+    assert list(back.a) == [1] and list(back.b) == [-1]
+    for row in ("1,1,0,0,1,1", "1,1,0,1,0,1", "1,1,0,1,1,2", "1,-1,0,1,1,1", "1,1,0,2,1,1"):
         path = _csv(tmp_path / "bad.csv", "kind=trials seed=1", columns, ["0,0,1,1,-1,1", row])
         with pytest.raises(ConfigError, match="bad.csv"):
             bio.read_trials_csv(path)

@@ -4,6 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import _match_greedy as greedy_oracle
+from helpers import _match_lattice as lattice_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, SettingPair, chsh, estimate
 from belllab.couplings import QuantumSingletModel, pearle_model
@@ -87,11 +91,44 @@ class TestLattice:
         assert m["matched"] + m["one_sided_b"] + m["dropped_extra_b"] == m["events_b"]
 
     def test_unsorted_input_rejected_with_diagnostic(self):
-        a = make_stream("A", [(10, 0, 1)])
-        bad = RawEventStream(station="B", times=np.array([10, 5], dtype=np.int64),
-                             settings=np.zeros(2, dtype=np.int8), outcomes=np.ones(2, dtype=np.int8))
-        with pytest.raises(PipelineError, match="not time-sorted"):
-            match_coincidences(a, bad, CoincidencePolicy(window_ns=4))
+        with pytest.raises(PipelineError, match=r"stream B is not time-sorted at index 1 \(t\[0\]=10, t\[1\]=5\)"):
+            RawEventStream(station="B", times=np.array([10, 5], dtype=np.int64),
+                           settings=np.zeros(2, dtype=np.int8), outcomes=np.ones(2, dtype=np.int8))
+
+
+EVENTS = st.lists(
+    st.tuples(st.integers(-200, 200), st.integers(0, 1), st.sampled_from([-1, 1])), max_size=30
+)
+
+
+class TestAgainstOracles:
+    """The index-based pairing core against the set-based and row-tuple originals."""
+
+    @given(EVENTS, EVENTS, st.integers(1, 40), st.sampled_from(["lattice", "greedy"]))
+    @settings(max_examples=500)
+    def test_same_rows_and_audit(self, events_a, events_b, w, strategy):
+        # Sorting by time alone keeps ties in drawn order, as a stream may hold them.
+        a = make_stream("A", sorted(events_a, key=lambda e: e[0]))
+        b = make_stream("B", sorted(events_b, key=lambda e: e[0]))
+        pairs = match_coincidences(a, b, CoincidencePolicy(window_ns=w, strategy=strategy))
+        oracle = (lattice_oracle if strategy == "lattice" else greedy_oracle)(a, b, w)
+        for k in "xyab":
+            assert getattr(pairs, k).tolist() == getattr(oracle, k).tolist()
+        assert pairs.meta == oracle.meta
+        m = pairs.meta
+        for side, column in (("a", pairs.a), ("b", pairs.b)):
+            assert int((column != 0).sum()) == m["matched"] + m[f"one_sided_{side}"]
+            assert m["matched"] + m[f"one_sided_{side}"] + m[f"dropped_extra_{side}"] == m[f"events_{side}"]
+
+
+def test_time_differences_beyond_int64_do_not_wrap():
+    far = 2**62 + 5
+    a = make_stream("A", [(-far, 0, 1), (far, 1, 1)])
+    b = make_stream("B", [(far, 1, -1)])
+    for strategy in ("lattice", "greedy"):
+        pairs = match_coincidences(a, b, CoincidencePolicy(window_ns=10, strategy=strategy))
+        assert pairs.meta["matched"] == 1 and pairs.meta["one_sided_a"] == 1
+        assert pairs.y.tolist() == [-1, 1]
 
 
 class TestGreedy:
