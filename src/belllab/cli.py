@@ -518,28 +518,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"belllab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, default_format: str, out_required: bool = True):
+    def common(
+        p: argparse.ArgumentParser, *, default_format: str | None = None, out_required: bool = True
+    ):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if out_required:
             p.add_argument("--out", default=".", help="output directory (default: .)")
         else:
             p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default=default_format,
-            help=f"additional output format (default: {default_format})",
-        )
+        if default_format is not None:
+            p.add_argument(
+                "--format",
+                choices=("csv", "json"),
+                default=default_format,
+                help=f"additional output format (default: {default_format})",
+            )
 
-    common(sub.add_parser("simulate", help="run a protocol simulation"), default_format="csv")
+    common(sub.add_parser("simulate", help="run a protocol simulation"))
     common(sub.add_parser("analyze", help="estimate, test and report"), default_format="json")
     common(sub.add_parser("sweep", help="theta or window sweep"), default_format="csv")
-    common(
-        sub.add_parser("feasibility", help="joint-coupling LP feasibility"),
-        default_format="json",
-        out_required=False,
-    )
+    common(sub.add_parser("feasibility", help="joint-coupling LP feasibility"), out_required=False)
     return parser
 
 

@@ -34,10 +34,33 @@ __all__ = [
     "CorrelationSummary",
     "estimate",
     "chsh",
+    "codes",
 ]
 
 #: Row/column position of each outcome in a ContextTable cell block.
 OUTCOME_INDEX = {1: 0, -1: 1, 0: 2}
+
+#: The same positions as an array indexed by ``outcome + 1``.
+_OUTCOME_POSITION = np.array([1, 2, 0])
+
+
+def codes(name: str, values, allowed: tuple[int, ...]) -> np.ndarray:
+    """A read-only int8 copy of ``values``, every one of which must be in ``allowed``.
+
+    The values are checked as given, before narrowing: int8 would read 257 as
+    1, 255 as -1 and 1.5 as 1. Raises ``ValueError`` naming ``name`` otherwise.
+    """
+    values = np.asarray(values)
+    permitted = np.zeros(256, dtype=bool)
+    permitted[np.array(allowed, dtype=np.int8).view(np.uint8)] = True
+    if values.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # NaN and huge floats fail the round trip
+            out = values.astype(np.int8)
+        exact = values.dtype == np.int8 or (out == values).all()
+        if exact and permitted[out.view(np.uint8)].all():
+            out.setflags(write=False)
+            return out
+    raise ValueError(f"{name} must be in {allowed}")
 
 
 @dataclass(frozen=True, order=True)
@@ -96,8 +119,7 @@ class ContextTable:
 
     Backed by an int64 array of shape (2, 2, 3, 3) indexed
     ``[x, y, outcome_index(a), outcome_index(b)]`` with outcome order
-    (+1, -1, 0). Instances are immutable; ``merge`` returns a new table,
-    so tallying can run as an associative, commutative reduction.
+    (+1, -1, 0). Instances are immutable.
     """
 
     __slots__ = ("_counts",)
@@ -124,9 +146,6 @@ class ContextTable:
     def n_total(self, s: SettingPair) -> int:
         return int(self._counts[s.x, s.y].sum())
 
-    def merge(self, other: "ContextTable") -> "ContextTable":
-        return ContextTable(self._counts + other._counts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextTable):
             return NotImplemented
@@ -140,13 +159,6 @@ class ContextTable:
         return {s.key(): self._counts[s.x, s.y].tolist() for s in CONTEXTS}
 
     @classmethod
-    def from_json(cls, obj: Mapping[str, object]) -> "ContextTable":
-        counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
-        for s in CONTEXTS:
-            counts[s.x, s.y] = np.asarray(obj[s.key()], dtype=np.int64)
-        return cls(counts)
-
-    @classmethod
     def from_arrays(
         cls, x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray
     ) -> "ContextTable":
@@ -154,26 +166,13 @@ class ContextTable:
 
         Outcome encoding in ``a`` and ``b`` is the value itself (+1, -1, 0).
         """
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        ai = _outcome_indices(a)
-        bi = _outcome_indices(b)
-        if not ((x >= 0) & (x <= 1)).all() or not ((y >= 0) & (y <= 1)).all():
-            raise ValueError("setting labels must be 0 or 1")
+        x = codes("settings", x, (0, 1))
+        y = codes("settings", y, (0, 1))
+        ai = _OUTCOME_POSITION[codes("outcomes", a, (-1, 0, 1)) + 1]
+        bi = _OUTCOME_POSITION[codes("outcomes", b, (-1, 0, 1)) + 1]
         flat = ((x * 2 + y) * 3 + ai) * 3 + bi
         counts = np.bincount(flat, minlength=36).reshape(2, 2, 3, 3)
         return cls(counts)
-
-
-def _outcome_indices(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=np.int64)
-    idx = np.full(v.shape, -1, dtype=np.int64)
-    idx[v == 1] = 0
-    idx[v == -1] = 1
-    idx[v == 0] = 2
-    if (idx < 0).any():
-        raise ValueError("outcomes must be +1, -1 or 0")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -222,21 +221,6 @@ class CorrelationSummary:
 
     def to_json(self) -> dict:
         return {s.key(): self._contexts[s].to_json() for s in CONTEXTS}
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Mapping]) -> "CorrelationSummary":
-        contexts = {}
-        for s in CONTEXTS:
-            d = obj[s.key()]
-            contexts[s] = ContextEstimate(
-                e_ab=d["e_ab"],
-                e_a=d["e_a"],
-                e_b=d["e_b"],
-                c=d["c"],
-                n_pairs=int(d["n_pairs"]),
-                n_total=int(d["n_total"]),
-            )
-        return cls(contexts)
 
 
 def estimate(table: ContextTable) -> CorrelationSummary:

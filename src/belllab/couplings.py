@@ -34,7 +34,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair, chsh_from_expectations
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair, chsh_from_expectations, codes
 
 __all__ = [
     "ExactMoments",
@@ -76,15 +76,6 @@ def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
-
-
-def _responses(name: str, table: np.ndarray, allowed: tuple[int, ...]) -> np.ndarray:
-    """A read-only int8 copy of a response table whose entries must lie in ``allowed``."""
-    table = np.asarray(table)
-    # Check the values as given, before narrowing: int8(255) would read as -1.
-    if not np.isin(table, allowed).all():
-        raise ValueError(f"{name} responses must be in {allowed}")
-    return _as_readonly(table, np.int8)
 
 
 def _check_distribution(name: str, w: np.ndarray) -> None:
@@ -155,7 +146,7 @@ class DeterministicLHVModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _as_readonly(self.weights, np.float64))
         for name in ("alice", "bob"):
-            object.__setattr__(self, name, _responses(name, getattr(self, name), (-1, 1)))
+            object.__setattr__(self, name, codes(f"{name} responses", getattr(self, name), (-1, 1)))
         n = self.weights.shape[0]
         if self.weights.ndim != 1 or n == 0:
             raise ValueError("weights must be a nonempty vector")
@@ -248,7 +239,7 @@ class ContextualModel:
         object.__setattr__(self, "source_weights", _as_readonly(self.source_weights, np.float64))
         object.__setattr__(self, "instrument_weights", _as_readonly(self.instrument_weights, np.float64))
         for name in ("alice", "bob"):
-            object.__setattr__(self, name, _responses(name, getattr(self, name), (-1, 1)))
+            object.__setattr__(self, name, codes(f"{name} responses", getattr(self, name), (-1, 1)))
         if self.source_weights.ndim != 2:
             raise ValueError("source_weights must be a 2-d joint table")
         n1, n2 = self.source_weights.shape
@@ -323,7 +314,7 @@ class PostSelectionModel:
         object.__setattr__(self, "alice_instrument", _as_readonly(self.alice_instrument, np.float64))
         object.__setattr__(self, "bob_instrument", _as_readonly(self.bob_instrument, np.float64))
         for name in ("alice", "bob"):
-            object.__setattr__(self, name, _responses(name, getattr(self, name), (-1, 0, 1)))
+            object.__setattr__(self, name, codes(f"{name} responses", getattr(self, name), (-1, 0, 1)))
         if self.source_weights.ndim != 2:
             raise ValueError("source_weights must be a 2-d joint table")
         n1, n2 = self.source_weights.shape
@@ -425,8 +416,8 @@ def sample_batch(
     model: CouplingModel, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized trial draws at per-trial contexts (x[i], y[i])."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    x = codes("settings", x, (0, 1))
+    y = codes("settings", y, (0, 1))
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length vectors")
     return model.sample_batch(x, y, rng)

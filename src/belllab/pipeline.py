@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import CONTEXTS, ContextTable, CorrelationSummary, SettingPair, chsh, estimate
+from .core import CONTEXTS, ContextTable, CorrelationSummary, SettingPair, chsh, codes, estimate
 from .errors import PipelineError
 
 if TYPE_CHECKING:  # only for annotations; protocol imports this module
@@ -87,20 +87,13 @@ class PairedRawData:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arrays = {name: np.asarray(getattr(self, name)) for name in ("x", "y", "a", "b")}
-        lengths = {len(v) for v in arrays.values()}
-        if len(lengths) > 1:
+        if len({len(np.asarray(getattr(self, name))) for name in "xyab"}) > 1:
             raise PipelineError("paired-data columns must have equal length")
-        # Check the values as given, before narrowing: int8(255) would read as -1.
-        if not np.isin(arrays["a"], (-1, 0, 1)).all() or not np.isin(arrays["b"], (-1, 0, 1)).all():
-            raise PipelineError("outcomes must be in {-1, 0, +1}")
-        for name in ("x", "y"):
-            if not np.isin(arrays[name], (UNKNOWN_SETTING, 0, 1)).all():
-                raise PipelineError("settings must be 0, 1 or the unknown sentinel")
-        for name, arr in arrays.items():
-            arr = arr.astype(np.int8)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        settings, outcomes = (UNKNOWN_SETTING, 0, 1), (-1, 0, 1)
+        for name in "xy":
+            object.__setattr__(self, name, codes("settings", getattr(self, name), settings))
+        for name in "ab":
+            object.__setattr__(self, name, codes("outcomes", getattr(self, name), outcomes))
 
     def __len__(self) -> int:
         return len(self.x)
@@ -168,7 +161,7 @@ def _match_lattice(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, 
     occupied = np.concatenate([bins_a[first_a], bins_b[first_b]])
     # Sorting puts a bin occupied at both stations as two adjacent entries,
     # which form one row; every other entry is a row of its own. The stable
-    # sort merges the two sorted runs in linear time.
+    # sort joins the two sorted runs in linear time.
     order = np.argsort(occupied, kind="stable")
     starts = _run_starts(occupied[order])
     row = np.cumsum(starts) - 1

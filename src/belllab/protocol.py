@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .core import MAX_ITEMS, AngleAssignment
+from .core import MAX_ITEMS, AngleAssignment, codes
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
 from .errors import ConfigError, PipelineError
 from .pipeline import PairedRawData
@@ -159,15 +159,10 @@ class RawEventStream:
         if self.station not in ("A", "B"):
             raise ValueError("station must be 'A' or 'B'")
         times = np.asarray(self.times, dtype=np.int64)
-        settings = np.asarray(self.settings)
-        outcomes = np.asarray(self.outcomes)
+        settings = codes("stream settings", self.settings, (0, 1))
+        outcomes = codes("stream outcomes", self.outcomes, (-1, 1))
         if not (len(times) == len(settings) == len(outcomes)):
             raise ValueError("stream columns must have equal length")
-        # Check the values as given, before narrowing: int8(257) would read as 1.
-        if not np.isin(settings, (0, 1)).all():
-            raise ValueError("stream settings must be 0 or 1")
-        if not np.isin(outcomes, (-1, 1)).all():
-            raise ValueError("stream outcomes must be +/-1")
         bad = np.flatnonzero(times[1:] < times[:-1])
         if bad.size:
             i = int(bad[0])
@@ -175,10 +170,7 @@ class RawEventStream:
                 f"stream {self.station} is not time-sorted at index {i + 1} "
                 f"(t[{i}]={int(times[i])}, t[{i + 1}]={int(times[i + 1])})"
             )
-        settings = settings.astype(np.int8)
-        outcomes = outcomes.astype(np.int8)
-        for arr in (times, settings, outcomes):
-            arr.setflags(write=False)
+        times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "outcomes", outcomes)

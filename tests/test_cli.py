@@ -638,3 +638,21 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "belllab" in proc.stdout
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats is most of the import time of every CLI process.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, belllab.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("command", ["simulate", "feasibility"])
+    def test_format_flag_only_where_it_acts(self, command, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", event_ready_config(10))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", cfg, "--out", str(tmp_path), "--format", "json"])
+        assert exit_info.value.code == 2
+        assert "--format" in capsys.readouterr().err

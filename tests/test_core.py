@@ -1,10 +1,11 @@
 """Core types, columnar tallying, estimation, and the CHSH statistic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belllab.core import (
@@ -18,6 +19,7 @@ from belllab.core import (
     CorrelationSummary,
     SettingPair,
     chsh,
+    codes,
     estimate,
 )
 
@@ -63,6 +65,42 @@ class TestAngles:
             AngleAssignment(alice=(math.nan, 0.0), bob=(0.0, 0.0))
 
 
+CODE_SETS = st.sampled_from([(0, 1), (-1, 1), (-1, 0, 1)])
+# Mostly codes, so that whole columns are often valid.
+NEAR_CODES = st.sampled_from([-1, 0, 1]) | st.sampled_from([-1, 0, 1]) | st.integers(-2, 2)
+# Values an int8 cast would wrap onto codes: 255 -> -1, 257 -> 1, -129 -> 127.
+WRAPPING = st.sampled_from([255, 257, -129, 2**63 - 1, -(2**63)])
+TRUNCATING = st.sampled_from([0.5, 1.5, -1.9, -0.0, 255.0, 257.0, -129.0, 1e300, math.inf, math.nan])
+INT_COLUMNS = st.lists(NEAR_CODES | WRAPPING, max_size=8).map(lambda v: np.array(v, dtype=np.int64))
+FLOAT_COLUMNS = st.lists(NEAR_CODES.map(float) | TRUNCATING | st.floats(), max_size=8).map(
+    lambda v: np.array(v, dtype=np.float64)
+)
+
+
+class TestCodes:
+    @given(CODE_SETS, INT_COLUMNS | FLOAT_COLUMNS)
+    @example((-1, 1), np.array([1, -1, 255], dtype=np.int64))
+    @example((0, 1), np.array([0, 257], dtype=np.int64))
+    @example((-1, 0, 1), np.array([-129], dtype=np.int64))
+    @example((0, 1), np.array([0.5, 1.0]))
+    @example((-1, 0, 1), np.array([math.nan]))
+    @example((-1, 0, 1), np.array([1.0, -0.0, -1.0]))
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_allowed_values(self, allowed, values):
+        if all(v in allowed for v in values.tolist()):
+            out = codes("column", values, allowed)
+            assert out.dtype == np.int8 and not out.flags.writeable
+            assert out.tolist() == values.tolist()
+        else:
+            with pytest.raises(ValueError, match=f"^column must be in {re.escape(str(allowed))}$"):
+                codes("column", values, allowed)
+
+    def test_rejects_non_numeric_values(self):
+        for values in (["1"], [None], [2**70]):
+            with pytest.raises(ValueError, match="must be in"):
+                codes("column", values, (0, 1))
+
+
 class TestTally:
     def test_empty_input_all_zero(self):
         table = table_of([])
@@ -101,12 +139,6 @@ class TestTally:
         pyrandom.shuffle(shuffled)
         assert table_of(rows) == table_of(shuffled)
 
-    def test_merge_matches_concatenation(self):
-        rows1 = [(0, 0, 1, 1), (1, 1, -1, 1)]
-        rows2 = [(0, 1, 0, -1), (1, 1, -1, 1)]
-        merged = table_of(rows1).merge(table_of(rows2))
-        assert merged == table_of(rows1 + rows2)
-
     def test_from_arrays_matches_record_fold(self):
         rng = np.random.default_rng(7)
         x = rng.integers(0, 2, 500)
@@ -125,10 +157,10 @@ class TestTally:
         for row in [(0, 0, 2, 1), (0, 0, 1, 2), (2, 0, 1, 1), (0, 0, 255, 1), (257, 0, 1, 1)]:
             with pytest.raises(ValueError):
                 table_of([row])
-
-    def test_json_round_trip(self):
-        table = table_of([(0, 1, 1, 0), (1, 0, -1, -1)])
-        assert ContextTable.from_json(table.to_json()) == table
+        # Codes that an int64 cast would truncate to valid ones, and NaN.
+        for row in [(0.5, 0, 1, 1), (0, 0, 1.5, 1), (0.5, 0, 1.5, -1.9), (0, 0, math.nan, 1)]:
+            with pytest.raises(ValueError):
+                ContextTable.from_arrays(*([v] for v in row))
 
 
 class TestEstimate:
@@ -195,13 +227,6 @@ class TestEstimate:
         for s in CONTEXTS:
             if summary[s].n_total > 0:
                 assert summary[s].c == 1.0
-
-    def test_summary_json_round_trip(self):
-        counts = np.random.default_rng(11).integers(0, 40, size=(2, 2, 3, 3))
-        summary = estimate(ContextTable(counts))
-        back = CorrelationSummary.from_json(summary.to_json())
-        for s in CONTEXTS:
-            assert back[s] == summary[s]
 
 
 class TestChsh:

@@ -88,6 +88,23 @@ class TestQuantumSinglet:
             QuantumSingletModel(angles=CANONICAL_ANGLES, visibility=1.2)
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 0.7])
+def test_sample_batch_rejects_bad_settings(bad):
+    # -1 used to index the last row (setting 1) and 0.7 was truncated to 0.
+    rng = np.random.default_rng(5)
+    models = [
+        QuantumSingletModel(angles=CANONICAL_ANGLES),
+        random_deterministic_model(rng),
+        random_stochastic_model(rng),
+        random_contextual_model(rng),
+        random_postselection_model(rng),
+    ]
+    for model in models:
+        for x, y in (([0, bad], [0, 1]), ([0, 1], [bad, 1])):
+            with pytest.raises(ValueError, match="settings must be in"):
+                sample_batch(model, np.array(x), np.array(y), stream(1, "sampling", 0))
+
+
 class TestDeterministicModel:
     def test_single_strategy_example(self):
         m = DeterministicLHVModel(
