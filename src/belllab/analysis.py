@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import rng as _rng
 from .core import (
@@ -95,7 +94,7 @@ def lhv_pvalue(summary: CorrelationSummary) -> HypothesisReport:
         raise AnalysisError(f"all contexts must be populated; empty: {empty}")
     n = float(n_by_ctx.sum())
     chi2_stat = float(((n_by_ctx - n / 4) ** 2 / (n / 4)).sum())
-    p_uniform = float(special.chdtrc(3, chi2_stat))
+    p_uniform = _chi2_tail_3(chi2_stat)
     if p_uniform < UNIFORMITY_ALPHA:
         raise AnalysisError(
             "setting counts are inconsistent with the uniform-settings protocol "
@@ -197,7 +196,7 @@ def _compare(table: ContextTable, party: str, local: int) -> MarginalComparison:
         z, p = 0.0, 1.0
     else:
         z = delta / se
-        p = 2.0 * float(special.ndtr(-abs(z)))
+        p = _normal_tail(z)
     return MarginalComparison(
         party=party,
         setting=local,
@@ -237,6 +236,60 @@ def nosignalling_test(raw: ContextTable, final: ContextTable) -> NoSignallingRep
         raw_block_p=_block_p(blocks["raw"]),
         final_block_p=_block_p(blocks["final"]),
     )
+
+
+# --- normal and chi-square tails -------------------------------------------
+# Cephes' ndtr, erf and erfc, ported with their coefficients, Horner order and
+# branch points, so p-values keep every bit. A table led by 1.0 is a Cephes
+# p1evl denominator (1.0 * x + c is exactly x + c).
+
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): exp(-x * x) underflows beyond it
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: float) -> float:  # 0 <= x < 1
+    return x * _polevl(x * x, _ERF_T) / _polevl(x * x, _ERF_U)
+
+
+def _erfc(x: float) -> float:  # x >= 0
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if x * x > _MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q)
+
+
+def _normal_tail(z: float) -> float:
+    """Two-sided standard normal tail P(|Z| >= |z|)."""
+    x = abs(z) * _SQRT1_2
+    return 2.0 * (0.5 - 0.5 * _erf(x) if x < _SQRT1_2 else 0.5 * _erfc(x))
+
+
+def _chi2_tail_3(x: float) -> float:
+    """Chi-square tail P(X >= x) at 3 degrees of freedom, in closed form."""
+    return _erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
 
 
 # --- LP feasibility -------------------------------------------------------

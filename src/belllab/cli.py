@@ -259,6 +259,8 @@ def _setup(args, *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:
     """
     cfg = load_config(Path(args.config))
     seed = args.seed if args.seed is not None else _integer(cfg, "seed", "", default=seed_default)
+    if seed < 0:
+        raise ConfigError("seed", f"must be a non-negative integer, got {seed}")
     out = None
     if args.out is not None:
         out = Path(args.out)

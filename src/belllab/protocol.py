@@ -158,7 +158,7 @@ class RawEventStream:
     def __post_init__(self) -> None:
         if self.station not in ("A", "B"):
             raise ValueError("station must be 'A' or 'B'")
-        times = np.asarray(self.times, dtype=np.int64)
+        times = np.array(self.times, dtype=np.int64)
         settings = codes("stream settings", self.settings, (0, 1))
         outcomes = codes("stream outcomes", self.outcomes, (-1, 1))
         if not (len(times) == len(settings) == len(outcomes)):

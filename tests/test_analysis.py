@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from belllab.core import (
     CANONICAL_ANGLES,
@@ -22,6 +22,8 @@ from belllab.couplings import (
 )
 from belllab.analysis import (
     AnalysisError,
+    _chi2_tail_3,
+    _normal_tail,
     chsh_combinations,
     coupling_feasibility,
     lhv_pvalue,
@@ -216,6 +218,35 @@ class TestNoSignalling:
             report = nosignalling_test(out.truth.to_context_table(), final.to_context_table())
             assert report.final_block_p < 0.01
             assert report.raw_block_p > 0.05
+
+
+class TestTails:
+    """The ported tails against scipy.special, the Cephes code they port."""
+
+    def test_normal_tail_matches_scipy_bit_for_bit(self):
+        # Branch points in z (x = z / sqrt(2) crosses 1/sqrt(2), 1 and 8) and
+        # the edge where exp(-x * x) underflows and the tail becomes 0.
+        edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+        underflow = math.sqrt(7.09782712893383996843e2) / math.sqrt(0.5)
+        near_underflow = np.linspace(underflow - 1e-12, underflow + 1e-12, 301)
+        z = np.concatenate([
+            np.linspace(0.0, 40.0, 1_000_001),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 50.0),
+            near_underflow, [0.0, 5e-324, -0.0, -1.0, -3.5],
+        ])
+        ours = np.array([_normal_tail(v) for v in z.tolist()])
+        oracle = 2.0 * special.ndtr(-np.abs(z))
+        mismatched = z[ours.view(np.int64) != oracle.view(np.int64)]
+        assert mismatched.size == 0, mismatched[:10]
+        # The grid reaches both sides of the underflow edge.
+        edge_tails = ours[np.abs(z - underflow) <= 1e-12]
+        assert (edge_tails == 0.0).any() and (edge_tails > 0.0).any()
+
+    def test_chi2_tail_3_close_to_scipy(self):
+        x = np.linspace(0.0, 300.0, 300_001)
+        ours = np.array([_chi2_tail_3(v) for v in x.tolist()])
+        oracle = special.chdtrc(3, x)
+        assert np.max(np.abs(ours - oracle) / oracle) < 1e-13
 
 
 class TestFeasibility:

@@ -501,6 +501,16 @@ MALFORMED = {
         },
         "sweep: Monte-Carlo sweeps need 1 <= n_trials <= 100000000",
     ),
+    "negative_seed_event_ready": (
+        "simulate",
+        lambda tmp: event_ready_config(10, seed=-5),
+        "error: seed: must be a non-negative integer, got -5",
+    ),
+    "negative_seed_source": (
+        "simulate",
+        lambda tmp: {**source_config(), "seed": -5},
+        "error: seed: must be a non-negative integer, got -5",
+    ),
     "ready_trial_zero_outcome": (
         "analyze",
         lambda tmp: {"seed": 1, "inputs": {"trials": text_file(tmp / "trials.csv", BAD_TRIALS)}},
@@ -516,6 +526,16 @@ class TestMalformedConfigs:
         cfg = write_config(tmp_path / "c.json", build(tmp_path))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "feasibility"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
+        if command == "sweep":
+            cfg = write_config(tmp_path / "c.json", window_sweep_config(tmp_path, [5]))
+        else:
+            cfg = str(REPO / "configs" / "feasibility_singlet.json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert "seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pearle_theta_sweep_takes_its_angles_from_the_sweep(self, tmp_path):
         rejection = {"kind": "power", "max_reject": 0.5, "exponent": 2.0}
@@ -629,6 +649,9 @@ class TestModelConfigs:
         assert "sum to 1" in capsys.readouterr().err
 
 
+SUBMODULES = ("core", "couplings", "protocol", "pipeline", "io", "analysis", "cli")
+
+
 class TestConsoleScript:
     def test_module_invocation_works(self):
         proc = subprocess.run(
@@ -639,15 +662,14 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "belllab" in proc.stdout
 
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # scipy.stats is most of the import time of every CLI process.
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, belllab.cli; print('scipy.stats' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+    def test_runtime_imports_no_scipy(self):
+        # numpy is the only runtime dependency; scipy serves the tests as an oracle.
+        modules = ", ".join(f"belllab.{name}" for name in SUBMODULES)
+        loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+        code = f"import sys, belllab, {modules}; print({loaded})"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("command", ["simulate", "feasibility"])
     def test_format_flag_only_where_it_acts(self, command, tmp_path, capsys):

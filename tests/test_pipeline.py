@@ -121,6 +121,37 @@ class TestAgainstOracles:
             assert m["matched"] + m[f"one_sided_{side}"] + m[f"dropped_extra_{side}"] == m[f"events_{side}"]
 
 
+# A cluster is one event at A, at B, or at both, in one lattice bin
+# [kW, (k+1)W); the next cluster starts 3 or more bins later, so more than 2W
+# separates clusters: (extra empty bins, stations, offsets in the bin, x, y, a, b).
+CLUSTERS = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.sampled_from(["A", "B", "AB"]), st.integers(0, 39), st.integers(0, 39),
+        st.integers(0, 1), st.integers(0, 1), st.sampled_from([-1, 1]), st.sampled_from([-1, 1]),
+    ),
+    max_size=25,
+)
+
+
+@given(CLUSTERS, st.integers(1, 40), st.integers(-50, 50))
+@settings(max_examples=300)
+def test_lattice_and_greedy_agree_on_isolated_pairs(clusters, w, first_bin):
+    events = {"A": [], "B": []}
+    k = first_bin
+    for gap, stations, off_a, off_b, x, y, out_a, out_b in clusters:
+        for station, offset, setting, outcome in (("A", off_a, x, out_a), ("B", off_b, y, out_b)):
+            if station in stations:
+                events[station].append((k * w + offset % w, setting, outcome))
+        k += 3 + gap
+    a, b = make_stream("A", events["A"]), make_stream("B", events["B"])
+    lattice = match_coincidences(a, b, CoincidencePolicy(window_ns=w, strategy="lattice"))
+    greedy = match_coincidences(a, b, CoincidencePolicy(window_ns=w, strategy="greedy"))
+    for column in "xyab":
+        assert getattr(lattice, column).tolist() == getattr(greedy, column).tolist()
+    assert lattice.meta["matched"] == sum(stations == "AB" for _, stations, *_ in clusters)
+    assert {**lattice.meta, "strategy": "greedy"} == greedy.meta
+
+
 def test_time_differences_beyond_int64_do_not_wrap():
     far = 2**62 + 5
     a = make_stream("A", [(-far, 0, 1), (far, 1, 1)])

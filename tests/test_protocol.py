@@ -10,6 +10,7 @@ from belllab.couplings import QuantumSingletModel, pearle_model, sample_batch
 from belllab.protocol import (
     CHUNK,
     EventReadyConfig,
+    RawEventStream,
     SourceProtocolConfig,
     run_event_ready,
     run_source_experiment,
@@ -224,3 +225,15 @@ class TestSourceExperiment:
         cfg = SourceProtocolConfig(pair_rate=0.1, duration=1.0)
         out = run_source_experiment(cfg, QuantumSingletModel(angles=CANONICAL_ANGLES), seed=1)
         assert out.metadata["warnings"]
+
+
+def test_stream_leaves_caller_arrays_writeable():
+    t = np.array([1, 2, 3], dtype=np.int64)
+    settings = np.array([0, 1, 0], dtype=np.int8)
+    outcomes = np.array([1, 1, -1], dtype=np.int8)
+    stream = RawEventStream("A", t, settings, outcomes)
+    for column in (t, settings, outcomes):
+        assert column.flags.writeable
+    t[0] = 99
+    assert stream.times.tolist() == [1, 2, 3]
+    assert not stream.times.flags.writeable
