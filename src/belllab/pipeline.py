@@ -21,6 +21,13 @@ be read either way; the strategy used is recorded in the pairing metadata:
   first) and the earliest unconsumed event pairs with the first available
   opposite event within W; each event is used at most once.
 
+  No loop runs over events. In merged time order the unconsumed events all
+  belong to one station, a queue whose signed count z (+q A or -q B events
+  waiting) is the whole state. Each arrival is a map z -> clip(z + s, lo, hi)
+  that drops the waiting events out of reach, then pairs or joins. These maps
+  compose in closed form, so after a merge and a binary search per event z
+  comes from an O(n) scan at any W: serial in blocks of 32, recursive over blocks.
+
 One-sided rows from stream pairing carry a -1 sentinel for the remote
 station's setting: that information never enters the detection streams and
 cannot be reconstructed. Such rows are excluded from per-context tables and
@@ -120,8 +127,6 @@ def _paired(
 
     The audit follows from the indices: an event in no row was dropped as an extra.
     """
-    ia = np.asarray(ia, dtype=np.intp)
-    ib = np.asarray(ib, dtype=np.intp)
     has_a, has_b = ia >= 0, ib >= 0
     matched = int((has_a & has_b).sum())
     rows_a, rows_b = int(has_a.sum()), int(has_b.sum())
@@ -173,30 +178,68 @@ def _match_lattice(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, 
     return ia, ib
 
 
-def _match_greedy(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[list[int], list[int]]:
-    ta, tb = ta.tolist(), tb.tolist()
-    na, nb = len(ta), len(tb)
-    ia: list[int] = []
-    ib: list[int] = []
-    i = j = 0
-    while i < na and j < nb:
-        # Earliest-first; simultaneous events process station A first.
-        if abs(ta[i] - tb[j]) <= w:
-            ia.append(i)
-            ib.append(j)
-            i += 1
-            j += 1
-        elif ta[i] <= tb[j]:
-            ia.append(i)
-            ib.append(-1)
-            i += 1
-        else:
-            ia.append(-1)
-            ib.append(j)
-            j += 1
-    ia += list(range(i, na)) + [-1] * (nb - j)
-    ib += [-1] * (na - i) + list(range(j, nb))
-    return ia, ib
+#: A clamp bound beyond any queue count, so it never binds.
+_UNBOUNDED = 2**62
+#: Maps per block of the queue scan: each block is composed serially, all blocks at once.
+_BLOCK = 32
+
+
+def _queue_counts(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """z after each map z -> clip(z + s, lo, hi) of a sequence applied from z = 0."""
+    n, m = len(s), -(-len(s) // _BLOCK)
+    # Row c holds the c-th map of every block; the padding is never read back.
+    s, lo, hi = (np.pad(x, (0, m * _BLOCK - n)).reshape(m, _BLOCK).T.copy() for x in (s, lo, hi))
+    for c in range(1, _BLOCK):
+        # Map c - 1 then map c: (s' + s, clip(lo' + s, lo, hi), clip(hi' + s, lo, hi)).
+        lo[c], hi[c] = np.clip(lo[c - 1] + s[c], lo[c], hi[c]), np.clip(hi[c - 1] + s[c], lo[c], hi[c])
+        s[c] += s[c - 1]
+    # The z entering each block is the same scan over the blocks' whole maps.
+    z_in = np.zeros(m, dtype=np.int64)
+    if m > 1:
+        z_in[1:] = _queue_counts(s[-1, :-1], lo[-1, :-1], hi[-1, :-1])
+    return np.clip(z_in + s, lo, hi).T.reshape(-1)[:n]
+
+
+def _match_greedy(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    # Merged time order; the stable sort puts station A first on ties.
+    t = np.concatenate([ta, tb])
+    order = np.argsort(t, kind="stable")
+    t, from_b = t[order], order >= len(ta)
+    del order
+    n_b = np.cumsum(from_b) - from_b  # B events before each merged position
+    # A gap of more than w empties the queue, so only later events of a cluster
+    # are scanned. The uint64 difference of sorted int64 times cannot wrap.
+    inner = np.flatnonzero(np.diff(t.view(np.uint64)) <= w) + 1
+    # First merged position in reach of each scanned event: time >= t - w.
+    first = np.searchsorted(t, np.maximum(t[inner], np.iinfo(np.int64).min + w) - w)
+    del t
+    is_b = from_b[inner]
+    nb_k, nb_f = n_b[inner], n_b[first]
+    na_k = inner - nb_k
+    # An A arrival keeps the waiting B events in reach and takes the earliest,
+    # or joins the queue: z -> max(z, nb_f - nb_k) + 1. B mirrors it.
+    s = np.where(is_b, -1, 1)
+    lo = np.where(is_b, -_UNBOUNDED, nb_f - nb_k + 1)
+    hi = np.where(is_b, na_k - (first - nb_f) - 1, _UNBOUNDED)
+    del first, nb_f
+    # A cluster's second event finds its first alone in the queue. Its map is
+    # therefore a constant, which resets the scan between clusters.
+    second = np.diff(inner, prepend=-1) != 1
+    z = np.clip(np.where(from_b[inner[second] - 1], -1, 1) + s[second], lo[second], hi[second])
+    s[second], lo[second], hi[second] = 0, z, z
+    z = _queue_counts(s, lo, hi)
+    del s, lo, hi
+    # An A arrival that leaves z <= 0 took the earliest B in reach, index
+    # nb_k + z - 1, whose row it joins. B mirrors it.
+    pa, pb = ~is_b & (z <= 0), is_b & (z >= 0)
+    # Every event but the paired arrivals starts a row, in merged order, which
+    # is the loop's order: each row holds the earliest event not yet consumed.
+    ia = np.where(from_b, -1, np.arange(len(from_b)) - n_b)  # an A event's own index
+    ib = np.where(from_b, n_b, -1)
+    ia[np.flatnonzero(from_b)[nb_k[pa] + z[pa] - 1]] = na_k[pa]
+    ib[np.flatnonzero(~from_b)[na_k[pb] - z[pb] - 1]] = nb_k[pb]
+    paired = inner[pa | pb]
+    return np.delete(ia, paired), np.delete(ib, paired)
 
 
 def match_coincidences(

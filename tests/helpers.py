@@ -140,6 +140,37 @@ def _match_greedy(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRaw
     return PairedRawData(x=arr[:, 0], y=arr[:, 1], a=arr[:, 2], b=arr[:, 3], meta=meta)
 
 
+def greedy_indices(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[list[int], list[int]]:
+    """Greedy pairing as the loop over events it replaced: per-row event indices.
+
+    It subtracts Python ints, so it can judge any int64 times, where the
+    row-tuple oracle above subtracts numpy int64 scalars.
+    """
+    ta, tb = ta.tolist(), tb.tolist()
+    na, nb = len(ta), len(tb)
+    ia: list[int] = []
+    ib: list[int] = []
+    i = j = 0
+    while i < na and j < nb:
+        # Earliest-first; simultaneous events process station A first.
+        if abs(ta[i] - tb[j]) <= w:
+            ia.append(i)
+            ib.append(j)
+            i += 1
+            j += 1
+        elif ta[i] <= tb[j]:
+            ia.append(i)
+            ib.append(-1)
+            i += 1
+        else:
+            ia.append(-1)
+            ib.append(j)
+            j += 1
+    ia += list(range(i, na)) + [-1] * (nb - j)
+    ib += [-1] * (na - i) + list(range(j, nb))
+    return ia, ib
+
+
 def random_deterministic_model(rng: np.random.Generator, n_hidden: int = 6) -> DeterministicLHVModel:
     w = rng.dirichlet(np.ones(n_hidden))
     return DeterministicLHVModel(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, SettingPair
 from belllab.couplings import (
@@ -481,3 +483,48 @@ class TestMonteCarloAgreement:
         target = -SQRT2 / 2
         sigma = math.sqrt((1 - target**2) / n)
         assert est == pytest.approx(target, abs=4 * sigma)
+
+
+def local_model(family: str, rng: np.random.Generator):
+    """A random member of a local family, or a preset, with zero outcomes where it has them."""
+    if family == "deterministic":
+        return random_deterministic_model(rng)
+    if family == "stochastic":
+        return random_stochastic_model(rng)
+    if family == "postselection":
+        return random_postselection_model(rng)
+    if family == "pearle":
+        theta = rng.uniform(0, 2 * math.pi, 4)
+        return pearle_model(AngleAssignment(alice=tuple(theta[:2]), bob=tuple(theta[2:])))
+    return disjoint_support_model()
+
+
+@given(
+    st.sampled_from(["deterministic", "stochastic", "postselection", "pearle", "disjoint_support"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_raw_marginals_do_not_signal(family, seed):
+    """Each station's raw marginal, zeros kept, is free of the remote setting."""
+    model = local_model(family, np.random.default_rng(seed))
+
+    def exact(s):  # E[A], E[B] over all trials, zeros included
+        if isinstance(model, PostSelectionModel):
+            return model.raw_moments(s)[1:]
+        moments = model.exact_expectation(s)
+        return moments.e_a, moments.e_b
+
+    n = 20_000
+    drawn = {
+        s: sample_batch(model, np.full(n, s.x), np.full(n, s.y), stream(seed, "sampling", i))
+        for i, s in enumerate(CONTEXTS)
+    }
+    for u in (0, 1):
+        # Station A at setting u in contexts (u, 0) and (u, 1); B at u in (0, u) and (1, u).
+        a_pair, b_pair = (SettingPair(u, 0), SettingPair(u, 1)), (SettingPair(0, u), SettingPair(1, u))
+        for station, pair in ((0, a_pair), (1, b_pair)):
+            assert exact(pair[0])[station] == pytest.approx(exact(pair[1])[station], abs=1e-12)
+            for v in (-1, 0, 1):
+                k1, k2 = (int((drawn[s][station] == v).sum()) for s in pair)
+                p = (k1 + k2) / (2 * n)  # pooled under no signalling
+                assert abs(k1 - k2) / n <= 5 * math.sqrt(2 * p * (1 - p) / n)

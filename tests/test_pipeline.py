@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import _match_greedy as greedy_oracle
 from helpers import _match_lattice as lattice_oracle
+from helpers import greedy_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from belllab.errors import PipelineError
 from belllab.pipeline import (
     CoincidencePolicy,
     PairedRawData,
+    _match_greedy,
     match_coincidences,
     postselect,
     window_sweep,
@@ -160,6 +162,56 @@ def test_time_differences_beyond_int64_do_not_wrap():
         pairs = match_coincidences(a, b, CoincidencePolicy(window_ns=10, strategy=strategy))
         assert pairs.meta["matched"] == 1 and pairs.meta["one_sided_a"] == 1
         assert pairs.y.tolist() == [-1, 1]
+
+
+def assert_greedy_matches_loop(ta, tb, w):
+    ia, ib = _match_greedy(np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64), w)
+    assert (ia.tolist(), ib.tolist()) == greedy_indices(np.asarray(ta), np.asarray(tb), w)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# Times within 40 ns of an int64 limit, of +-2**62 or of 0, where a difference
+# or a reach t - W leaves int64.
+EXTREME_TIMES = st.lists(
+    st.builds(
+        lambda base, offset: min(max(base + offset, INT64_MIN), INT64_MAX),
+        st.sampled_from([INT64_MIN, -(2**62), 0, 2**62, INT64_MAX]),
+        st.integers(-40, 40),
+    ),
+    max_size=20,
+).map(sorted)
+EXTREME_WINDOWS = st.one_of(
+    st.integers(1, 100), st.integers(2**62 - 100, 2**62 + 100), st.integers(2**63 - 100, INT64_MAX)
+)
+
+
+class TestGreedyAgainstLoop:
+    """The greedy queue scan against the loop over events it replaced, index for index."""
+
+    @given(EXTREME_TIMES, EXTREME_TIMES, EXTREME_WINDOWS)
+    @settings(max_examples=400)
+    def test_int64_limits(self, ta, tb, w):
+        assert_greedy_matches_loop(ta, tb, w)
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_deep_clusters(self, n_a, n_b, seed):
+        # Up to 600 events within 4W: clusters far longer than a scan block,
+        # with ties whenever W is small. W is log-uniform in [1, 2**20).
+        rng = np.random.default_rng(seed)
+        w = int(2 ** rng.uniform(0, 20))
+        span = int(rng.integers(0, 4 * w + 1))
+        ta, tb = (np.sort(rng.integers(0, span + 1, n)) for n in (n_a, n_b))
+        assert_greedy_matches_loop(ta, tb, w)
+
+    def test_one_cluster_of_forty_thousand_events(self):
+        # Mean spacing W/20 at each station: no gap exceeds W, yet waiting
+        # events fall out of reach as the queue drifts. Every scan level takes part.
+        rng = np.random.default_rng(8)
+        w = 100
+        ta, tb = (np.sort(rng.integers(0, 100_000, 20_000)) for _ in range(2))
+        assert np.diff(np.sort(np.concatenate([ta, tb]))).max() <= w
+        assert_greedy_matches_loop(ta, tb, w)
 
 
 class TestGreedy:
