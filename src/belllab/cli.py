@@ -152,6 +152,16 @@ def _path(obj: dict, key: str, path: str) -> Path:
     return Path(value)
 
 
+def _streams(obj: dict, path: str) -> list:
+    """The streams of ``timetags_a`` and ``timetags_b``; each file must hold its field's station."""
+    streams = []
+    for key, station in (("timetags_a", "A"), ("timetags_b", "B")):
+        streams.append(bio.read_timetags_csv(_path(obj, key, path)))
+        if streams[-1].station != station:
+            raise ConfigError(_join(path, key), f"holds station {streams[-1].station}, not {station}")
+    return streams
+
+
 def _array(obj: dict, key: str, path: str) -> np.ndarray:
     value = _get(obj, key, path)
     try:
@@ -377,8 +387,7 @@ def cmd_analyze(args) -> int:
         trials = bio.read_trials_csv(_path(inputs, "trials", "inputs"))
         raw_table = final_table = trials.to_context_table()
     elif "timetags_a" in inputs or "timetags_b" in inputs:
-        stream_a = bio.read_timetags_csv(_path(inputs, "timetags_a", "inputs"))
-        stream_b = bio.read_timetags_csv(_path(inputs, "timetags_b", "inputs"))
+        stream_a, stream_b = _streams(inputs, "inputs")
         wspec = _get(inputs, "window", "inputs")
         with _section("inputs.window"):
             policy = CoincidencePolicy(
@@ -470,8 +479,7 @@ def cmd_sweep(args) -> int:
         name, text = "sweep", bio.theta_sweep_csv(points, seed)
         counts = {"points": len(points), "n_per_point": n_per_point}
     else:
-        stream_a = bio.read_timetags_csv(_path(spec, "timetags_a", "sweep"))
-        stream_b = bio.read_timetags_csv(_path(spec, "timetags_b", "sweep"))
+        stream_a, stream_b = _streams(spec, "sweep")
         windows = _get(spec, "windows_ns", "sweep")
         if not isinstance(windows, list) or any(
             isinstance(w, bool) or not isinstance(w, int) for w in windows

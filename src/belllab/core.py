@@ -51,13 +51,14 @@ def codes(name: str, values, allowed: tuple[int, ...]) -> np.ndarray:
     1, 255 as -1 and 1.5 as 1. Raises ``ValueError`` naming ``name`` otherwise.
     """
     values = np.asarray(values)
-    permitted = np.zeros(256, dtype=bool)
-    permitted[np.array(allowed, dtype=np.int8).view(np.uint8)] = True
     if values.dtype.kind in "biuf":
         with np.errstate(invalid="ignore"):  # NaN and huge floats fail the round trip
             out = values.astype(np.int8)
+        permitted = out == allowed[0]
+        for value in allowed[1:]:
+            permitted |= out == value
         exact = values.dtype == np.int8 or (out == values).all()
-        if exact and permitted[out.view(np.uint8)].all():
+        if exact and permitted.all():
             out.setflags(write=False)
             return out
     raise ValueError(f"{name} must be in {allowed}")

@@ -17,6 +17,8 @@ be read either way; the strategy used is recorded in the pairing metadata:
   a bin with at least one event at each station yields exactly one pair (the
   earliest event per station wins; extra events in the bin are dropped and
   counted), a bin with events on one side only yields a one-sided row.
+  The occupied bins of both stations merge in one stable sort, and one
+  scatter back through it gives each station's first-per-bin events their rows.
 * ``greedy``: both streams are scanned in time order (ties process station A
   first) and the earliest unconsumed event pairs with the first available
   opposite event within W; each event is used at most once.
@@ -116,8 +118,8 @@ class PairedRawData:
 
     def to_context_table(self) -> ContextTable:
         """Tally attributed rows into a ContextTable (zeros included)."""
-        m = self.attributed
-        return ContextTable.from_arrays(self.x[m], self.y[m], self.a[m], self.b[m])
+        rows = np.flatnonzero(self.attributed)
+        return ContextTable.from_arrays(*(c.take(rows) for c in (self.x, self.y, self.a, self.b)))
 
 
 def _paired(
@@ -143,10 +145,10 @@ def _paired(
     }
     # Index -1 picks the appended entry: the unknown setting, or a zero outcome.
     return PairedRawData(
-        x=np.append(a.settings, UNKNOWN_SETTING)[ia],
-        y=np.append(b.settings, UNKNOWN_SETTING)[ib],
-        a=np.append(a.outcomes, 0)[ia],
-        b=np.append(b.outcomes, 0)[ib],
+        x=np.append(a.settings, np.int8(UNKNOWN_SETTING))[ia],
+        y=np.append(b.settings, np.int8(UNKNOWN_SETTING))[ib],
+        a=np.append(a.outcomes, np.int8(0))[ia],
+        b=np.append(b.outcomes, np.int8(0))[ib],
         meta=meta,
     )
 
@@ -166,15 +168,16 @@ def _match_lattice(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, 
     occupied = np.concatenate([bins_a[first_a], bins_b[first_b]])
     # Sorting puts a bin occupied at both stations as two adjacent entries,
     # which form one row; every other entry is a row of its own. The stable
-    # sort joins the two sorted runs in linear time.
+    # sort joins the two sorted runs in linear time, and one scatter back
+    # through it gives each entry of ``occupied`` its row, A entries first.
     order = np.argsort(occupied, kind="stable")
     starts = _run_starts(occupied[order])
-    row = np.cumsum(starts) - 1
-    from_b = order >= len(first_a)
+    row = np.empty_like(order)
+    row[order] = np.cumsum(starts) - 1
     ia = np.full(int(starts.sum()), -1, dtype=np.intp)
     ib = ia.copy()
-    ia[row[~from_b]] = first_a[order[~from_b]]
-    ib[row[from_b]] = first_b[order[from_b] - len(first_a)]
+    ia[row[: len(first_a)]] = first_a
+    ib[row[len(first_a) :]] = first_b
     return ia, ib
 
 
@@ -264,22 +267,20 @@ def postselect(
     the rows attributed to that context, ``None`` for contexts with no rows.
     Row conservation (retained + dropped = input) is recorded in metadata.
     """
-    keep = (pairs.a.astype(np.int16) * pairs.b.astype(np.int16)) != 0
-    c_table: dict[SettingPair, float | None] = {}
-    for s in CONTEXTS:
-        in_ctx = (pairs.x == s.x) & (pairs.y == s.y)
-        total = int(in_ctx.sum())
-        c_table[s] = None if total == 0 else float((keep & in_ctx).sum() / total)
+    keep = (pairs.a != 0) & (pairs.b != 0)
+    rows = np.flatnonzero(keep)
+    # Row counts by (x + 1, y + 1, kept) in one pass; the slice drops unknown (-1) settings.
+    tally = np.bincount(((pairs.x + 1) * 3 + pairs.y + 1) * 2 + keep, minlength=18).reshape(3, 3, 2)[1:, 1:]
+    total, kept = tally.sum(axis=2), tally[..., 1]
+    c_table = {s: None if total[s.x, s.y] == 0 else float(kept[s.x, s.y] / total[s.x, s.y]) for s in CONTEXTS}
     meta = {
         "input_rows": len(pairs),
-        "retained_rows": int(keep.sum()),
-        "dropped_rows": int((~keep).sum()),
-        "unattributed_rows": pairs.n_unattributed,
+        "retained_rows": len(rows),
+        "dropped_rows": len(pairs) - len(rows),
+        "unattributed_rows": len(pairs) - int(total.sum()),
         "pairing": pairs.meta,
     }
-    final = PairedRawData(
-        x=pairs.x[keep], y=pairs.y[keep], a=pairs.a[keep], b=pairs.b[keep], meta=meta
-    )
+    final = PairedRawData(*(c.take(rows) for c in (pairs.x, pairs.y, pairs.a, pairs.b)), meta=meta)
     return final, c_table
 
 

@@ -37,61 +37,45 @@ def savetxt_int_csv(header: str, columns: dict[str, np.ndarray]) -> bytes:
 # index-based pairing core.
 
 
-def _match_lattice(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
-    bins_a = a.times // w
-    bins_b = b.times // w
+def lattice_rows(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Lattice pairing as a set computation on bin numbers.
+
+    Returns per-row event indices of each station in bin order, -1 where a
+    station has no event in the row's bin, and the audit counts.
+    """
     # Streams are sorted, so the first index in each bin is the earliest event.
-    ua, first_a, counts_a = np.unique(bins_a, return_index=True, return_counts=True)
-    ub, first_b, counts_b = np.unique(bins_b, return_index=True, return_counts=True)
-    common, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
+    ua, first_a, counts_a = np.unique(ta // w, return_index=True, return_counts=True)
+    ub, first_b, counts_b = np.unique(tb // w, return_index=True, return_counts=True)
+    common, ca, cb = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
     only_a = ~np.isin(ua, common, assume_unique=False)
     only_b = ~np.isin(ub, common, assume_unique=False)
-
     rows_bin = np.concatenate([common, ua[only_a], ub[only_b]])
-    rows_x = np.concatenate(
-        [
-            a.settings[first_a[ia]],
-            a.settings[first_a[only_a]],
-            np.full(int(only_b.sum()), UNKNOWN_SETTING, dtype=np.int8),
-        ]
-    )
-    rows_y = np.concatenate(
-        [
-            b.settings[first_b[ib]],
-            np.full(int(only_a.sum()), UNKNOWN_SETTING, dtype=np.int8),
-            b.settings[first_b[only_b]],
-        ]
-    )
-    rows_a = np.concatenate(
-        [
-            a.outcomes[first_a[ia]],
-            a.outcomes[first_a[only_a]],
-            np.zeros(int(only_b.sum()), dtype=np.int8),
-        ]
-    )
-    rows_b = np.concatenate(
-        [
-            b.outcomes[first_b[ib]],
-            np.zeros(int(only_a.sum()), dtype=np.int8),
-            b.outcomes[first_b[only_b]],
-        ]
-    )
+    ia = np.concatenate([first_a[ca], first_a[only_a], np.full(int(only_b.sum()), -1)])
+    ib = np.concatenate([first_b[cb], np.full(int(only_a.sum()), -1), first_b[only_b]])
     order = np.argsort(rows_bin, kind="stable")
-    dropped_a = int((counts_a - 1).sum())
-    dropped_b = int((counts_b - 1).sum())
-    meta = {
-        "strategy": "lattice",
-        "window_ns": int(w),
-        "events_a": len(a),
-        "events_b": len(b),
+    audit = {
         "matched": int(len(common)),
         "one_sided_a": int(only_a.sum()),
         "one_sided_b": int(only_b.sum()),
-        "dropped_extra_a": dropped_a,
-        "dropped_extra_b": dropped_b,
+        "dropped_extra_a": int((counts_a - 1).sum()),
+        "dropped_extra_b": int((counts_b - 1).sum()),
     }
+    return ia[order], ib[order], audit
+
+
+def _match_lattice(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
+    ia, ib, audit = lattice_rows(a.times, b.times, w)
+
+    def column(values: np.ndarray, rows: np.ndarray, missing: int) -> np.ndarray:
+        return np.array([values[i] if i >= 0 else missing for i in rows.tolist()], dtype=np.int8)
+
+    meta = {"strategy": "lattice", "window_ns": int(w), "events_a": len(a), "events_b": len(b), **audit}
     return PairedRawData(
-        x=rows_x[order], y=rows_y[order], a=rows_a[order], b=rows_b[order], meta=meta
+        x=column(a.settings, ia, UNKNOWN_SETTING),
+        y=column(b.settings, ib, UNKNOWN_SETTING),
+        a=column(a.outcomes, ia, 0),
+        b=column(b.outcomes, ib, 0),
+        meta=meta,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -236,6 +237,15 @@ class TestAnalyze:
         ).read_bytes()
 
 
+#: The ten widths of the benchmark's Pearle window sweep.
+BENCH_WINDOWS_NS = [2, 4, 8, 15, 30, 60, 100, 200, 500, 1000]
+#: sha256 of windows.csv for the shipped Pearle source at 0.05 s, per strategy.
+WINDOWS_CSV_SHA256 = {
+    "greedy": "72247577498e6a72d8b67761b708ee6af9c4a14dcdb1de6996cf574f7a197ed5",
+    "lattice": "3a949875e55dbda0d424cfb1404431b0bf4fee084d40f741a91228bb1eb3e8c4",
+}
+
+
 class TestSweep:
     def test_theta_sweep_curve_close_to_cosine(self, tmp_path):
         cfg = write_config(
@@ -297,6 +307,20 @@ class TestSweep:
         s_values = [float(line.split(",")[1]) for line in lines[2:]]
         assert max(s_values) - min(s_values) > 0.1
 
+    @pytest.mark.parametrize("strategy", sorted(WINDOWS_CSV_SHA256))
+    def test_window_sweep_bytes_unchanged(self, tmp_path, strategy):
+        # The digests pin windows.csv, so no faster pairing, post-selection or
+        # code check can move one output byte of either strategy.
+        sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
+        sim["protocol"]["duration"] = 0.05
+        main(["simulate", "--config", write_config(tmp_path / "sim.json", sim), "--out", str(tmp_path)])
+        sweep = {"kind": "window", "strategy": strategy, "windows_ns": BENCH_WINDOWS_NS}
+        sweep.update((key, str(tmp_path / f"{key}.csv")) for key in ("timetags_a", "timetags_b"))
+        cfg = write_config(tmp_path / "w.json", {"seed": sim["seed"], "sweep": sweep})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "windows.csv").read_bytes()).hexdigest()
+        assert digest == WINDOWS_CSV_SHA256[strategy]
+
     def test_empty_grid_exits_two(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -341,6 +365,13 @@ def window_sweep_config(tmp_path, windows_ns):
     sweep = {"kind": "window", "windows_ns": windows_ns}
     sweep.update((key, inputs[key]) for key in ("timetags_a", "timetags_b"))
     return {"seed": 1, "sweep": sweep}
+
+
+def station_files(config, path, a, b):
+    """``config`` with ``timetags_a`` and ``timetags_b`` naming the files of fields ``a`` and ``b``."""
+    files = config[path]
+    files["timetags_a"], files["timetags_b"] = files[a], files[b]
+    return config
 
 
 PEARLE_MAX_REJECT_1 = {
@@ -438,6 +469,17 @@ MALFORMED = {
         "analyze",
         lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=UNSORTED_TAGS),
         "timetags_a.csv: stream A is not time-sorted at index 1 (t[0]=10, t[1]=5)",
+    ),
+    # A time-tag file must hold the station of the field that names it.
+    "swapped_timetags": (
+        "analyze",
+        lambda tmp: station_files(stream_inputs(tmp, LATTICE_15), "inputs", "timetags_b", "timetags_a"),
+        "inputs.timetags_a: holds station B, not A",
+    ),
+    "sweep_timetags_b_of_station_a": (
+        "sweep",
+        lambda tmp: station_files(window_sweep_config(tmp, [5]), "sweep", "timetags_a", "timetags_a"),
+        "sweep.timetags_b: holds station A, not B",
     ),
     "theta_sweep_lhv": (
         "sweep",

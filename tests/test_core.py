@@ -75,11 +75,20 @@ INT_COLUMNS = st.lists(NEAR_CODES | WRAPPING, max_size=8).map(lambda v: np.array
 FLOAT_COLUMNS = st.lists(NEAR_CODES.map(float) | TRUNCATING | st.floats(), max_size=8).map(
     lambda v: np.array(v, dtype=np.float64)
 )
+# The dtypes of the columns that pairing and post-selection feed the check.
+INT8_COLUMNS = st.lists(NEAR_CODES | st.sampled_from([-128, 127]), max_size=8).map(
+    lambda v: np.array(v, dtype=np.int8)
+)
+BOOL_COLUMNS = st.lists(st.booleans(), max_size=8).map(lambda v: np.array(v, dtype=bool))
 
 
 class TestCodes:
-    @given(CODE_SETS, INT_COLUMNS | FLOAT_COLUMNS)
+    @given(CODE_SETS, INT_COLUMNS | FLOAT_COLUMNS | INT8_COLUMNS | BOOL_COLUMNS)
     @example((-1, 1), np.array([1, -1, 255], dtype=np.int64))
+    @example((-1, 0, 1), np.array([-1, -128], dtype=np.int8))
+    @example((-1, 1), np.array([127, 1], dtype=np.int8))
+    @example((0, 1), np.array([True, False]))
+    @example((-1, 1), np.array([True, True]))
     @example((0, 1), np.array([0, 257], dtype=np.int64))
     @example((-1, 0, 1), np.array([-129], dtype=np.int64))
     @example((0, 1), np.array([0.5, 1.0]))
@@ -87,7 +96,7 @@ class TestCodes:
     @example((-1, 0, 1), np.array([1.0, -0.0, -1.0]))
     @settings(max_examples=300)
     def test_accepts_exactly_the_allowed_values(self, allowed, values):
-        if all(v in allowed for v in values.tolist()):
+        if np.isin(values, allowed).all():
             out = codes("column", values, allowed)
             assert out.dtype == np.int8 and not out.flags.writeable
             assert out.tolist() == values.tolist()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from helpers import _match_greedy as greedy_oracle
 from helpers import _match_lattice as lattice_oracle
-from helpers import greedy_indices
-from hypothesis import given, settings
+from helpers import greedy_indices, lattice_rows
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, SettingPair, chsh, estimate
@@ -17,6 +17,7 @@ from belllab.pipeline import (
     CoincidencePolicy,
     PairedRawData,
     _match_greedy,
+    _match_lattice,
     match_coincidences,
     postselect,
     window_sweep,
@@ -214,6 +215,43 @@ class TestGreedyAgainstLoop:
         assert_greedy_matches_loop(ta, tb, w)
 
 
+def assert_lattice_matches_sets(ta, tb, w):
+    ta, tb = np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64)
+    ia, ib = _match_lattice(ta, tb, w)
+    oracle_a, oracle_b, _ = lattice_rows(ta, tb, w)
+    assert (ia.tolist(), ib.tolist()) == (oracle_a.tolist(), oracle_b.tolist())
+
+
+class TestLatticeAgainstSets:
+    """The rank-scatter lattice against the set-based oracle, index for index."""
+
+    @given(EXTREME_TIMES, EXTREME_TIMES, EXTREME_WINDOWS)
+    @example([], [INT64_MIN, 0, INT64_MAX], INT64_MAX)
+    @example([INT64_MIN] * 4 + [INT64_MAX] * 3, [], 1)
+    @example([INT64_MIN, INT64_MIN + 1], [INT64_MIN, INT64_MAX - 1, INT64_MAX], INT64_MAX)
+    @example([], [], 1)
+    @settings(max_examples=400)
+    def test_int64_limits(self, ta, tb, w):
+        assert_lattice_matches_sets(ta, tb, w)
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_crowded_bins(self, n_a, n_b, seed):
+        # Up to 300 events per station over at most 4W, so bins hold many
+        # events at one or both stations. W is log-uniform in [1, 2**60).
+        rng = np.random.default_rng(seed)
+        w = int(2 ** rng.uniform(0, 60))
+        start = int(rng.integers(INT64_MIN, INT64_MAX - 4 * w, endpoint=True))
+        ta, tb = (np.sort(rng.integers(start, start + 4 * w, n, endpoint=True)) for n in (n_a, n_b))
+        assert_lattice_matches_sets(ta, tb, w)
+
+    def test_twenty_thousand_events_per_station(self):
+        rng = np.random.default_rng(9)
+        ta, tb = (np.sort(rng.integers(0, 400_000, 20_000)) for _ in range(2))
+        for w in (1, 3, 20, 1_000, 10**6):
+            assert_lattice_matches_sets(ta, tb, w)
+
+
 class TestGreedy:
     def test_six_event_fixture(self):
         # Frozen fixture with W = 2; oracle below confirms the expected
@@ -303,7 +341,31 @@ class TestPostselect:
         keep = (pairs.a * pairs.b) != 0
         for s in CONTEXTS:
             mask = (pairs.x == s.x) & (pairs.y == s.y)
-            assert c[s] == pytest.approx(float((keep & mask).sum() / mask.sum()))
+            assert c[s] == float((keep & mask).sum() / mask.sum())
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+                      st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300)
+    def test_exact_retention_and_audit(self, rows):
+        # Output bytes are the contract: C per context is the exact ratio, by row count.
+        columns = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(4))
+        final, c = postselect(PairedRawData(*columns))
+        kept = [r for r in rows if r[2] != 0 and r[3] != 0]
+        for s in CONTEXTS:
+            total = sum(1 for r in rows if r[:2] == (s.x, s.y))
+            retained = sum(1 for r in kept if r[:2] == (s.x, s.y))
+            assert c[s] == (None if total == 0 else retained / total)
+        assert list(zip(*(getattr(final, k).tolist() for k in "xyab"))) == kept
+        meta = final.meta
+        assert (meta["input_rows"], meta["retained_rows"], meta["dropped_rows"]) == (
+            len(rows), len(kept), len(rows) - len(kept)
+        )
+        assert meta["unattributed_rows"] == sum(1 for r in rows if min(r[:2]) < 0)
 
 
 class TestWindowSweep:
