@@ -8,8 +8,13 @@ byte-identical files.
 
 The integer CSV writers format whole columns at once with numpy, in blocks
 of ``BLOCK_ROWS`` rows, so memory stays flat however long the file. The
-readers parse the two header lines, then hand the open file to
-``np.loadtxt``, which streams the rows without a copy of the text.
+readers check the two header lines, then give ``np.loadtxt`` the path, not
+the open file: numpy parses a file it opened itself in large chunks in C,
+but iterates any other object one Python line at a time. Given a path, it
+picks a decompressor from the suffix, so the readers refuse ``.gz``,
+``.bz2``, ``.xz`` and ``.lzma`` names. Trial ids and time tags are parsed as
+int64 and every code column as int16: a code cell beyond int16 is a parse
+error, and ``core.codes`` checks the rest before narrowing them to int8.
 
 Column schemas:
 
@@ -74,28 +79,28 @@ def _parse_header(line: str, path: str) -> dict[str, str]:
     return fields
 
 
-def _digits(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
-    """Characters of ``values`` as decimal integers, one row each, then ``sep``.
+def _cells(values: np.ndarray, sep: str) -> np.ndarray:
+    """Characters of ``values`` as decimal integers, one column each, then ``sep``.
 
-    Returns a ``(rows, width)`` uint8 matrix holding ``-``, the digits
-    right-aligned and ``sep``, and the mask of the characters each value uses.
+    Returns a ``(width + 2, rows)`` uint8 matrix holding ``-``, the digits
+    right-aligned and ``sep``; a sign or leading digit a value does not use is 0.
     """
     v = np.asarray(values, dtype=np.int64)
     # abs() wraps INT64_MIN onto itself; as uint64 that is its magnitude, 2**63.
     mag = np.abs(v).view(np.uint64)
-    width = len(str(int(mag.max())))
-    chars = np.empty((len(v), width + 2), dtype=np.uint8)
-    mask = np.ones(chars.shape, dtype=bool)
-    chars[:, 0] = ord("-")
-    mask[:, 0] = v < 0
-    # A digit is used when the value reaches its place; the units digit always is.
-    places = np.array([10**k for k in range(width - 1, 0, -1)] + [0], dtype=np.uint64)
-    mask[:, 1:-1] = mag[:, None] >= places
+    top = int(mag.max())
+    width = len(str(top))
+    if top < 2**32:
+        mag = mag.astype(np.uint32)  # the same digits from cheaper divisions
+    chars = np.empty((width + 2, len(v)), dtype=np.uint8)
+    np.multiply(v < 0, ord("-"), out=chars[0], casting="unsafe")
     for j in range(width, 0, -1):
-        mag, chars[:, j] = np.divmod(mag, 10)
-    chars[:, 1:-1] += ord("0")
-    chars[:, -1] = ord(sep)
-    return chars, mask
+        # A digit is used when the value reaches its place; the units digit always is.
+        offset = ord("0") if j == width else (mag != 0).view(np.uint8) * ord("0")
+        mag, chars[j] = np.divmod(mag, 10)
+        chars[j] |= offset
+    chars[-1] = ord(sep)
+    return chars
 
 
 def _int_csv(path: Path, header: str, columns: dict[str, np.ndarray]) -> None:
@@ -105,57 +110,52 @@ def _int_csv(path: Path, header: str, columns: dict[str, np.ndarray]) -> None:
     memory of the character matrices whatever the file size.
     """
     arrays = list(columns.values())
+    seps = "," * (len(arrays) - 1) + "\n"
     with path.open("wb") as f:
         f.write(f"{header}\n{','.join(columns)}\n".encode())
         for start in range(0, len(arrays[0]), BLOCK_ROWS):
             stop = start + BLOCK_ROWS
-            parts = [
-                _digits(a[start:stop], "\n" if i == len(arrays) - 1 else ",")
-                for i, a in enumerate(arrays)
-            ]
-            chars = np.hstack([c for c, _ in parts])
-            f.write(chars[np.hstack([m for _, m in parts])].tobytes())
+            chars = np.vstack([_cells(a[start:stop], sep) for a, sep in zip(arrays, seps)])
+            # Row-major bytes of the block, less the unused (0) characters.
+            f.write(chars.T.tobytes().translate(None, b"\0"))
 
 
-def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, np.ndarray]:
-    with path.open() as f:
-        first = f.readline()
-        if not first:
-            raise ConfigError(str(path), "empty file")
-        header = _parse_header(first, str(path))
-        if header.get("kind") != kind:
-            raise ConfigError(str(path), f"expected kind={kind}, got {header.get('kind')!r}")
-        if f.readline().rstrip("\n").split(",") != list(columns):
-            raise ConfigError(str(path), f"expected columns {','.join(columns)}")
-        body = f.tell()
-        # loadtxt warns on a body with no data; such a body holds zero rows.
-        if any(line.strip() for line in iter(f.readline, "")):
-            f.seek(body)
-            try:
-                data = np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2)
-            except ValueError as e:
-                raise ConfigError(str(path), str(e)) from e
-        else:
-            data = np.zeros((0, len(columns)), dtype=np.int64)
-    if data.shape[1] != len(columns):
-        raise ConfigError(str(path), f"expected {len(columns)} columns")
-    return header, data
+def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, list[np.ndarray]]:
+    """The header fields and one contiguous array per column."""
+    name = str(path)
+    # np.loadtxt would pick a decompressor from the suffix.
+    if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        raise ConfigError(name, f"CSV inputs are read as plain text; rename this {path.suffix} file")
+    try:
+        with path.open(encoding="utf-8") as f:
+            first, names = f.readline(), f.readline()
+            # loadtxt warns on a body with no data; such a body holds zero rows.
+            has_rows = any(line.strip() for line in iter(f.readline, ""))
+    except UnicodeDecodeError as e:
+        raise ConfigError(name, str(e)) from e
+    if not first:
+        raise ConfigError(name, "empty file")
+    header = _parse_header(first, name)
+    if header.get("kind") != kind:
+        raise ConfigError(name, f"expected kind={kind}, got {header.get('kind')!r}")
+    if names.rstrip("\n").split(",") != list(columns):
+        raise ConfigError(name, f"expected columns {','.join(columns)}")
+    dtype = np.dtype([(c, np.int64 if c in ("trial_id", "time_ns") else np.int16) for c in columns])
+    data = np.zeros(0, dtype)
+    try:
+        # A short or long row, or a cell out of its field's range, raises ValueError.
+        if has_rows:
+            data = np.loadtxt(name, dtype, delimiter=",", skiprows=2, ndmin=1, encoding="utf-8")
+    except ValueError as e:  # a UnicodeDecodeError in the body too
+        raise ConfigError(name, str(e)) from e
+    # Contiguous columns compare several times faster than the strided fields.
+    return header, [np.ascontiguousarray(data[c]) for c in columns]
 
 
 def write_trials_csv(path: Path, run: PairedRawData, seed: int) -> None:
     n = len(run)
-    _int_csv(
-        path,
-        _header("trials", seed),
-        {
-            "trial_id": np.arange(n),
-            "x": run.x,
-            "y": run.y,
-            "a": run.a,
-            "b": run.b,
-            "ready": np.ones(n, dtype=np.int64),
-        },
-    )
+    columns = {"trial_id": np.arange(n), "x": run.x, "y": run.y, "a": run.a, "b": run.b}
+    _int_csv(path, _header("trials", seed), {**columns, "ready": np.ones(n, dtype=np.int8)})
 
 
 def read_trials_csv(path: Path) -> PairedRawData:
@@ -164,9 +164,8 @@ def read_trials_csv(path: Path) -> PairedRawData:
     A ready trial has settings 0 or 1 and outcomes +1 or -1; a file that
     breaks this is rejected.
     """
-    _, data = _read_int_csv(path, "trials", ("trial_id", "x", "y", "a", "b", "ready"))
-    # Comparisons on the column views allocate no int64 copies of the file.
-    x, y, a, b, ready = data[:, 1:].T
+    columns = ("trial_id", "x", "y", "a", "b", "ready")
+    _, (_, x, y, a, b, ready) = _read_int_csv(path, "trials", columns)
     if not ((ready == 0) | (ready == 1)).all():
         raise ConfigError(str(path), "ready must be 0 or 1")
     ready = ready == 1
@@ -191,14 +190,13 @@ def write_timetags_csv(path: Path, stream: RawEventStream, seed: int) -> None:
 
 
 def read_timetags_csv(path: Path) -> RawEventStream:
-    header, data = _read_int_csv(path, "timetags", ("time_ns", "setting", "outcome"))
+    columns = ("time_ns", "setting", "outcome")
+    header, (times, settings, outcomes) = _read_int_csv(path, "timetags", columns)
     station = header.get("station")
     if station not in ("A", "B"):
         raise ConfigError(str(path), "header must carry station=A or station=B")
     try:
-        return RawEventStream(
-            station=station, times=data[:, 0], settings=data[:, 1], outcomes=data[:, 2]
-        )
+        return RawEventStream(station=station, times=times, settings=settings, outcomes=outcomes)
     except ValueError as e:
         raise ConfigError(str(path), str(e)) from e
 
@@ -208,9 +206,9 @@ def write_pairs_csv(path: Path, pairs: PairedRawData, seed: int) -> None:
 
 
 def read_pairs_csv(path: Path) -> PairedRawData:
-    _, data = _read_int_csv(path, "pairs", ("x", "y", "a", "b"))
+    _, columns = _read_int_csv(path, "pairs", ("x", "y", "a", "b"))
     try:
-        return PairedRawData(x=data[:, 0], y=data[:, 1], a=data[:, 2], b=data[:, 3])
+        return PairedRawData(*columns)
     except ValueError as e:
         raise ConfigError(str(path), str(e)) from e
 

@@ -85,8 +85,7 @@ class PairedRawData:
     """Rows of (x, y, a, b) with outcomes in {-1, 0, +1}.
 
     A 0 outcome marks an unmatched slot. Settings are 0/1, or -1 when the
-    remote side of a one-sided stream row is unknown; ``n_unattributed``
-    counts such rows.
+    remote side of a one-sided stream row is unknown.
     """
 
     x: np.ndarray
@@ -111,10 +110,6 @@ class PairedRawData:
     def attributed(self) -> np.ndarray:
         """Boolean mask of rows with both settings known."""
         return (self.x >= 0) & (self.y >= 0)
-
-    @property
-    def n_unattributed(self) -> int:
-        return int((~self.attributed).sum())
 
     def to_context_table(self) -> ContextTable:
         """Tally attributed rows into a ContextTable (zeros included)."""

@@ -348,6 +348,12 @@ def text_file(path, text):
     return str(path)
 
 
+def trials_inputs(path, text):
+    """Analyze config on a trials file holding ``text``, written as Latin-1 so \\xff stays one byte."""
+    path.write_bytes(text.encode("latin-1"))
+    return {"seed": 1, "inputs": {"trials": str(path)}}
+
+
 def stream_inputs(tmp_path, window, **files):
     """Analyze config on two one-event streams; ``files`` are input files given as text."""
     inputs = {"window": window}
@@ -390,6 +396,8 @@ BAD_PAIRS = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n0,0,255,1\n"
 BAD_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,0,1,1\n"
 FLOAT_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,1.0,1,1\n"
 UNSORTED_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n10,0,1\n5,0,1\n"
+TRIALS_HEADER = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n"
+SHORT_ROW_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n5,0\n"
 WIDE_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n9223372036854775808,0,1\n"
 # Response tables holding one entry that an int8 cast turns into a valid
 # response (1.5 -> 1, 255 -> -1), one per table-driven family.
@@ -520,6 +528,36 @@ MALFORMED = {
         lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=WIDE_TAGS),
         "timetags_a.csv: could not convert string '9223372036854775808'",
     ),
+    # Code columns are parsed as int16; a cell beyond it is a parse error.
+    "trials_code_cell_above_int16": (
+        "analyze",
+        lambda tmp: trials_inputs(tmp / "trials.csv", TRIALS_HEADER + "0,0,0,1,1,1\n1,70000,0,1,1,0\n"),
+        "trials.csv: could not convert string '70000' to int16",
+    ),
+    "timetags_row_missing_cell": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=SHORT_ROW_TAGS),
+        "timetags_a.csv: the dtype passed requires 3 columns but 2 were found",
+    ),
+    "trials_non_utf8_header": (
+        "analyze",
+        lambda tmp: trials_inputs(tmp / "trials.csv", TRIALS_HEADER.replace("seed=1", "seed=1\xff")),
+        "trials.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "trials_non_utf8_body": (
+        "analyze",
+        lambda tmp: trials_inputs(tmp / "trials.csv", TRIALS_HEADER + "0,0,0,1,1,1\n1,\xff,0,1,1,1\n"),
+        "trials.csv: 'utf-8' codec can't decode byte 0xff",
+    ),
+    # np.loadtxt would open these through a decompressor, which fails on a plain file.
+    **{
+        f"trials_named_{suffix[1:]}": (
+            "analyze",
+            lambda tmp, suffix=suffix: trials_inputs(tmp / f"trials{suffix}", TRIALS_HEADER + "0,0,0,1,1,1\n"),
+            f"trials{suffix}: CSV inputs are read as plain text",
+        )
+        for suffix in (".gz", ".bz2", ".xz", ".lzma")
+    },
     # The size cap is checked before anything is allocated.
     "pair_rate_above_cap": ("simulate", lambda tmp: source_config(pair_rate=1e15), "protocol: pair_rate * duration"),
     "dark_rate_above_cap": ("simulate", lambda tmp: source_config(dark_rate=1e15), "protocol: dark_rate * duration"),

@@ -1,5 +1,7 @@
 """File format round trips and header validation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from helpers import savetxt_int_csv
@@ -51,11 +53,14 @@ def test_pairs_round_trip_preserves_unknown_sentinel(tmp_path):
     bio.write_pairs_csv(path, pairs, seed=2)
     back = bio.read_pairs_csv(path)
     assert (back.x == pairs.x).all() and (back.y == pairs.y).all()
-    assert back.n_unattributed == 2
+    assert int((~back.attributed).sum()) == 2
 
 
 INT64_CELLS = st.one_of(
-    st.sampled_from([INT64.min, INT64.min + 1, -10, -1, 0, 1, 9, 10, INT64.max]),
+    # The writer divides in uint32 below 2**32 and in uint64 from there on.
+    st.sampled_from(
+        [INT64.min, INT64.min + 1, -(2**32), 1 - 2**32, -10, -1, 0, 1, 9, 10, 2**32 - 1, 2**32, INT64.max]
+    ),
     st.integers(INT64.min, INT64.max),
 )
 
@@ -65,16 +70,32 @@ INT64_CELLS = st.one_of(
         np.int64,
         st.tuples(st.integers(0, 40), st.integers(1, 4)),
         elements=INT64_CELLS,
-    )
+    ),
+    st.integers(1, 9),
 )
-@example(np.zeros((0, 2), dtype=np.int64))
-@example(np.array([[INT64.min, INT64.max, 0]]))
-@settings(max_examples=200, deadline=None)
-def test_int_csv_matches_savetxt(tmp_path_factory, rows):
+@example(np.zeros((0, 2), dtype=np.int64), 4)
+@example(np.array([[INT64.min, INT64.max, 0]]), 4)
+@example(np.array([[2**32 - 1], [2**32], [0], [INT64.min]]), 1)
+@example(np.array([[0, 2**32 - 1], [9, -(2**32)], [INT64.max, -1]]), 2)
+@settings(max_examples=300, deadline=None)
+def test_int_csv_matches_savetxt(tmp_path_factory, rows, block_rows):
+    # Every block picks its own width and division dtype; the bytes must not show it.
     columns = {f"c{i}": rows[:, i] for i in range(rows.shape[1])}
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    bio._int_csv(path, "# header", columns)
+    with mock.patch.object(bio, "BLOCK_ROWS", block_rows):
+        bio._int_csv(path, "# header", columns)
     assert path.read_bytes() == savetxt_int_csv("# header", columns)
+
+
+def test_int_csv_crosses_block_rows(tmp_path):
+    # The first block fits uint32, the second does not, and the last block is short.
+    n = bio.BLOCK_ROWS + 3
+    ids = np.arange(n)
+    wide = ids.copy()
+    wide[[bio.BLOCK_ROWS - 1, bio.BLOCK_ROWS, n - 1]] = [2**32 - 1, 2**32, INT64.min]
+    columns = {"id": ids, "wide": wide, "code": np.resize(np.array([-1, 0, 1], dtype=np.int8), n)}
+    bio._int_csv(tmp_path / "rows.csv", "# header", columns)
+    assert (tmp_path / "rows.csv").read_bytes() == savetxt_int_csv("# header", columns)
 
 
 def test_writers_stream_row_blocks(tmp_path, monkeypatch):
@@ -179,3 +200,92 @@ def test_ready_trial_with_zero_outcome_rejected(tmp_path):
         path = _csv(tmp_path / "bad.csv", "kind=trials seed=1", columns, ["0,0,1,1,-1,1", row])
         with pytest.raises(ConfigError, match="bad.csv"):
             bio.read_trials_csv(path)
+
+
+TAGS = ("kind=timetags seed=1 station=A", "time_ns,setting,outcome", "1,0,1")
+#: File name -> ((header fields, column names, a valid row), reader).
+READERS = {
+    "tags.csv": (TAGS, bio.read_timetags_csv),
+    "pairs.csv": (("kind=pairs seed=1", "x,y,a,b", "0,1,1,-1"), bio.read_pairs_csv),
+    "trials.csv": (("kind=trials seed=1", "trial_id,x,y,a,b,ready", "0,0,1,1,-1,1"), bio.read_trials_csv),
+}
+
+
+@pytest.mark.parametrize(
+    "name, row, message",
+    [
+        ("tags.csv", "2,32767,1", r"tags\.csv: stream settings must be in \(0, 1\)"),
+        ("tags.csv", "2,1,32767", r"tags\.csv: stream outcomes must be in \(-1, 1\)"),
+        ("pairs.csv", "0,0,32767,1", r"pairs\.csv: outcomes must be in \(-1, 0, 1\)"),
+        ("pairs.csv", "-32768,0,1,1", r"pairs\.csv: settings must be in \(-1, 0, 1\)"),
+        ("trials.csv", "1,32767,0,1,1,1", r"trials\.csv: data row 2"),
+    ],
+)
+def test_code_cell_in_int16_range_fails_the_code_check(tmp_path, name, row, message):
+    (header, columns, good), read = READERS[name]
+    with pytest.raises(ConfigError, match=message):
+        read(_csv(tmp_path / name, header, columns, [good, row]))
+
+
+@pytest.mark.parametrize("cell", ["32768", "70000", "-32769"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_code_cell_beyond_int16_names_the_file(tmp_path, name, cell):
+    (header, columns, good), read = READERS[name]
+    # The cell goes in the second column, a code column of every kind; a trial row is not ready.
+    row = good.split(",")
+    row[1] = cell
+    row[-1] = "0" if name == "trials.csv" else row[-1]
+    with pytest.raises(ConfigError, match=rf"{name}: could not convert string '{cell}' to int16"):
+        read(_csv(tmp_path / name, header, columns, [good, ",".join(row)]))
+
+
+@pytest.mark.parametrize("change", ["drop", "extra", "trailing_comma"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_missing_or_extra_cell_names_the_file(tmp_path, name, change):
+    (header, columns, good), read = READERS[name]
+    row = {"drop": good.rsplit(",", 1)[0], "extra": good + ",1", "trailing_comma": good + ","}[change]
+    with pytest.raises(ConfigError, match=rf"{name}: .*columns"):
+        read(_csv(tmp_path / name, header, columns, [good, row]))
+
+
+def test_crlf_and_missing_final_newline_read_the_same(tmp_path):
+    rng = np.random.default_rng(3)
+    pairs = PairedRawData(*rng.integers(-1, 2, size=(4, 50)))
+    bio.write_pairs_csv(tmp_path / "lf.csv", pairs, seed=1)
+    lf = (tmp_path / "lf.csv").read_bytes()
+    for variant in (lf.replace(b"\n", b"\r\n"), lf[:-1], lf.replace(b"\n", b"\r\n")[:-2]):
+        (tmp_path / "variant.csv").write_bytes(variant)
+        back = bio.read_pairs_csv(tmp_path / "variant.csv")
+        assert all((getattr(back, k) == getattr(pairs, k)).all() for k in "xyab")
+
+
+@pytest.mark.parametrize("where", ["header", "first_row", "late_row"])
+def test_non_utf8_byte_names_the_file(tmp_path, where):
+    # A late row lies beyond what the header check reads, so np.loadtxt meets the byte.
+    rows = ["1,0,1"] * 5000
+    if where == "header":
+        header = f"# belllab schema_version=1 {TAGS[0]}\xff"
+    else:
+        header = f"# belllab schema_version=1 {TAGS[0]}"
+        rows[0 if where == "first_row" else -1] = "\xff,0,1"
+    text = "\n".join([header, TAGS[1], *rows]) + "\n"
+    (tmp_path / "tags.csv").write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"tags\.csv: 'utf-8' codec can't decode byte 0xff"):
+        bio.read_timetags_csv(tmp_path / "tags.csv")
+
+
+def _pairs_named(path):
+    bio.write_pairs_csv(path, PairedRawData(*np.zeros((4, 3), dtype=np.int8)), seed=1)
+    return path
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_rejected_naming_the_file(tmp_path, suffix):
+    # np.loadtxt would open a file with this suffix through a decompressor.
+    with pytest.raises(ConfigError, match=rf"pairs\{suffix}: CSV inputs are read as plain text"):
+        bio.read_pairs_csv(_pairs_named(tmp_path / f"pairs{suffix}"))
+
+
+@pytest.mark.parametrize("suffix", [".GZ", ".txt", ""])
+def test_other_suffixes_read_as_plain_text(tmp_path, suffix):
+    assert len(bio.read_pairs_csv(_pairs_named(tmp_path / f"pairs{suffix}"))) == 3

@@ -62,7 +62,7 @@ class TestLattice:
             pairs = match_coincidences(a, b, CoincidencePolicy(window_ns=w))
             assert pairs.meta["matched"] == 50
             assert pairs.meta["dropped_extra_a"] == 0 and pairs.meta["dropped_extra_b"] == 0
-            assert pairs.n_unattributed == 0
+            assert int((~pairs.attributed).sum()) == 0
 
     def test_disjoint_supports_all_one_sided(self):
         a = make_stream("A", [(0, 0, 1), (15, 1, -1)])
@@ -70,7 +70,7 @@ class TestLattice:
         pairs = match_coincidences(a, b, CoincidencePolicy(window_ns=10))
         assert pairs.meta["matched"] == 0
         assert pairs.meta["one_sided_a"] == 2 and pairs.meta["one_sided_b"] == 2
-        assert pairs.n_unattributed == 4
+        assert int((~pairs.attributed).sum()) == 4
         assert ((pairs.a == 0) | (pairs.b == 0)).all()
 
     def test_multi_event_bins_keep_earliest_and_count_drops(self):

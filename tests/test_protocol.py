@@ -128,7 +128,7 @@ class TestSourceExperiment:
         assert (out.stream_a.times == out.stream_b.times).all()
         assert out.metadata["n_emissions"] == 1000
         assert len(out.truth) == 1000
-        assert out.truth.n_unattributed == 0
+        assert int((~out.truth.attributed).sum()) == 0
 
     def test_dark_only_run(self):
         cfg = SourceProtocolConfig(pair_rate=0.0, duration=1.0, dark_rate=500.0)
