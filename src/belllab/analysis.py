@@ -299,25 +299,28 @@ STRATEGY_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(
     s for s, _ in deterministic_strategies()
 )
 
+_STRATEGIES = np.array(STRATEGY_ORDER, dtype=np.float64)
+_OUTCOME = np.array([1.0, -1.0])
+# _gives[v, o, k]: strategy k gives variable v (a0, a1, b0, b1) outcome o.
+_gives = _STRATEGIES.T[:, None, :] == _OUTCOME[:, None]
 
-def _strategy_matrix() -> np.ndarray:
-    """Constraint matrix: rows are (context, a, b) cells, columns strategies.
+#: Constraint matrix: rows are (x, y, a, b) cells, contexts in CONTEXTS order
+#: and outcomes (+1, -1); column k is 1 on the four cells strategy k produces.
+_STRATEGY_MATRIX = (
+    (_gives[:2, None, :, None] & _gives[None, 2:, None]).reshape(16, 16).astype(np.float64)
+)
 
-    Row order: contexts in CONTEXTS order, then a in (+1, -1), then b.
-    """
-    m = np.zeros((16, 16))
-    for col, (a0, a1, b0, b1) in enumerate(STRATEGY_ORDER):
-        a_by = (a0, a1)
-        b_by = (b0, b1)
-        for ci, s in enumerate(CONTEXTS):
-            for ai, a in enumerate((1, -1)):
-                for bi, b in enumerate((1, -1)):
-                    if a_by[s.x] == a and b_by[s.y] == b:
-                        m[ci * 4 + ai * 2 + bi, col] = 1.0
-    return m
+#: [A | I]: the strategy columns, then one artificial column per cell, as the
+#: phase-1 simplex numbers them.
+_COLUMNS = np.hstack([_STRATEGY_MATRIX, np.eye(16)])
 
+#: The 8 CHSH-type sign placements over CONTEXTS, those with an odd number of
+#: minus signs, in binary-count order (bit i of the count is a minus sign on
+#: context i). Strategy k read backwards is exactly placement k of that count.
+_CHSH_SIGNS = _STRATEGIES[:, ::-1][_STRATEGIES.prod(axis=1) < 0]
 
-_STRATEGY_MATRIX = _strategy_matrix()
+#: The functional of each sign placement, indexed [placement, x, y, a, b].
+_CHSH_FUNCTIONALS = _CHSH_SIGNS.reshape(8, 2, 2, 1, 1) * np.outer(_OUTCOME, _OUTCOME)
 
 
 def _tables_vector(p_xy: Mapping[SettingPair, np.ndarray]) -> np.ndarray:
@@ -429,44 +432,9 @@ class FeasibilityResult:
 
 def chsh_combinations(p_xy: Mapping[SettingPair, np.ndarray]) -> list[float]:
     """The 8 CHSH-type sign combinations of the pairwise expectations."""
-    e = {}
-    outcome = np.array([1.0, -1.0])
-    for s in CONTEXTS:
-        t = np.asarray(p_xy[s], dtype=np.float64)
-        e[s] = float(outcome @ t @ outcome)
-    combos = []
-    for signs in _chsh_sign_placements():
-        combos.append(sum(signs[s] * e[s] for s in CONTEXTS))
-    return combos
-
-
-def _chsh_sign_placements() -> list[dict[SettingPair, float]]:
-    placements = []
-    for bits in range(16):
-        signs = {
-            s: (1.0 if (bits >> i) & 1 == 0 else -1.0) for i, s in enumerate(CONTEXTS)
-        }
-        if np.prod(list(signs.values())) < 0:  # odd number of minus signs
-            placements.append(signs)
-    return placements
-
-
-def _functional_from_signs(signs: dict[SettingPair, float]) -> np.ndarray:
-    coeff = np.zeros((2, 2, 2, 2))
-    outcome = (1.0, -1.0)
-    for s in CONTEXTS:
-        for ai, a in enumerate(outcome):
-            for bi, b in enumerate(outcome):
-                coeff[s.x, s.y, ai, bi] = signs[s] * a * b
-    return coeff
-
-
-def _evaluate_functional(coeff: np.ndarray, vec: np.ndarray) -> tuple[float, float]:
-    """(value on input vector, max over the 16 deterministic strategies)."""
-    flat = np.concatenate([coeff[s.x, s.y].ravel() for s in CONTEXTS])
-    value = float(flat @ vec)
-    bound = float((flat @ _STRATEGY_MATRIX).max())
-    return value, bound
+    e = [float(_OUTCOME @ np.asarray(p_xy[s], dtype=np.float64) @ _OUTCOME) for s in CONTEXTS]
+    # Python's left-to-right sum, whose floats feasibility.json prints.
+    return [sum(sign * value for sign, value in zip(signs, e)) for signs in _CHSH_SIGNS.tolist()]
 
 
 def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityResult:
@@ -484,13 +452,9 @@ def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityR
     vec = _tables_vector(p_xy)
     objective, basis, _ = _phase1_simplex(_STRATEGY_MATRIX, vec)
     if objective <= LP_TOL:
-        columns = np.hstack([_STRATEGY_MATRIX, np.eye(16)])
-        q_basis = np.linalg.solve(columns[:, basis], vec)
-        q = np.zeros(16)
-        for value, var in zip(q_basis, basis):
-            if var < 16:
-                q[var] = value
-        q = np.where(np.abs(q) < 1e-12, 0.0, q)
+        weights = np.zeros(_COLUMNS.shape[1])
+        weights[basis] = np.linalg.solve(_COLUMNS[:, basis], vec)
+        q = np.where(np.abs(weights[:16]) < 1e-12, 0.0, weights[:16])
         if (q < 0).any():
             raise AssertionError("simplex returned a negative witness weight")
         margin_error = float(np.abs(_STRATEGY_MATRIX @ q - vec).max())
@@ -506,26 +470,19 @@ def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityR
     max_violation = max(abs(c) for c in combos)
     best = int(np.argmax(combos))
     if combos[best] > 2.0 + LP_TOL:
-        coeff = _functional_from_signs(_chsh_sign_placements()[best])
-        value, bound = _evaluate_functional(coeff, vec)
-        certificate = FeasibilityCertificate(
-            coefficients=coeff, value=value, bound=bound, slack=value - bound, kind="chsh"
-        )
+        coeff, kind = _CHSH_FUNCTIONALS[best].copy(), "chsh"
     else:
         # Infeasibility without a CHSH violation (inconsistent marginals):
         # use the phase-1 dual vector, re-derived from the original columns.
-        columns = np.hstack([_STRATEGY_MATRIX, np.eye(16)])
-        cost = np.concatenate([np.zeros(16), np.ones(16)])
-        basis_matrix = columns[:, basis]
-        y = np.linalg.solve(basis_matrix.T, cost[basis])
-        y = y / np.abs(y).max()
-        coeff = np.zeros((2, 2, 2, 2))
-        for ci, s in enumerate(CONTEXTS):
-            coeff[s.x, s.y] = y[ci * 4 : ci * 4 + 4].reshape(2, 2)
-        value, bound = _evaluate_functional(coeff, vec)
-        certificate = FeasibilityCertificate(
-            coefficients=coeff, value=value, bound=bound, slack=value - bound, kind="dual"
-        )
+        # The phase-1 cost of each basic column: 1 for an artificial one.
+        cost = (np.array(basis) >= 16).astype(np.float64)
+        y = np.linalg.solve(_COLUMNS[:, basis].T, cost)
+        coeff, kind = (y / np.abs(y).max()).reshape(2, 2, 2, 2), "dual"
+    # The functional on the input, and its largest value on a strategy.
+    value, bound = float(coeff.ravel() @ vec), float((coeff.ravel() @ _STRATEGY_MATRIX).max())
+    certificate = FeasibilityCertificate(
+        coefficients=coeff, value=value, bound=bound, slack=value - bound, kind=kind
+    )
     if certificate.slack <= LP_TOL:
         raise AssertionError("infeasible verdict without a separating certificate")
     return FeasibilityResult(
@@ -544,16 +501,15 @@ def pairwise_tables(model: CouplingModel) -> dict[SettingPair, np.ndarray]:
     outcomes nonzero; starved contexts raise.
     """
     tables = {}
-    outcome = np.array([1.0, -1.0])
     for s in CONTEXTS:
         m = model.exact_expectation(s)
         if m.e_ab is None:
             raise AnalysisError(f"context {s.key()} starves; no conditional table exists")
         t = (
             1.0
-            + outcome[:, None] * m.e_a
-            + outcome[None, :] * m.e_b
-            + np.outer(outcome, outcome) * m.e_ab
+            + _OUTCOME[:, None] * m.e_a
+            + _OUTCOME[None, :] * m.e_b
+            + np.outer(_OUTCOME, _OUTCOME) * m.e_ab
         ) / 4.0
         tables[s] = t
     return tables

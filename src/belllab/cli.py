@@ -44,7 +44,7 @@ from .couplings import (
     rejection_curve,
 )
 from .errors import BellLabError, ConfigError
-from .pipeline import CoincidencePolicy, match_coincidences, postselect, window_sweep
+from .pipeline import window_sweep
 from .protocol import (
     EventReadyConfig,
     SourceProtocolConfig,
@@ -387,20 +387,15 @@ def cmd_analyze(args) -> int:
         trials = bio.read_trials_csv(_path(inputs, "trials", "inputs"))
         raw_table = final_table = trials.to_context_table()
     elif "timetags_a" in inputs or "timetags_b" in inputs:
+        # A windowed analysis is one width of the window sweep.
         stream_a, stream_b = _streams(inputs, "inputs")
         wspec = _get(inputs, "window", "inputs")
+        width = _integer(wspec, "width_ns", "inputs.window")
+        strategy = _get(wspec, "strategy", "inputs.window", default="lattice")
         with _section("inputs.window"):
-            policy = CoincidencePolicy(
-                window_ns=_integer(wspec, "width_ns", "inputs.window"),
-                strategy=_get(wspec, "strategy", "inputs.window", default="lattice"),
-            )
-        pairs = match_coincidences(stream_a, stream_b, policy)
-        final, c_table = postselect(pairs)
-        final_table = final.to_context_table()
-        window_block = {
-            "c_by_context": {s.key(): c_table[s] for s in CONTEXTS},
-            "pairing": final.meta,
-        }
+            (point,) = window_sweep(stream_a, stream_b, [width], strategy=strategy)
+        final_table = point.table
+        window_block = {"c_by_context": point.c_by_context, "pairing": point.meta}
         if "raw_pairs" in inputs:
             raw_table = bio.read_pairs_csv(_path(inputs, "raw_pairs", "inputs")).to_context_table()
         else:

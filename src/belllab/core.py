@@ -253,10 +253,12 @@ def estimate(table: ContextTable) -> CorrelationSummary:
     return CorrelationSummary(out)
 
 
-def chsh(summary: CorrelationSummary) -> float | None:
+def chsh(summary: CorrelationSummary | Mapping[SettingPair, object]) -> float | None:
     """CHSH combination S = E00 + E01 + E10 - E11.
 
-    Returns ``None`` if any context's pairwise expectation is undefined.
+    ``summary`` gives each context's moments as an object with an ``e_ab``: a
+    CorrelationSummary, or a dict of exact moments. Returns ``None`` if any
+    context's pairwise expectation is undefined.
     """
     total = 0.0
     for s in CONTEXTS:
@@ -265,8 +267,3 @@ def chsh(summary: CorrelationSummary) -> float | None:
             return None
         total += CHSH_SIGNS[s] * e
     return total
-
-
-def chsh_from_expectations(e: Mapping[SettingPair, float]) -> float:
-    """CHSH combination from exact per-context expectations."""
-    return sum(CHSH_SIGNS[s] * e[s] for s in CONTEXTS)

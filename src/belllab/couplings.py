@@ -28,13 +28,14 @@ none is known to us and we do not attempt a construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair, chsh_from_expectations, codes
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair, chsh, codes
 
 __all__ = [
     "ExactMoments",
@@ -403,13 +404,7 @@ CouplingModel = Union[
 
 def exact_chsh(model: CouplingModel) -> float | None:
     """CHSH combination of the exact pairwise expectations (None if starved)."""
-    e = {}
-    for s in CONTEXTS:
-        m = model.exact_expectation(s)
-        if m.e_ab is None:
-            return None
-        e[s] = m.e_ab
-    return chsh_from_expectations(e)
+    return chsh({s: model.exact_expectation(s) for s in CONTEXTS})
 
 
 def sample_batch(
@@ -429,14 +424,10 @@ def deterministic_strategies() -> list[tuple[tuple[int, int, int, int], float]]:
     A strategy fixes (a0, a1, b0, b1) in {+1, -1}^4; its CHSH value is
     a0*b0 + a0*b1 + a1*b0 - a1*b1.
     """
-    out = []
-    for a0 in (1, -1):
-        for a1 in (1, -1):
-            for b0 in (1, -1):
-                for b1 in (1, -1):
-                    s = float(a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1)
-                    out.append(((a0, a1, b0, b1), s))
-    return out
+    return [
+        ((a0, a1, b0, b1), float(a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1))
+        for a0, a1, b0, b1 in itertools.product((1, -1), repeat=4)
+    ]
 
 
 def max_deterministic_chsh() -> float:

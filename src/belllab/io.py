@@ -15,6 +15,8 @@ picks a decompressor from the suffix, so the readers refuse ``.gz``,
 ``.bz2``, ``.xz`` and ``.lzma`` names. Trial ids and time tags are parsed as
 int64 and every code column as int16: a code cell beyond int16 is a parse
 error, and ``core.codes`` checks the rest before narrowing them to int8.
+Every reader message places a row as ``data row N``, counting the rows that
+hold data from 1.
 
 Column schemas:
 
@@ -29,6 +31,7 @@ Column schemas:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Sequence
 
@@ -120,8 +123,21 @@ def _int_csv(path: Path, header: str, columns: dict[str, np.ndarray]) -> None:
             f.write(chars.T.tobytes().translate(None, b"\0"))
 
 
+def _located(message: str) -> str:
+    """numpy's loadtxt message with its row as ``data row N``, counted from 1.
+
+    numpy counts from 0 for a cell it cannot convert, and from 1, adding a
+    hint about ``usecols``, for a short or long row.
+    """
+    m = re.fullmatch(r"(.*) at row (\d+)(?:(, column \d+)\.|; use `usecols`.*)", message)
+    if m is None:
+        return message
+    return f"{m[1]} at data row {int(m[2]) + (m[3] is not None)}{m[3] or ''}"
+
+
 def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, list[np.ndarray]]:
-    """The header fields and one contiguous array per column."""
+    """The header fields and one contiguous array per column; ``trial_id`` is
+    parsed and checked as int64, then dropped."""
     name = str(path)
     # np.loadtxt would pick a decompressor from the suffix.
     if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
@@ -147,9 +163,9 @@ def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, 
         if has_rows:
             data = np.loadtxt(name, dtype, delimiter=",", skiprows=2, ndmin=1, encoding="utf-8")
     except ValueError as e:  # a UnicodeDecodeError in the body too
-        raise ConfigError(name, str(e)) from e
+        raise ConfigError(name, _located(str(e))) from e
     # Contiguous columns compare several times faster than the strided fields.
-    return header, [np.ascontiguousarray(data[c]) for c in columns]
+    return header, [np.ascontiguousarray(data[c]) for c in columns if c != "trial_id"]
 
 
 def write_trials_csv(path: Path, run: PairedRawData, seed: int) -> None:
@@ -165,7 +181,7 @@ def read_trials_csv(path: Path) -> PairedRawData:
     breaks this is rejected.
     """
     columns = ("trial_id", "x", "y", "a", "b", "ready")
-    _, (_, x, y, a, b, ready) = _read_int_csv(path, "trials", columns)
+    _, (x, y, a, b, ready) = _read_int_csv(path, "trials", columns)
     if not ((ready == 0) | (ready == 1)).all():
         raise ConfigError(str(path), "ready must be 0 or 1")
     ready = ready == 1

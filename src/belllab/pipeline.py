@@ -281,9 +281,10 @@ def postselect(
 
 @dataclass(frozen=True)
 class WindowPoint:
-    """One window-sweep row: width, post-selected summary, S, retention."""
+    """One window-sweep row: width, post-selected table and summary, S, retention."""
 
     window_ns: int
+    table: ContextTable
     summary: CorrelationSummary
     s: float | None
     c_by_context: dict
@@ -315,10 +316,12 @@ def window_sweep(
         policy = CoincidencePolicy(window_ns=int(w), strategy=strategy)
         raw = match_coincidences(stream_a, stream_b, policy)
         final, c_table = postselect(raw)
-        summary = estimate(final.to_context_table())
+        table = final.to_context_table()
+        summary = estimate(table)
         points.append(
             WindowPoint(
                 window_ns=int(w),
+                table=table,
                 summary=summary,
                 s=chsh(summary),
                 c_by_context={s.key(): c_table[s] for s in CONTEXTS},

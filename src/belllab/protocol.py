@@ -69,17 +69,21 @@ def worker_count() -> int:
     return int(raw)
 
 
-def _run_chunks(n_items: int, make_chunk) -> list:
-    """Evaluate make_chunk(start, stop, index) over CHUNK-sized ranges, in order."""
-    spans = [
-        (start, min(start + CHUNK, n_items), i)
-        for i, start in enumerate(range(0, n_items, CHUNK))
-    ]
-    workers = min(worker_count(), max(len(spans), 1))
-    if workers <= 1 or len(spans) <= 1:
-        return [make_chunk(*span) for span in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: make_chunk(*span), spans))
+def _run_chunks(n_items: int, make_chunk) -> list[np.ndarray]:
+    """Evaluate make_chunk(start, stop, index) over CHUNK-sized ranges, in order.
+
+    ``make_chunk`` returns a tuple of arrays; each of them is joined over the
+    chunks. An empty run is one empty chunk, so the columns keep their dtypes.
+    """
+    starts = range(0, n_items, CHUNK) or [0]
+    spans = [(start, min(start + CHUNK, n_items), i) for i, start in enumerate(starts)]
+    workers = min(worker_count(), len(spans))
+    if workers <= 1:
+        chunks = [make_chunk(*span) for span in spans]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(lambda span: make_chunk(*span), spans))
+    return [np.concatenate(column) for column in zip(*chunks)]
 
 
 @dataclass(frozen=True)
@@ -225,17 +229,13 @@ def run_event_ready(
         flip_b = g.random(m) < (1.0 - cfg.fidelity_b)
         a = np.where(flip_a, -a, a).astype(np.int8)
         b = np.where(flip_b, -b, b).astype(np.int8)
-        return int(attempts.sum()), x, y, a, b
+        return attempts.sum(keepdims=True), x, y, a, b
 
-    chunks = _run_chunks(n_trials, make_chunk)
-    total_attempts = sum(c[0] for c in chunks)
-    x = np.concatenate([c[1] for c in chunks])
-    y = np.concatenate([c[2] for c in chunks])
-    a = np.concatenate([c[3] for c in chunks])
-    b = np.concatenate([c[4] for c in chunks])
+    attempts, x, y, a, b = _run_chunks(n_trials, make_chunk)
     metadata = {
         "n_trials": int(n_trials),
-        "herald_attempts": int(total_attempts),
+        # Python ints: the chunk sums fit int64, their total need not.
+        "herald_attempts": sum(attempts.tolist()),
         "seed": int(seed),
     }
     return PairedRawData(x, y, a, b, meta=metadata)
@@ -296,17 +296,7 @@ def run_source_experiment(
         jit_b = _rng.stream(seed, "source-jitter-b", index).normal(0.0, cfg.jitter_sd, size=m)
         return x, y, a.astype(np.int8), b.astype(np.int8), jit_a, jit_b
 
-    chunks = _run_chunks(n_emit, make_chunk)
-    if chunks:
-        x = np.concatenate([c[0] for c in chunks])
-        y = np.concatenate([c[1] for c in chunks])
-        a = np.concatenate([c[2] for c in chunks])
-        b = np.concatenate([c[3] for c in chunks])
-        jit_a = np.concatenate([c[4] for c in chunks])
-        jit_b = np.concatenate([c[5] for c in chunks])
-    else:
-        x = y = a = b = np.zeros(0, dtype=np.int8)
-        jit_a = jit_b = np.zeros(0)
+    x, y, a, b, jit_a, jit_b = _run_chunks(n_emit, make_chunk)
 
     streams = {}
     dark_counts = {}

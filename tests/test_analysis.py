@@ -343,6 +343,30 @@ class TestFeasibility:
         assert result.max_violation == pytest.approx(4.0)
         assert result.certificate.slack == pytest.approx(2.0)
 
+    def test_lp_arrays_equal_their_cell_by_cell_definitions(self):
+        from belllab import analysis
+
+        outcome = (1.0, -1.0)
+        order = [(a0, a1, b0, b1) for a0 in (1, -1) for a1 in (1, -1) for b0 in (1, -1) for b1 in (1, -1)]
+        assert list(analysis.STRATEGY_ORDER) == order
+        matrix = np.zeros((16, 16))
+        for col, (a0, a1, b0, b1) in enumerate(order):
+            for ci, s in enumerate(CONTEXTS):
+                for ai, a in enumerate(outcome):
+                    for bi, b in enumerate(outcome):
+                        matrix[ci * 4 + ai * 2 + bi, col] = float((a0, a1)[s.x] == a and (b0, b1)[s.y] == b)
+        assert np.array_equal(analysis._STRATEGY_MATRIX, matrix)
+        assert np.array_equal(analysis._COLUMNS, np.hstack([matrix, np.eye(16)]))
+        # Sign placements with an odd number of minus signs, bit i of the count on context i.
+        placements = [[-1.0 if bits >> i & 1 else 1.0 for i in range(4)] for bits in range(16)]
+        placements = [signs for signs in placements if np.prod(signs) < 0]
+        assert analysis._CHSH_SIGNS.tolist() == placements
+        for signs, functional in zip(placements, analysis._CHSH_FUNCTIONALS):
+            for ci, s in enumerate(CONTEXTS):
+                for ai, a in enumerate(outcome):
+                    for bi, b in enumerate(outcome):
+                        assert functional[s.x, s.y, ai, bi] == signs[ci] * a * b
+
     def test_malformed_tables_rejected(self):
         tables = {s: np.full((2, 2), 0.25) for s in CONTEXTS}
         tables[SettingPair(0, 0)] = np.array([[0.5, 0.5], [0.5, 0.5]])

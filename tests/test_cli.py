@@ -128,6 +128,26 @@ class TestSimulate:
         assert "line 3" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def pearle_streams(tmp_path_factory):
+    """The shipped Pearle source simulated for 0.05 s: time tags and raw pairs."""
+    out = tmp_path_factory.mktemp("pearle")
+    sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
+    sim["protocol"]["duration"] = 0.05
+    main(["simulate", "--config", write_config(out / "sim.json", sim), "--out", str(out)])
+    return out
+
+
+#: sha256 of report.json from analyze at W = 15 ns on ``pearle_streams``, per
+#: (strategy, raw_pairs given).
+REPORT_JSON_SHA256 = {
+    ("greedy", False): "0cf8f2c6dc3b0c7ecf0747e60c84d10bd867bfc92ef7b90e6aed52a43416e64f",
+    ("greedy", True): "f919e20f21add5678d2306c5bfb302eb5aef1abff0afb812379e74ffda7db66b",
+    ("lattice", False): "dbf4e4e1428f81f34c399530c38535787adc6faeb638eb1f4b52ae41b34d1079",
+    ("lattice", True): "e542fd9032e2fa5f0870b4f69b52521a5d29c4b0dfad2f456f4d3a46d3e199bc",
+}
+
+
 class TestAnalyze:
     def test_canonical_singlet_full_scale(self, tmp_path):
         # One full-size run: n = 1e6 per context, |S| within 0.01 of 2*sqrt(2).
@@ -222,6 +242,21 @@ class TestAnalyze:
         assert report["chsh"] is None
         assert report["hypothesis"] is None
         assert report["warnings"]
+
+    @pytest.mark.parametrize("raw_pairs", [False, True])
+    @pytest.mark.parametrize("strategy", ["greedy", "lattice"])
+    def test_windowed_report_bytes_unchanged(self, tmp_path, monkeypatch, pearle_streams, strategy, raw_pairs):
+        # The digests pin report.json, so the windowed analyze stays one width
+        # of the window sweep to the byte. Relative paths keep the echoed config fixed.
+        monkeypatch.chdir(pearle_streams)
+        inputs = {"timetags_a": "timetags_a.csv", "timetags_b": "timetags_b.csv"}
+        inputs["window"] = {"width_ns": 15, "strategy": strategy}
+        if raw_pairs:
+            inputs["raw_pairs"] = "raw_pairs.csv"
+        cfg = write_config(tmp_path / "an.json", {"seed": 20260810, "inputs": inputs})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == REPORT_JSON_SHA256[strategy, raw_pairs]
 
     def test_report_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", event_ready_config(5000, seed=2))
@@ -638,6 +673,36 @@ class TestMalformedConfigs:
             assert row.split(",")[1] == repr(direct.exact_expectation(SettingPair(0, 0)).e_ab)
 
 
+#: Feasibility inputs: tables of a local model (a witness), a PR box (a CHSH
+#: certificate) and tables whose marginals signal (a dual certificate).
+FEASIBILITY_CASES = {
+    "local": {
+        "00": [[0.4, 0.1], [0.1, 0.4]],
+        "01": [[0.3, 0.2], [0.2, 0.3]],
+        "10": [[0.35, 0.15], [0.15, 0.35]],
+        "11": [[0.25, 0.25], [0.25, 0.25]],
+    },
+    "pr_box": {
+        "00": [[0.5, 0.0], [0.0, 0.5]],
+        "01": [[0.5, 0.0], [0.0, 0.5]],
+        "10": [[0.5, 0.0], [0.0, 0.5]],
+        "11": [[0.0, 0.5], [0.5, 0.0]],
+    },
+    "signalling": {
+        "00": [[0.7, 0.1], [0.1, 0.1]],
+        "01": [[0.1, 0.1], [0.1, 0.7]],
+        "10": [[0.25, 0.25], [0.25, 0.25]],
+        "11": [[0.25, 0.25], [0.25, 0.25]],
+    },
+}
+#: sha256 of feasibility.json (and of the same document on stdout) per case.
+FEASIBILITY_JSON_SHA256 = {
+    "local": "b54f416465be2631a0bcf9c4d283ce7840dd4fd8fc63c8bfd7d0f6d4ce6f6fea",
+    "pr_box": "3c295ebc9c4d8abc25f692c1db1cef27a5427a30415de846d17879da681b99ac",
+    "signalling": "d1c9bff13eb8e163b4e91acbe11f0ada09fad5aa154ae53282c2481223a47e69",
+}
+
+
 class TestFeasibilityCommand:
     def test_shipped_singlet_table_infeasible(self, tmp_path, capsys):
         code = main(["feasibility", "--config", str(REPO / "configs" / "feasibility_singlet.json")])
@@ -654,6 +719,16 @@ class TestFeasibilityCommand:
         assert main(["feasibility", "--config", cfg, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "feasibility.json").read_text())
         assert doc["feasible"] is True
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("name", sorted(FEASIBILITY_CASES))
+    def test_output_bytes_unchanged(self, tmp_path, capsys, name, to_file):
+        # The digests pin the witness, the CHSH certificate and the dual certificate.
+        cfg = write_config(tmp_path / "f.json", {"contexts": FEASIBILITY_CASES[name]})
+        out = ["--out", str(tmp_path)] if to_file else []
+        assert main(["feasibility", "--config", cfg, *out]) == 0
+        text = (tmp_path / "feasibility.json").read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert hashlib.sha256(text).hexdigest() == FEASIBILITY_JSON_SHA256[name]
 
     def test_non_distribution_exits_two(self, tmp_path):
         cfg = write_config(

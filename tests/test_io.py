@@ -248,6 +248,25 @@ def test_missing_or_extra_cell_names_the_file(tmp_path, name, change):
         read(_csv(tmp_path / name, header, columns, [good, row]))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2,x,0,1,1,1", "could not convert string 'x' to int16 at data row 3, column 2"),
+        ("9223372036854775808,0,0,1,1,0", "could not convert string '9223372036854775808' to int64 at data row 3, column 1"),
+        ("2,0,0,1,1", "the dtype passed requires 6 columns but 5 were found at data row 3"),
+        ("2,0,0,1,1,1,1", "the dtype passed requires 6 columns but 7 were found at data row 3"),
+        ("2,0,0,0,1,1", "data row 3: a ready trial needs settings 0 or 1 and outcomes +1 or -1"),
+    ],
+)
+def test_every_message_counts_data_rows_from_one(tmp_path, row, message):
+    # A blank line is not a data row, for numpy's messages and the reader's own alike.
+    rows = ["0,0,1,1,-1,1", "", "1,1,0,1,1,1", row]
+    path = _csv(tmp_path / "trials.csv", "kind=trials seed=1", "trial_id,x,y,a,b,ready", rows)
+    with pytest.raises(ConfigError) as info:
+        bio.read_trials_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_crlf_and_missing_final_newline_read_the_same(tmp_path):
     rng = np.random.default_rng(3)
     pairs = PairedRawData(*rng.integers(-1, 2, size=(4, 50)))

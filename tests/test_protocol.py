@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from belllab import protocol
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, ContextTable, chsh, estimate
 from belllab.couplings import QuantumSingletModel, pearle_model, sample_batch
 from belllab.protocol import (
@@ -32,6 +33,13 @@ class TestEventReady:
         for p in (1e-300, 1e-15):
             with pytest.raises(ValueError, match="herald_prob"):
                 run_event_ready(EventReadyConfig(herald_prob=p), CANONICAL_ANGLES, CHUNK, seed=1)
+
+    def test_herald_attempts_total_beyond_int64_stays_exact(self, monkeypatch):
+        # Each chunk sum fits int64, but their total need not.
+        monkeypatch.setattr(protocol, "CHUNK", 1)
+        run = run_event_ready(EventReadyConfig(herald_prob=1e-17), CANONICAL_ANGLES, 200, seed=4)
+        expected = sum(int(stream(4, "event-ready", i).geometric(1e-17, size=1)[0]) for i in range(200))
+        assert run.meta["herald_attempts"] == expected > 2**63
 
     def test_perfect_case_anticorrelates(self):
         angles = AngleAssignment(alice=(0.2, 0.2), bob=(0.2, 0.2))  # theta = 0 everywhere
