@@ -31,7 +31,7 @@ from .analysis import (
     nosignalling_test,
     theta_sweep,
 )
-from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, ContextTable, SettingPair, chsh, estimate
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, ContextTable, CorrelationSummary, SettingPair, chsh, estimate
 from .couplings import (
     ContextualModel,
     CouplingModel,
@@ -352,8 +352,10 @@ def _orient_positive(table: ContextTable) -> ContextTable:
     return ContextTable(table.counts[:, :, [1, 0, 2], :])
 
 
-def _hypothesis_blocks(final_table: ContextTable, warnings: list[str]) -> tuple[dict | None, dict | None]:
-    summary = estimate(final_table)
+def _hypothesis_blocks(
+    final_table: ContextTable, summary: CorrelationSummary, warnings: list[str]
+) -> tuple[dict | None, dict | None]:
+    """The one-sided and the two-sided test of the table, whose estimate is ``summary``."""
     try:
         primary = lhv_pvalue(summary).to_json()
     except AnalysisError as e:
@@ -386,6 +388,7 @@ def cmd_analyze(args) -> int:
         # post-selection leaves the table as it is.
         trials = bio.read_trials_csv(_path(inputs, "trials", "inputs"))
         raw_table = final_table = trials.to_context_table()
+        summary = estimate(final_table)
     elif "timetags_a" in inputs or "timetags_b" in inputs:
         # A windowed analysis is one width of the window sweep.
         stream_a, stream_b = _streams(inputs, "inputs")
@@ -394,7 +397,7 @@ def cmd_analyze(args) -> int:
         strategy = _get(wspec, "strategy", "inputs.window", default="lattice")
         with _section("inputs.window"):
             (point,) = window_sweep(stream_a, stream_b, [width], strategy=strategy)
-        final_table = point.table
+        final_table, summary = point.table, point.summary
         window_block = {"c_by_context": point.c_by_context, "pairing": point.meta}
         if "raw_pairs" in inputs:
             raw_table = bio.read_pairs_csv(_path(inputs, "raw_pairs", "inputs")).to_context_table()
@@ -406,12 +409,11 @@ def cmd_analyze(args) -> int:
     else:
         raise ConfigError("inputs", 'must contain "trials" or "timetags_a"/"timetags_b"')
 
-    summary = estimate(final_table)
     s = chsh(summary)
     if s is None:
         starved = [k.key() for k in CONTEXTS if summary[k].e_ab is None]
         warnings.append(f"starved contexts (undefined expectations): {starved}")
-    hypothesis, hypothesis_abs = _hypothesis_blocks(final_table, warnings)
+    hypothesis, hypothesis_abs = _hypothesis_blocks(final_table, summary, warnings)
     ns = nosignalling_test(raw_table if raw_table is not None else final_table, final_table)
     ns_json = ns.to_json()
     if raw_table is None:

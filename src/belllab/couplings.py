@@ -50,7 +50,6 @@ __all__ = [
     "max_deterministic_chsh",
     "deterministic_strategies",
     "statistical_dependence",
-    "rotation_invariant_contextual",
     "pearle_model",
     "disjoint_support_model",
     "rejection_curve",
@@ -337,7 +336,7 @@ class PostSelectionModel:
         if all(self.exact_expectation(s).c <= 0.0 for s in CONTEXTS):
             raise ValueError("all contexts starve: no context retains any pairs")
 
-    def _station_sums(self, s: SettingPair) -> tuple[np.ndarray, ...]:
+    def exact_expectation(self, s: SettingPair) -> ExactMoments:
         # Per source value: signed response sum and keep probability, with
         # the instrument value integrated out.
         pa = self.alice_instrument[s.x]
@@ -348,10 +347,6 @@ class PostSelectionModel:
         signed_b = b @ pb
         keep_a = (a != 0).astype(np.float64) @ pa
         keep_b = (b != 0).astype(np.float64) @ pb
-        return signed_a, signed_b, keep_a, keep_b
-
-    def exact_expectation(self, s: SettingPair) -> ExactMoments:
-        signed_a, signed_b, keep_a, keep_b = self._station_sums(s)
         w = self.source_weights
         c = float(np.einsum("lm,l,m->", w, keep_a, keep_b))
         if c <= WEIGHT_EPS:
@@ -360,15 +355,6 @@ class PostSelectionModel:
         e_a = float(np.einsum("lm,l,m->", w, signed_a, keep_b)) / c
         e_b = float(np.einsum("lm,l,m->", w, keep_a, signed_b)) / c
         return ExactMoments(e_ab=e_ab, e_a=e_a, e_b=e_b, c=c)
-
-    def raw_moments(self, s: SettingPair) -> tuple[float, float, float]:
-        """Unconditioned moments (zeros contribute 0): E[AB], E[A], E[B]."""
-        signed_a, signed_b, _, _ = self._station_sums(s)
-        w = self.source_weights
-        e_ab = float(np.einsum("lm,l,m->", w, signed_a, signed_b))
-        e_a = float(signed_a @ w.sum(axis=1))
-        e_b = float(w.sum(axis=0) @ signed_b)
-        return e_ab, e_a, e_b
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -458,33 +444,6 @@ def statistical_dependence(model: ContextualModel | PostSelectionModel) -> float
         for j in range(i + 1, len(tables)):
             worst = max(worst, 0.5 * float(np.abs(tables[i] - tables[j]).sum()))
     return worst
-
-
-def rotation_invariant_contextual(
-    n_source: int,
-    source_weights: np.ndarray,
-    alice: np.ndarray,
-    bob: np.ndarray,
-    angles: AngleAssignment,
-    instrument_law: Callable[[float], np.ndarray],
-) -> ContextualModel:
-    """Build a ContextualModel whose instrument law depends on theta_xy only.
-
-    ``instrument_law(theta)`` must return an (mx, my) probability table; it is
-    evaluated at theta_x - theta_y for each context, which enforces the
-    rotational-invariance constraint structurally.
-    """
-    tables = [instrument_law(angles.theta(s)) for s in CONTEXTS]
-    mx, my = np.asarray(tables[0]).shape
-    instrument_weights = np.zeros((2, 2, mx, my))
-    for s, t in zip(CONTEXTS, tables):
-        instrument_weights[s.x, s.y] = t
-    return ContextualModel(
-        source_weights=source_weights,
-        instrument_weights=instrument_weights,
-        alice=alice,
-        bob=bob,
-    )
 
 
 def rejection_curve(kind: str = "linear", *, max_reject: float = 0.8, exponent: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:

@@ -5,10 +5,10 @@ coincidence window of width W, then the nonzero-outcome pairs are extracted
 ("post-selection") with the retained fraction C reported per context.
 
 Streams are validated as time-sorted when they are built or read (see
-``RawEventStream``), so pairing never sorts or checks them again. Each
-strategy decides only which events share a row, as one event index per row
-and station (-1 where that station has none); one row builder turns those
-indices into columns and the conservation audit.
+``RawEventStream``), so pairing never checks them again and sorts only their
+union, once per sweep. Each strategy decides only which events share a row,
+as one event index per row and station (-1 where that station has none); one
+row builder turns those indices into columns and the conservation audit.
 
 Two pairing strategies are provided because "synchronized time windows" can
 be read either way; the strategy used is recorded in the pairing metadata:
@@ -17,8 +17,10 @@ be read either way; the strategy used is recorded in the pairing metadata:
   a bin with at least one event at each station yields exactly one pair (the
   earliest event per station wins; extra events in the bin are dropped and
   counted), a bin with events on one side only yields a one-sided row.
-  The occupied bins of both stations merge in one stable sort, and one
-  scatter back through it gives each station's first-per-bin events their rows.
+  One stable sort merges the two streams' times per sweep, since their time
+  order does not depend on W. Per width, each run of equal bins in the merge
+  is a row, numbered by a running count of run starts, and a station's first
+  event in a run, its earliest in that bin, takes that row.
 * ``greedy``: both streams are scanned in time order (ties process station A
   first) and the earliest unconsumed event pairs with the first available
   opposite event within W; each event is used at most once.
@@ -27,8 +29,9 @@ be read either way; the strategy used is recorded in the pairing metadata:
   belong to one station, a queue whose signed count z (+q A or -q B events
   waiting) is the whole state. Each arrival is a map z -> clip(z + s, lo, hi)
   that drops the waiting events out of reach, then pairs or joins. These maps
-  compose in closed form, so after a merge and a binary search per event z
-  comes from an O(n) scan at any W: serial in blocks of 32, recursive over blocks.
+  compose in closed form, so after a binary search per event in the sweep's
+  merge z comes from an O(n) scan at any W: serial in blocks of 32, recursive
+  over blocks.
 
 One-sided rows from stream pairing carry a -1 sentinel for the remote
 station's setting: that information never enters the detection streams and
@@ -155,24 +158,44 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _match_lattice(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    # Streams are sorted, so bins are too: a bin's first event is its earliest.
-    bins_a, bins_b = ta // w, tb // w
-    first_a = np.flatnonzero(_run_starts(bins_a))
-    first_b = np.flatnonzero(_run_starts(bins_b))
-    occupied = np.concatenate([bins_a[first_a], bins_b[first_b]])
-    # Sorting puts a bin occupied at both stations as two adjacent entries,
-    # which form one row; every other entry is a row of its own. The stable
-    # sort joins the two sorted runs in linear time, and one scatter back
-    # through it gives each entry of ``occupied`` its row, A entries first.
-    order = np.argsort(occupied, kind="stable")
-    starts = _run_starts(occupied[order])
-    row = np.empty_like(order)
-    row[order] = np.cumsum(starts) - 1
-    ia = np.full(int(starts.sum()), -1, dtype=np.intp)
+def _running_count(mask: np.ndarray) -> np.ndarray:
+    """True entries of ``mask`` up to and including each position.
+
+    The cast comes first: numpy sums intp in place about twice as fast as it
+    sums bool through a buffered cast.
+    """
+    count = mask.astype(np.intp)
+    return np.cumsum(count, out=count)
+
+
+def _merge(ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both stations' times in one time order, and the mask of station B's positions.
+
+    The stable sort puts station A first on ties and keeps each station's own
+    order, so a station's events appear in the merge in index order. The
+    merge does not depend on the window width; a sweep builds it once, and
+    its arrays are read-only so that no width can change what the next reads.
+    """
+    t = np.concatenate([ta, tb])
+    order = np.argsort(t, kind="stable")
+    merged = t[order], order >= len(ta)
+    for column in merged:
+        column.setflags(write=False)
+    return merged
+
+
+def _match_lattice(t: np.ndarray, from_b: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    # Merged times are sorted, so bins are too: each run of equal bins is one
+    # row, numbered from 1 by the running count of run starts.
+    row = _running_count(_run_starts(t // w))
+    ia = np.full(int(row[-1]) if len(row) else 0, -1, dtype=np.intp)
     ib = ia.copy()
-    ia[row[: len(first_a)]] = first_a
-    ib[row[len(first_a) :]] = first_b
+    for index, mask in ((ia, ~from_b), (ib, from_b)):
+        # The station's rows in its own order: its first event in a row (the
+        # earliest in that bin) starts a run. ``compress`` beats a mask index.
+        rows = np.compress(mask, row)
+        first = np.flatnonzero(_run_starts(rows))
+        index[rows[first] - 1] = first
     return ia, ib
 
 
@@ -198,19 +221,14 @@ def _queue_counts(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip(z_in + s, lo, hi).T.reshape(-1)[:n]
 
 
-def _match_greedy(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    # Merged time order; the stable sort puts station A first on ties.
-    t = np.concatenate([ta, tb])
-    order = np.argsort(t, kind="stable")
-    t, from_b = t[order], order >= len(ta)
-    del order
-    n_b = np.cumsum(from_b) - from_b  # B events before each merged position
+def _match_greedy(t: np.ndarray, from_b: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    n_b = _running_count(from_b)
+    n_b -= from_b  # B events before each merged position
     # A gap of more than w empties the queue, so only later events of a cluster
     # are scanned. The uint64 difference of sorted int64 times cannot wrap.
     inner = np.flatnonzero(np.diff(t.view(np.uint64)) <= w) + 1
     # First merged position in reach of each scanned event: time >= t - w.
     first = np.searchsorted(t, np.maximum(t[inner], np.iinfo(np.int64).min + w) - w)
-    del t
     is_b = from_b[inner]
     nb_k, nb_f = n_b[inner], n_b[first]
     na_k = inner - nb_k
@@ -241,15 +259,23 @@ def _match_greedy(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, n
 
 
 def match_coincidences(
-    stream_a: "RawEventStream", stream_b: "RawEventStream", policy: CoincidencePolicy
+    stream_a: "RawEventStream",
+    stream_b: "RawEventStream",
+    policy: CoincidencePolicy,
+    merged: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PairedRawData:
     """Pair two detection streams into raw data under the given policy.
 
     Every event enters exactly one output row or a drop counter; the
     metadata carries the conservation audit (matched, one-sided, dropped).
+    ``merged`` is ``_merge(stream_a.times, stream_b.times)``, built here when
+    not given; a caller that pairs the same streams at several widths passes
+    one merge to every call.
     """
+    if merged is None:
+        merged = _merge(stream_a.times, stream_b.times)
     match = _match_lattice if policy.strategy == "lattice" else _match_greedy
-    ia, ib = match(stream_a.times, stream_b.times, policy.window_ns)
+    ia, ib = match(*merged, policy.window_ns)
     return _paired(stream_a, stream_b, ia, ib, policy.strategy, policy.window_ns)
 
 
@@ -311,10 +337,12 @@ def window_sweep(
     """
     if len(w_values) == 0:
         raise PipelineError("window sweep needs at least one width")
+    # The time order of the two streams does not depend on the width.
+    merged = _merge(stream_a.times, stream_b.times)
     points = []
     for w in w_values:
         policy = CoincidencePolicy(window_ns=int(w), strategy=strategy)
-        raw = match_coincidences(stream_a, stream_b, policy)
+        raw = match_coincidences(stream_a, stream_b, policy, merged)
         final, c_table = postselect(raw)
         table = final.to_context_table()
         summary = estimate(table)

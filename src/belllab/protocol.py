@@ -170,9 +170,10 @@ class RawEventStream:
         bad = np.flatnonzero(times[1:] < times[:-1])
         if bad.size:
             i = int(bad[0])
+            # Events are named by position from 1, as a time-tag file's data rows are.
             raise PipelineError(
-                f"stream {self.station} is not time-sorted at index {i + 1} "
-                f"(t[{i}]={int(times[i])}, t[{i + 1}]={int(times[i + 1])})"
+                f"stream {self.station} is not time-sorted: data row {i + 2} has time "
+                f"{int(times[i + 1])}, before {int(times[i])} in data row {i + 1}"
             )
         times.setflags(write=False)
         object.__setattr__(self, "times", times)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import io
 import itertools
+from typing import Callable
 
 import numpy as np
 
-from belllab.core import CONTEXTS, SettingPair
+from belllab.core import CONTEXTS, AngleAssignment, SettingPair
 from belllab.couplings import (
     ContextualModel,
     DeterministicLHVModel,
@@ -240,6 +241,40 @@ def brute_force_postselection(
     if c == 0.0:
         return None, None, None, 0.0
     return num_ab / c, num_a / c, num_b / c, c
+
+
+def raw_moments(model: PostSelectionModel, s: SettingPair) -> tuple[float, float, float]:
+    """Unconditioned moments of a post-selection model (zeros contribute 0): E[AB], E[A], E[B].
+
+    The hidden law factorizes per station, so each station's response is
+    averaged over its own instrument value before the source law joins them.
+    """
+    signed_a = model.alice[s.x].astype(np.float64) @ model.alice_instrument[s.x]
+    signed_b = model.bob[s.y].astype(np.float64) @ model.bob_instrument[s.y]
+    w = model.source_weights
+    return float(signed_a @ w @ signed_b), float(signed_a @ w.sum(axis=1)), float(w.sum(axis=0) @ signed_b)
+
+
+def rotation_invariant_contextual(
+    source_weights: np.ndarray,
+    alice: np.ndarray,
+    bob: np.ndarray,
+    angles: AngleAssignment,
+    instrument_law: Callable[[float], np.ndarray],
+) -> ContextualModel:
+    """A ContextualModel whose instrument law depends on theta_xy only.
+
+    ``instrument_law(theta)`` must return an (mx, my) probability table; it is
+    evaluated at theta_x - theta_y for each context, which enforces the
+    rotational-invariance constraint structurally.
+    """
+    tables = [np.asarray(instrument_law(angles.theta(s))) for s in CONTEXTS]
+    instrument_weights = np.zeros((2, 2, *tables[0].shape))
+    for s, t in zip(CONTEXTS, tables):
+        instrument_weights[s.x, s.y] = t
+    return ContextualModel(
+        source_weights=source_weights, instrument_weights=instrument_weights, alice=alice, bob=bob
+    )
 
 
 def random_nosignalling_tables(rng: np.random.Generator, denom: int = 16) -> dict:

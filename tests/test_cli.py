@@ -511,7 +511,7 @@ MALFORMED = {
     "unsorted_timetags": (
         "analyze",
         lambda tmp: stream_inputs(tmp, LATTICE_15, timetags_a=UNSORTED_TAGS),
-        "timetags_a.csv: stream A is not time-sorted at index 1 (t[0]=10, t[1]=5)",
+        "timetags_a.csv: stream A is not time-sorted: data row 2 has time 5, before 10 in data row 1",
     ),
     # A time-tag file must hold the station of the field that names it.
     "swapped_timetags": (

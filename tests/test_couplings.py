@@ -20,7 +20,6 @@ from belllab.couplings import (
     max_deterministic_chsh,
     pearle_model,
     rejection_curve,
-    rotation_invariant_contextual,
     sample_batch,
     statistical_dependence,
 )
@@ -33,6 +32,8 @@ from helpers import (
     random_deterministic_model,
     random_postselection_model,
     random_stochastic_model,
+    raw_moments,
+    rotation_invariant_contextual,
 )
 
 SQRT2 = math.sqrt(2)
@@ -260,12 +261,12 @@ class TestPostSelectionModel:
         for _ in range(20):
             m = random_postselection_model(rng)
             for x in (0, 1):
-                raw0 = m.raw_moments(SettingPair(x, 0))
-                raw1 = m.raw_moments(SettingPair(x, 1))
+                raw0 = raw_moments(m, SettingPair(x, 0))
+                raw1 = raw_moments(m, SettingPair(x, 1))
                 assert raw0[1] == pytest.approx(raw1[1], abs=1e-12)  # E[A] free of y
             for y in (0, 1):
-                raw0 = m.raw_moments(SettingPair(0, y))
-                raw1 = m.raw_moments(SettingPair(1, y))
+                raw0 = raw_moments(m, SettingPair(0, y))
+                raw1 = raw_moments(m, SettingPair(1, y))
                 assert raw0[2] == pytest.approx(raw1[2], abs=1e-12)  # E[B] free of x
 
     def test_starved_context_returns_undefined(self):
@@ -376,9 +377,9 @@ class TestPresets:
     def test_disjoint_support_raw_no_signalling(self):
         m = disjoint_support_model()
         for x in (0, 1):
-            assert m.raw_moments(SettingPair(x, 0))[1] == m.raw_moments(SettingPair(x, 1))[1]
+            assert raw_moments(m, SettingPair(x, 0))[1] == raw_moments(m, SettingPair(x, 1))[1]
         for y in (0, 1):
-            assert m.raw_moments(SettingPair(0, y))[2] == m.raw_moments(SettingPair(1, y))[2]
+            assert raw_moments(m, SettingPair(0, y))[2] == raw_moments(m, SettingPair(1, y))[2]
 
     def test_pearle_exceeds_local_bound_after_selection(self):
         m = pearle_model(CANONICAL_ANGLES)
@@ -410,7 +411,6 @@ class TestPresets:
         # Two contexts share theta = pi/4 at these angles, so their tables match.
         angles = AngleAssignment(alice=(0.0, math.pi / 2), bob=(-math.pi / 4, math.pi / 4))
         m = rotation_invariant_contextual(
-            n_source=1,
             source_weights=np.array([[1.0]]),
             alice=np.ones((2, 1, 2), dtype=int),
             bob=np.array([[[1, -1]], [[1, -1]]]),
@@ -510,7 +510,7 @@ def test_raw_marginals_do_not_signal(family, seed):
 
     def exact(s):  # E[A], E[B] over all trials, zeros included
         if isinstance(model, PostSelectionModel):
-            return model.raw_moments(s)[1:]
+            return raw_moments(model, s)[1:]
         moments = model.exact_expectation(s)
         return moments.e_a, moments.e_b
 

@@ -10,6 +10,7 @@ from helpers import greedy_indices, lattice_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from belllab import pipeline
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, SettingPair, chsh, estimate
 from belllab.couplings import QuantumSingletModel, pearle_model
 from belllab.errors import PipelineError
@@ -18,6 +19,7 @@ from belllab.pipeline import (
     PairedRawData,
     _match_greedy,
     _match_lattice,
+    _merge,
     match_coincidences,
     postselect,
     window_sweep,
@@ -94,7 +96,8 @@ class TestLattice:
         assert m["matched"] + m["one_sided_b"] + m["dropped_extra_b"] == m["events_b"]
 
     def test_unsorted_input_rejected_with_diagnostic(self):
-        with pytest.raises(PipelineError, match=r"stream B is not time-sorted at index 1 \(t\[0\]=10, t\[1\]=5\)"):
+        message = "stream B is not time-sorted: data row 2 has time 5, before 10 in data row 1"
+        with pytest.raises(PipelineError, match=message):
             RawEventStream(station="B", times=np.array([10, 5], dtype=np.int64),
                            settings=np.zeros(2, dtype=np.int8), outcomes=np.ones(2, dtype=np.int8))
 
@@ -165,9 +168,10 @@ def test_time_differences_beyond_int64_do_not_wrap():
         assert pairs.y.tolist() == [-1, 1]
 
 
-def assert_greedy_matches_loop(ta, tb, w):
-    ia, ib = _match_greedy(np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64), w)
-    assert (ia.tolist(), ib.tolist()) == greedy_indices(np.asarray(ta), np.asarray(tb), w)
+def assert_greedy_matches_loop(ta, tb, w, merged=None):
+    ta, tb = np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64)
+    ia, ib = _match_greedy(*(merged or _merge(ta, tb)), w)
+    assert (ia.tolist(), ib.tolist()) == greedy_indices(ta, tb, w)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -215,9 +219,9 @@ class TestGreedyAgainstLoop:
         assert_greedy_matches_loop(ta, tb, w)
 
 
-def assert_lattice_matches_sets(ta, tb, w):
+def assert_lattice_matches_sets(ta, tb, w, merged=None):
     ta, tb = np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64)
-    ia, ib = _match_lattice(ta, tb, w)
+    ia, ib = _match_lattice(*(merged or _merge(ta, tb)), w)
     oracle_a, oracle_b, _ = lattice_rows(ta, tb, w)
     assert (ia.tolist(), ib.tolist()) == (oracle_a.tolist(), oracle_b.tolist())
 
@@ -250,6 +254,51 @@ class TestLatticeAgainstSets:
         ta, tb = (np.sort(rng.integers(0, 400_000, 20_000)) for _ in range(2))
         for w in (1, 3, 20, 1_000, 10**6):
             assert_lattice_matches_sets(ta, tb, w)
+
+
+def assert_shared_merge_matches_oracles(ta, tb, widths):
+    # Both strategies read one merge at every width, as a window sweep does.
+    ta, tb = np.asarray(ta, dtype=np.int64), np.asarray(tb, dtype=np.int64)
+    merged = _merge(ta, tb)
+    for w in widths:
+        assert_lattice_matches_sets(ta, tb, w, merged)
+        assert_greedy_matches_loop(ta, tb, w, merged)
+
+
+class TestSharedMerge:
+    """One merge through several widths: no width may change what the next one reads."""
+
+    @given(EXTREME_TIMES, EXTREME_TIMES, st.lists(EXTREME_WINDOWS, min_size=4, max_size=4))
+    @settings(max_examples=200)
+    def test_int64_limits(self, ta, tb, widths):
+        assert_shared_merge_matches_oracles(ta, tb, widths)
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_crowded_bins(self, n_a, n_b, seed):
+        # As TestLatticeAgainstSets.test_crowded_bins, at the span's width and
+        # at three more widths log-uniform in [1, 2**60).
+        rng = np.random.default_rng(seed)
+        widths = [int(2 ** x) for x in rng.uniform(0, 60, 4)]
+        start = int(rng.integers(INT64_MIN, INT64_MAX - 4 * widths[0], endpoint=True))
+        ta, tb = (np.sort(rng.integers(start, start + 4 * widths[0], n, endpoint=True)) for n in (n_a, n_b))
+        assert_shared_merge_matches_oracles(ta, tb, widths)
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_deep_clusters(self, n_a, n_b, seed):
+        # As TestGreedyAgainstLoop.test_deep_clusters, at the span's width and
+        # at three more widths log-uniform in [1, 2**20).
+        rng = np.random.default_rng(seed)
+        widths = [int(2 ** x) for x in rng.uniform(0, 20, 4)]
+        span = int(rng.integers(0, 4 * widths[0] + 1))
+        ta, tb = (np.sort(rng.integers(0, span + 1, n)) for n in (n_a, n_b))
+        assert_shared_merge_matches_oracles(ta, tb, widths)
+
+    def test_merge_is_read_only(self):
+        t, from_b = _merge(np.array([1, 5], dtype=np.int64), np.array([3], dtype=np.int64))
+        assert t.tolist() == [1, 3, 5] and from_b.tolist() == [False, True, False]
+        assert not t.flags.writeable and not from_b.flags.writeable
 
 
 class TestGreedy:
@@ -402,6 +451,36 @@ class TestWindowSweep:
         p2 = window_sweep(out.stream_a, out.stream_b, [5, 10])
         assert [p.s for p in p1] == [p.s for p in p2]
         assert [p.c_by_context for p in p1] == [p.c_by_context for p in p2]
+
+    @pytest.mark.parametrize("strategy", ["lattice", "greedy"])
+    def test_sweep_equals_one_width_calls(self, strategy, monkeypatch):
+        # The sweep shares one merge across widths; each width must give what
+        # match_coincidences and postselect give for that width alone.
+        cfg = SourceProtocolConfig(
+            pair_rate=100_000.0, duration=0.05, jitter_sd=2.0,
+            setting_delay_a=(0.0, 4.0), setting_delay_b=(0.0, 6.0),
+            outcome_delay_a=(0.0, 8.0), outcome_delay_b=(0.0, 8.0),
+        )
+        out = run_source_experiment(cfg, pearle_model(CANONICAL_ANGLES), seed=11)
+        swept = []
+
+        def recording_postselect(pairs):
+            swept.append(postselect(pairs))
+            return swept[-1]
+
+        monkeypatch.setattr(pipeline, "postselect", recording_postselect)
+        widths = [3, 15, 60, 1_000, 15]
+        points = window_sweep(out.stream_a, out.stream_b, widths, strategy)
+        assert len(swept) == len(points) == len(widths)
+        for w, point, (final, c_table) in zip(widths, points, swept):
+            policy = CoincidencePolicy(window_ns=w, strategy=strategy)
+            alone, alone_c = postselect(match_coincidences(out.stream_a, out.stream_b, policy))
+            for k in "xyab":
+                assert getattr(final, k).tolist() == getattr(alone, k).tolist()
+            assert final.meta == alone.meta == point.meta
+            assert c_table == alone_c
+            assert point.table == alone.to_context_table()
+            assert point.c_by_context == {s.key(): alone_c[s] for s in CONTEXTS}
 
     def test_empty_width_list_rejected(self):
         a = make_stream("A", [])
