@@ -74,9 +74,6 @@ class HypothesisReport:
     p_value: float
     method: str = "hoeffding"
 
-    def to_json(self) -> dict:
-        return {"s_hat": self.s_hat, "n": self.n, "p_value": self.p_value, "method": self.method}
-
 
 def lhv_pvalue(summary: CorrelationSummary) -> HypothesisReport:
     """Hoeffding bound on the probability of the observed CHSH estimate under LHV.
@@ -126,18 +123,6 @@ class MarginalComparison:
     z: float | None
     p_value: float | None
 
-    def to_json(self) -> dict:
-        return {
-            "party": self.party,
-            "setting": self.setting,
-            "p_plus": list(self.p_plus),
-            "n": list(self.n),
-            "delta": self.delta,
-            "se": self.se,
-            "z": self.z,
-            "p_value": self.p_value,
-        }
-
 
 @dataclass(frozen=True)
 class NoSignallingReport:
@@ -152,14 +137,6 @@ class NoSignallingReport:
     final: tuple[MarginalComparison, ...]
     raw_block_p: float | None
     final_block_p: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "raw": [c.to_json() for c in self.raw],
-            "final": [c.to_json() for c in self.final],
-            "raw_block_p": self.raw_block_p,
-            "final_block_p": self.final_block_p,
-        }
 
 
 def _plus_counts(table: ContextTable, party: str, local: int, remote: int) -> tuple[int, int]:
@@ -394,15 +371,6 @@ class FeasibilityCertificate:
     slack: float
     kind: str
 
-    def to_json(self) -> dict:
-        return {
-            "coefficients": self.coefficients.tolist(),
-            "value": self.value,
-            "bound": self.bound,
-            "slack": self.slack,
-            "kind": self.kind,
-        }
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -426,7 +394,7 @@ class FeasibilityResult:
             "joint": joint,
             "margin_error": self.margin_error,
             "max_violation": self.max_violation,
-            "certificate": None if self.certificate is None else self.certificate.to_json(),
+            "certificate": self.certificate,
         }
 
 
@@ -527,9 +495,6 @@ class SweepPoint:
     stderr: float
     n: int
 
-    def to_json(self) -> dict:
-        return {"theta": self.theta, "e_ab": self.e_ab, "stderr": self.stderr, "n": self.n}
-
 
 def theta_sweep(
     model_factory: Callable[[float], CouplingModel],
@@ -537,12 +502,11 @@ def theta_sweep(
     *,
     n_trials: int | None = None,
     seed: int | None = None,
-    context: SettingPair = SettingPair(0, 0),
 ) -> list[SweepPoint]:
-    """Correlation curve E(theta) over an angle grid.
+    """Correlation curve E(theta) over an angle grid, at the (0, 0) context.
 
     ``model_factory(theta)`` must build the model whose relative angle at
-    ``context`` is theta. With ``n_trials`` unset the exact expectation is
+    the (0, 0) context is theta. With ``n_trials`` unset the exact expectation is
     used (stderr 0, n 0); otherwise each point is estimated from n_trials
     Monte-Carlo draws on the stream (seed, "sweep", point index), with E
     conditioned on nonzero pairs and n reporting the pairs used.
@@ -551,6 +515,7 @@ def theta_sweep(
         raise AnalysisError("theta sweep needs a non-empty grid")
     if n_trials is not None and (not 1 <= n_trials <= MAX_ITEMS or seed is None):
         raise AnalysisError(f"Monte-Carlo sweeps need 1 <= n_trials <= {MAX_ITEMS} and a seed")
+    context = SettingPair(0, 0)
     points = []
     for idx, theta in enumerate(thetas):
         model = model_factory(float(theta))
@@ -559,8 +524,7 @@ def theta_sweep(
             points.append(SweepPoint(theta=float(theta), e_ab=m.e_ab, stderr=0.0, n=0))
             continue
         g = _rng.stream(seed, "sweep", idx)
-        x = np.full(n_trials, context.x, dtype=np.int64)
-        y = np.full(n_trials, context.y, dtype=np.int64)
+        x = y = np.zeros(n_trials, dtype=np.int64)
         a, b = sample_batch(model, x, y, g)
         prod = a.astype(np.float64) * b.astype(np.float64)
         used = prod != 0.0

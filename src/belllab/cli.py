@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input/config error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -354,10 +355,10 @@ def _orient_positive(table: ContextTable) -> ContextTable:
 
 def _hypothesis_blocks(
     final_table: ContextTable, summary: CorrelationSummary, warnings: list[str]
-) -> tuple[dict | None, dict | None]:
+) -> tuple[HypothesisReport | None, HypothesisReport | None]:
     """The one-sided and the two-sided test of the table, whose estimate is ``summary``."""
     try:
-        primary = lhv_pvalue(summary).to_json()
+        primary = lhv_pvalue(summary)
     except AnalysisError as e:
         warnings.append(f"hypothesis test skipped: {e}")
         return None, None
@@ -372,7 +373,7 @@ def _hypothesis_blocks(
         p_value=min(1.0, 2.0 * rep.p_value),
         method="hoeffding-two-sided",
     )
-    return primary, two_sided.to_json()
+    return primary, two_sided
 
 
 def cmd_analyze(args) -> int:
@@ -415,22 +416,21 @@ def cmd_analyze(args) -> int:
         warnings.append(f"starved contexts (undefined expectations): {starved}")
     hypothesis, hypothesis_abs = _hypothesis_blocks(final_table, summary, warnings)
     ns = nosignalling_test(raw_table if raw_table is not None else final_table, final_table)
-    ns_json = ns.to_json()
     if raw_table is None:
-        ns_json["raw_from_truth_record"] = False
+        ns = {**dataclasses.asdict(ns), "raw_from_truth_record": False}
 
     report = _document(
         "analyze",
         seed,
         config=cfg,
-        summary=summary.to_json(),
+        summary=summary,
         chsh=s,
         chsh_abs=None if s is None else abs(s),
         hypothesis=hypothesis,
         hypothesis_abs=hypothesis_abs,
-        no_signalling=ns_json,
-        raw_table=raw_table.to_json() if raw_table is not None else None,
-        final_table=final_table.to_json(),
+        no_signalling=ns,
+        raw_table=raw_table,
+        final_table=final_table,
         window=window_block,
         warnings=warnings,
     )
@@ -473,7 +473,7 @@ def cmd_sweep(args) -> int:
                 n_trials=n_per_point,
                 seed=seed,
             )
-        name, text = "sweep", bio.theta_sweep_csv(points, seed)
+        name, text, rows = "sweep", bio.theta_sweep_csv(points, seed), points
         counts = {"points": len(points), "n_per_point": n_per_point}
     else:
         stream_a, stream_b = _streams(spec, "sweep")
@@ -485,13 +485,12 @@ def cmd_sweep(args) -> int:
         strategy = _get(spec, "strategy", "sweep", default="lattice")
         with _section("sweep"):
             points = window_sweep(stream_a, stream_b, windows, strategy=strategy)
-        name, text = "windows", bio.window_sweep_csv(points, seed)
+        name, text, rows = "windows", bio.window_sweep_csv(points, seed), [p.to_json() for p in points]
         counts = {"points": len(points), "strategy": strategy}
 
     _write(out / f"{name}.csv", text)
     if args.format == "json":
-        points_json = [p.to_json() for p in points]
-        doc = {"schema_version": bio.SCHEMA_VERSION, "seed": seed, "points": points_json}
+        doc = {"schema_version": bio.SCHEMA_VERSION, "seed": seed, "points": rows}
         _write(out / f"{name}.json", bio.dump_json(doc))
     meta = _document("sweep", seed, config=cfg, counts=counts, warnings=[])
     _write(out / "metadata.json", bio.dump_json(meta))

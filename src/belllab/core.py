@@ -156,9 +156,6 @@ class ContextTable:
         totals = {s.key(): self.n_total(s) for s in CONTEXTS}
         return f"ContextTable(N={totals})"
 
-    def to_json(self) -> dict:
-        return {s.key(): self._counts[s.x, s.y].tolist() for s in CONTEXTS}
-
     @classmethod
     def from_arrays(
         cls, x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray
@@ -192,16 +189,6 @@ class ContextEstimate:
     n_pairs: int
     n_total: int
 
-    def to_json(self) -> dict:
-        return {
-            "e_ab": self.e_ab,
-            "e_a": self.e_a,
-            "e_b": self.e_b,
-            "c": self.c,
-            "n_pairs": self.n_pairs,
-            "n_total": self.n_total,
-        }
-
 
 class CorrelationSummary:
     """Per-context moment estimates, keyed by SettingPair."""
@@ -219,9 +206,6 @@ class CorrelationSummary:
 
     def __iter__(self) -> Iterator[SettingPair]:
         return iter(CONTEXTS)
-
-    def to_json(self) -> dict:
-        return {s.key(): self._contexts[s].to_json() for s in CONTEXTS}
 
 
 def estimate(table: ContextTable) -> CorrelationSummary:

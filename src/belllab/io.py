@@ -6,6 +6,13 @@ fields. All writers are deterministic (sorted JSON keys, integer columns,
 repr-precision floats, no timestamps), so identical inputs produce
 byte-identical files.
 
+``dump_json`` is the one place a result becomes JSON. A JSON document writes
+each result as its dataclass fields, a ``ContextTable`` or
+``CorrelationSummary`` as one entry per context key and an array as a list.
+Two types shape their own JSON with ``to_json``: ``WindowPoint`` writes ``S``
+and leaves out its table and pairing audit, and ``FeasibilityResult`` labels
+its joint weights by strategy.
+
 The integer CSV writers format whole columns at once with numpy, in blocks
 of ``BLOCK_ROWS`` rows, so memory stays flat however long the file. The
 readers check the two header lines, then give ``np.loadtxt`` the path, not
@@ -30,6 +37,7 @@ Column schemas:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -38,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import SweepPoint
-from .core import CONTEXTS, CorrelationSummary
+from .core import CONTEXTS, ContextTable, CorrelationSummary
 from .errors import ConfigError
 from .pipeline import PairedRawData, WindowPoint
 from .protocol import RawEventStream
@@ -267,6 +275,19 @@ def summary_csv(summary: CorrelationSummary, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode(obj: object) -> object:
+    """The JSON form of a value ``json`` cannot write itself; nested values come back here."""
+    if isinstance(obj, ContextTable):
+        return {s.key(): obj.counts[s.x, s.y] for s in CONTEXTS}
+    if isinstance(obj, CorrelationSummary):
+        return {s.key(): obj[s] for s in CONTEXTS}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot write a {type(obj).__qualname__} as JSON")
+
+
 def dump_json(obj: dict) -> str:
     """Deterministic JSON serialization (sorted keys, full float precision)."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_encode) + "\n"

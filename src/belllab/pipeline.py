@@ -320,7 +320,7 @@ class WindowPoint:
         return {
             "window_ns": self.window_ns,
             "S": self.s,
-            "summary": self.summary.to_json(),
+            "summary": self.summary,
             "c_by_context": self.c_by_context,
         }
 
@@ -337,18 +337,19 @@ def window_sweep(
     """
     if len(w_values) == 0:
         raise PipelineError("window sweep needs at least one width")
+    # Every width is checked before the first is paired.
+    policies = [CoincidencePolicy(window_ns=int(w), strategy=strategy) for w in w_values]
     # The time order of the two streams does not depend on the width.
     merged = _merge(stream_a.times, stream_b.times)
     points = []
-    for w in w_values:
-        policy = CoincidencePolicy(window_ns=int(w), strategy=strategy)
+    for policy in policies:
         raw = match_coincidences(stream_a, stream_b, policy, merged)
         final, c_table = postselect(raw)
         table = final.to_context_table()
         summary = estimate(table)
         points.append(
             WindowPoint(
-                window_ns=int(w),
+                window_ns=policy.window_ns,
                 table=table,
                 summary=summary,
                 s=chsh(summary),

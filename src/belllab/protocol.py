@@ -249,7 +249,7 @@ def _emission_events(
     jitter: np.ndarray,
     setting_delay: tuple[float, float],
     outcome_delay: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     detected = outcomes != 0
     t = emit_times[detected]
     s = settings[detected]
@@ -260,8 +260,7 @@ def _emission_events(
         + np.take(outcome_delay, np.where(o == 1, 0, 1))
     )
     times = t + np.rint(shift).astype(np.int64)
-    seq = np.flatnonzero(detected)
-    return times, s, o, seq
+    return times, s, o
 
 
 def run_source_experiment(
@@ -305,7 +304,7 @@ def run_source_experiment(
         ("A", x, a, jit_a, cfg.setting_delay_a, cfg.outcome_delay_a),
         ("B", y, b, jit_b, cfg.setting_delay_b, cfg.outcome_delay_b),
     ):
-        times, s_det, o_det, seq = _emission_events(
+        times, s_det, o_det = _emission_events(
             emit_times, settings, outcomes, jitter, d_set, d_out
         )
         g = _rng.stream(seed, f"source-dark-{station.lower()}")
@@ -318,8 +317,9 @@ def run_source_experiment(
         all_times = np.concatenate([times, dark_times])
         all_settings = np.concatenate([s_det, dark_settings])
         all_outcomes = np.concatenate([o_det, dark_outcomes])
-        all_seq = np.concatenate([seq, n_emit + np.arange(n_dark)])
-        order = np.lexsort((all_seq, all_times))
+        # Detected events come in emission order, then the dark events, so a
+        # stable sort breaks time ties by emission, dark events last.
+        order = np.argsort(all_times, kind="stable")
         streams[station] = RawEventStream(
             station=station,
             times=all_times[order],

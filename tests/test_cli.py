@@ -147,6 +147,13 @@ REPORT_JSON_SHA256 = {
     ("lattice", True): "e542fd9032e2fa5f0870b4f69b52521a5d29c4b0dfad2f456f4d3a46d3e199bc",
 }
 
+#: sha256 of the trials-branch outputs of analyze --format csv, on 5000
+#: event-ready trials.
+TRIALS_REPORT_SHA256 = {
+    "report.json": "b93f32e5fb79a22dbbb1869f6ca506d3cfffaf045072a7004a717ad3e8596309",
+    "summary.csv": "257032c829b6be78d58e5c2f8acf5a80af5f4db64c0f8b1c7509a606fbfde7b1",
+}
+
 
 class TestAnalyze:
     def test_canonical_singlet_full_scale(self, tmp_path):
@@ -258,6 +265,16 @@ class TestAnalyze:
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == REPORT_JSON_SHA256[strategy, raw_pairs]
 
+    def test_trials_report_bytes_unchanged(self, tmp_path, monkeypatch):
+        # The digests pin report.json and summary.csv of the trials branch.
+        # Relative paths keep the echoed config fixed.
+        monkeypatch.chdir(tmp_path)
+        main(["simulate", "--config", write_config(tmp_path / "sim.json", event_ready_config(5000, seed=2))])
+        cfg = write_config(tmp_path / "an.json", {"seed": 2, "inputs": {"trials": "trials.csv"}})
+        assert main(["analyze", "--config", cfg, "--out", "r", "--format", "csv"]) == 0
+        for name, digest in TRIALS_REPORT_SHA256.items():
+            assert hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() == digest
+
     def test_report_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", event_ready_config(5000, seed=2))
         main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -278,6 +295,27 @@ BENCH_WINDOWS_NS = [2, 4, 8, 15, 30, 60, 100, 200, 500, 1000]
 WINDOWS_CSV_SHA256 = {
     "greedy": "72247577498e6a72d8b67761b708ee6af9c4a14dcdb1de6996cf574f7a197ed5",
     "lattice": "3a949875e55dbda0d424cfb1404431b0bf4fee084d40f741a91228bb1eb3e8c4",
+}
+#: sha256 of windows.json from the same sweeps, run with --format json.
+WINDOWS_JSON_SHA256 = {
+    "greedy": "77981a7015a850990aa12138eeca6d983b622858f649b03abd036a51d64d6508",
+    "lattice": "b14a1c8515ae8fa97bbc654019fb4410652c2c408fb53871aba5bab12c695c96",
+}
+#: Theta sweeps of the singlet, exact and Monte-Carlo.
+THETA_SWEEPS = {
+    "exact": {"model": {"family": "quantum_singlet", "visibility": 0.9}, "thetas": {"start": 0.0, "stop": 3.0, "count": 7}},
+    "monte_carlo": {"model": {"family": "quantum_singlet"}, "thetas": [0.0, 0.7, 2.0], "n_per_point": 2000},
+}
+#: sha256 of sweep.csv and sweep.json from sweep --format json, per theta sweep.
+THETA_SWEEP_SHA256 = {
+    "exact": {
+        "sweep.csv": "c29f6f26de19246538aef918b6c180d3ad6bcbbb93a394a3767a47533ce1348f",
+        "sweep.json": "b681effa7ab39579985d9b3a4aeeafe111591e6214ac4a9c09c0314d694ec0b2",
+    },
+    "monte_carlo": {
+        "sweep.csv": "e696fbcb2b72373a78492c78cfcb36b660c864213c71a102818183e1e1a7dd41",
+        "sweep.json": "03486ea8ceddc10e88459bf6d08ebcb9e571abc76d9796c16b07df48f62d1d9e",
+    },
 }
 
 
@@ -344,17 +382,26 @@ class TestSweep:
 
     @pytest.mark.parametrize("strategy", sorted(WINDOWS_CSV_SHA256))
     def test_window_sweep_bytes_unchanged(self, tmp_path, strategy):
-        # The digests pin windows.csv, so no faster pairing, post-selection or
-        # code check can move one output byte of either strategy.
+        # The digests pin windows.csv and windows.json, so no faster pairing,
+        # post-selection or code check can move one output byte of either strategy.
         sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
         sim["protocol"]["duration"] = 0.05
         main(["simulate", "--config", write_config(tmp_path / "sim.json", sim), "--out", str(tmp_path)])
         sweep = {"kind": "window", "strategy": strategy, "windows_ns": BENCH_WINDOWS_NS}
         sweep.update((key, str(tmp_path / f"{key}.csv")) for key in ("timetags_a", "timetags_b"))
         cfg = write_config(tmp_path / "w.json", {"seed": sim["seed"], "sweep": sweep})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
         digest = hashlib.sha256((tmp_path / "windows.csv").read_bytes()).hexdigest()
         assert digest == WINDOWS_CSV_SHA256[strategy]
+        digest = hashlib.sha256((tmp_path / "windows.json").read_bytes()).hexdigest()
+        assert digest == WINDOWS_JSON_SHA256[strategy]
+
+    @pytest.mark.parametrize("case", sorted(THETA_SWEEPS))
+    def test_theta_sweep_bytes_unchanged(self, tmp_path, case):
+        cfg = write_config(tmp_path / "c.json", {"seed": 6, "sweep": {"kind": "theta", **THETA_SWEEPS[case]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+        for name, digest in THETA_SWEEP_SHA256[case].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_empty_grid_exits_two(self, tmp_path):
         cfg = write_config(
@@ -502,6 +549,12 @@ MALFORMED = {
         "inputs.window: window width",
     ),
     "sweep_width_above_int64": ("sweep", lambda tmp: window_sweep_config(tmp, [2**64]), "sweep: window width"),
+    # Every width is checked before the first is paired.
+    "sweep_last_width_zero": (
+        "sweep",
+        lambda tmp: window_sweep_config(tmp, [5, 0]),
+        "sweep: window width must be in (0, 2**63) ns, got 0",
+    ),
     "huge_setting_delay": (
         "simulate",
         lambda tmp: source_config(setting_delay={"alice": [1e300, 0.0]}),

@@ -1,5 +1,6 @@
 """File format round trips and header validation."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from belllab import io as bio
-from belllab.core import CANONICAL_ANGLES
+from belllab.analysis import nosignalling_test
+from belllab.core import CANONICAL_ANGLES, CONTEXTS, ContextTable, estimate
 from belllab.errors import ConfigError
 from belllab.pipeline import PairedRawData
 from belllab.protocol import EventReadyConfig, RawEventStream, run_event_ready
@@ -308,3 +310,20 @@ def test_compressed_suffix_rejected_naming_the_file(tmp_path, suffix):
 @pytest.mark.parametrize("suffix", [".GZ", ".txt", ""])
 def test_other_suffixes_read_as_plain_text(tmp_path, suffix):
     assert len(bio.read_pairs_csv(_pairs_named(tmp_path / f"pairs{suffix}"))) == 3
+
+
+def test_dump_json_writes_results_as_their_fields():
+    table = ContextTable.from_arrays([0, 1], [1, 1], [1, -1], [0, 1])
+    doc = {"table": table, "summary": estimate(table), "ns": nosignalling_test(table, table)}
+    back = json.loads(bio.dump_json(doc))
+    assert back["table"] == {s.key(): table.counts[s.x, s.y].tolist() for s in CONTEXTS}
+    assert back["summary"]["01"] == {"e_ab": None, "e_a": None, "e_b": None, "c": 0.0, "n_pairs": 0, "n_total": 1}
+    assert back["summary"]["11"] == {"e_ab": -1.0, "e_a": -1.0, "e_b": 1.0, "c": 1.0, "n_pairs": 1, "n_total": 1}
+    assert [c["party"] for c in back["ns"]["raw"]] == ["alice", "alice", "bob", "bob"]
+    assert back["ns"]["raw"][0]["n"] == [0, 1]
+
+
+def test_dump_json_refuses_other_types():
+    # No fallback to str(): a type the encoder does not know is an error naming it.
+    with pytest.raises(TypeError, match=r"\bobject\b"):
+        bio.dump_json({"x": object()})

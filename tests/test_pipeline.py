@@ -487,3 +487,12 @@ class TestWindowSweep:
         b = make_stream("B", [])
         with pytest.raises(PipelineError):
             window_sweep(a, b, [])
+
+    def test_bad_width_rejected_before_any_pairing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "match_coincidences", lambda *args: calls.append(args))
+        a = make_stream("A", [(5, 0, 1)])
+        b = make_stream("B", [(6, 0, -1)])
+        with pytest.raises(PipelineError, match="window width"):
+            window_sweep(a, b, [15, 0])
+        assert calls == []
