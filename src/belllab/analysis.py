@@ -153,27 +153,18 @@ def _plus_counts(table: ContextTable, party: str, local: int, remote: int) -> tu
 def _compare(table: ContextTable, party: str, local: int) -> MarginalComparison:
     k1, n1 = _plus_counts(table, party, local, remote=0)
     k2, n2 = _plus_counts(table, party, local, remote=1)
-    if n1 == 0 or n2 == 0:
-        return MarginalComparison(
-            party=party,
-            setting=local,
-            p_plus=(k1 / n1 if n1 else None, k2 / n2 if n2 else None),
-            n=(n1, n2),
-            delta=None,
-            se=None,
-            z=None,
-            p_value=None,
-        )
-    p1, p2 = k1 / n1, k2 / n2
-    pooled = (k1 + k2) / (n1 + n2)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    delta = p1 - p2
-    if se == 0.0:
-        # Degenerate pooled proportion: both samples are constant and equal.
-        z, p = 0.0, 1.0
-    else:
-        z = delta / se
-        p = _normal_tail(z)
+    p1, p2 = (k1 / n1 if n1 else None), (k2 / n2 if n2 else None)
+    delta = se = z = p = None
+    if n1 and n2:
+        pooled = (k1 + k2) / (n1 + n2)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+        delta = p1 - p2
+        if se == 0.0:
+            # Degenerate pooled proportion: both samples are constant and equal.
+            z, p = 0.0, 1.0
+        else:
+            z = delta / se
+            p = _normal_tail(z)
     return MarginalComparison(
         party=party,
         setting=local,

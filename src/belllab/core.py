@@ -3,9 +3,11 @@
 A Bell-test run produces trials labelled by a setting pair (x, y), with
 x, y in {0, 1} (0 = unprimed, 1 = primed). Outcomes are +1, -1, or 0,
 where 0 means "no detection". Trials, held as parallel arrays, fold into a
-ContextTable of 9-cell counts per context (``ContextTable.from_arrays``);
-estimation conditions pairwise expectations on the nonzero-pair subset and
-reports the retained fraction C per context.
+ContextTable of 9-cell counts per context (``ContextTable.from_arrays``, the
+one place rows become counts); a row whose setting is -1, unknown, belongs to
+no context and is counted in none. Estimation conditions pairwise
+expectations on the nonzero-pair subset and reports the retained fraction C
+per context (``estimate``, the one definition of C).
 
 Sign convention: the minus sign of the CHSH combination sits on the
 (1, 1) context, i.e. S = E00 + E01 + E10 - E11. Callers that compare
@@ -37,11 +39,8 @@ __all__ = [
     "codes",
 ]
 
-#: Row/column position of each outcome in a ContextTable cell block.
-OUTCOME_INDEX = {1: 0, -1: 1, 0: 2}
-
-#: The same positions as an array indexed by ``outcome + 1``.
-_OUTCOME_POSITION = np.array([1, 2, 0])
+#: The outcomes +1, -1, 0 (a table's order) as positions in the order -1, 0, +1.
+_TABLE_ORDER = [2, 0, 1]
 
 
 def codes(name: str, values, allowed: tuple[int, ...]) -> np.ndarray:
@@ -118,9 +117,9 @@ CANONICAL_ANGLES = AngleAssignment(
 class ContextTable:
     """Outcome counts n(a, b) for each of the four contexts.
 
-    Backed by an int64 array of shape (2, 2, 3, 3) indexed
-    ``[x, y, outcome_index(a), outcome_index(b)]`` with outcome order
-    (+1, -1, 0). Instances are immutable.
+    Backed by an int64 array of shape (2, 2, 3, 3) indexed ``[x, y, a, b]``,
+    with the outcomes of ``a`` and ``b`` in the order (+1, -1, 0). Instances
+    are immutable.
     """
 
     __slots__ = ("_counts",)
@@ -141,9 +140,6 @@ class ContextTable:
     def counts(self) -> np.ndarray:
         return self._counts
 
-    def count(self, s: SettingPair, a: int, b: int) -> int:
-        return int(self._counts[s.x, s.y, OUTCOME_INDEX[a], OUTCOME_INDEX[b]])
-
     def n_total(self, s: SettingPair) -> int:
         return int(self._counts[s.x, s.y].sum())
 
@@ -162,15 +158,16 @@ class ContextTable:
     ) -> "ContextTable":
         """Tally parallel arrays of settings and outcomes in one pass.
 
+        Settings in ``x`` and ``y`` are 0 or 1, or -1 where the setting is
+        unknown: such a row belongs to no context and is counted in none.
         Outcome encoding in ``a`` and ``b`` is the value itself (+1, -1, 0).
         """
-        x = codes("settings", x, (0, 1))
-        y = codes("settings", y, (0, 1))
-        ai = _OUTCOME_POSITION[codes("outcomes", a, (-1, 0, 1)) + 1]
-        bi = _OUTCOME_POSITION[codes("outcomes", b, (-1, 0, 1)) + 1]
-        flat = ((x * 2 + y) * 3 + ai) * 3 + bi
-        counts = np.bincount(flat, minlength=36).reshape(2, 2, 3, 3)
-        return cls(counts)
+        x, y = (codes("settings", v, (-1, 0, 1)) for v in (x, y))
+        a, b = (codes("outcomes", v, (-1, 0, 1)) for v in (a, b))
+        # Base-3 digits of (x, y, a, b) + 1: the largest code is 80, so int8 cannot wrap.
+        flat = (((x + 1) * 3 + y + 1) * 3 + a + 1) * 3 + b + 1
+        counts = np.bincount(flat, minlength=81).reshape(3, 3, 3, 3)
+        return cls(counts[1:, 1:, _TABLE_ORDER][..., _TABLE_ORDER])
 
 
 @dataclass(frozen=True)

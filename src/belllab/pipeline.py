@@ -35,9 +35,9 @@ be read either way; the strategy used is recorded in the pairing metadata:
 
 One-sided rows from stream pairing carry a -1 sentinel for the remote
 station's setting: that information never enters the detection streams and
-cannot be reconstructed. Such rows are excluded from per-context tables and
-tracked in metadata. Rows from an emission truth record always carry both
-settings.
+cannot be reconstructed. Such rows belong to no context: a ContextTable
+counts them in none, and post-selection metadata counts them as unattributed.
+Rows from an emission truth record always carry both settings.
 
 All functions here are pure: identical inputs give identical outputs.
 """
@@ -70,15 +70,19 @@ UNKNOWN_SETTING = -1
 
 @dataclass(frozen=True)
 class CoincidencePolicy:
-    """Window width (ns) and pairing strategy."""
+    """Window width, an integer number of ns kept as a Python int, and pairing strategy."""
 
     window_ns: int
     strategy: str = "lattice"
 
     def __post_init__(self) -> None:
+        w = self.window_ns
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+            raise PipelineError(f"window width must be an integer, got {w!r}")
         # Bins and time differences are int64 nanoseconds.
-        if not 0 < self.window_ns < 2**63:
-            raise PipelineError(f"window width must be in (0, 2**63) ns, got {self.window_ns}")
+        if not 0 < w < 2**63:
+            raise PipelineError(f"window width must be in (0, 2**63) ns, got {w}")
+        object.__setattr__(self, "window_ns", int(w))
         if self.strategy not in ("lattice", "greedy"):
             raise PipelineError(f"unknown pairing strategy: {self.strategy!r}")
 
@@ -109,15 +113,9 @@ class PairedRawData:
     def __len__(self) -> int:
         return len(self.x)
 
-    @property
-    def attributed(self) -> np.ndarray:
-        """Boolean mask of rows with both settings known."""
-        return (self.x >= 0) & (self.y >= 0)
-
     def to_context_table(self) -> ContextTable:
-        """Tally attributed rows into a ContextTable (zeros included)."""
-        rows = np.flatnonzero(self.attributed)
-        return ContextTable.from_arrays(*(c.take(rows) for c in (self.x, self.y, self.a, self.b)))
+        """Tally the rows, zeros included; a row with an unknown (-1) setting is in no context."""
+        return ContextTable.from_arrays(self.x, self.y, self.a, self.b)
 
 
 def _paired(
@@ -132,7 +130,7 @@ def _paired(
     rows_a, rows_b = int(has_a.sum()), int(has_b.sum())
     meta = {
         "strategy": strategy,
-        "window_ns": int(w),
+        "window_ns": w,
         "events_a": len(a),
         "events_b": len(b),
         "matched": matched,
@@ -284,21 +282,19 @@ def postselect(
 ) -> tuple[PairedRawData, dict[SettingPair, float | None]]:
     """Extract rows with both outcomes nonzero; report retention per context.
 
-    Returns the final data (no zeros) and C per context: retained/total over
-    the rows attributed to that context, ``None`` for contexts with no rows.
-    Row conservation (retained + dropped = input) is recorded in metadata.
+    Returns the final data (no zeros) and C per context, as ``estimate``
+    gives it for the input's table: retained/total over the rows of that
+    context, ``None`` for contexts with no rows. Row conservation (retained +
+    dropped = input) and the rows in no context are recorded in metadata.
     """
-    keep = (pairs.a != 0) & (pairs.b != 0)
-    rows = np.flatnonzero(keep)
-    # Row counts by (x + 1, y + 1, kept) in one pass; the slice drops unknown (-1) settings.
-    tally = np.bincount(((pairs.x + 1) * 3 + pairs.y + 1) * 2 + keep, minlength=18).reshape(3, 3, 2)[1:, 1:]
-    total, kept = tally.sum(axis=2), tally[..., 1]
-    c_table = {s: None if total[s.x, s.y] == 0 else float(kept[s.x, s.y] / total[s.x, s.y]) for s in CONTEXTS}
+    rows = np.flatnonzero((pairs.a != 0) & (pairs.b != 0))
+    summary = estimate(pairs.to_context_table())
+    c_table = {s: summary[s].c for s in CONTEXTS}
     meta = {
         "input_rows": len(pairs),
         "retained_rows": len(rows),
         "dropped_rows": len(pairs) - len(rows),
-        "unattributed_rows": len(pairs) - int(total.sum()),
+        "unattributed_rows": len(pairs) - sum(summary[s].n_total for s in CONTEXTS),
         "pairing": pairs.meta,
     }
     final = PairedRawData(*(c.take(rows) for c in (pairs.x, pairs.y, pairs.a, pairs.b)), meta=meta)
@@ -338,7 +334,7 @@ def window_sweep(
     if len(w_values) == 0:
         raise PipelineError("window sweep needs at least one width")
     # Every width is checked before the first is paired.
-    policies = [CoincidencePolicy(window_ns=int(w), strategy=strategy) for w in w_values]
+    policies = [CoincidencePolicy(window_ns=w, strategy=strategy) for w in w_values]
     # The time order of the two streams does not depend on the width.
     merged = _merge(stream_a.times, stream_b.times)
     points = []

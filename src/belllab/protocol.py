@@ -162,7 +162,12 @@ class RawEventStream:
     def __post_init__(self) -> None:
         if self.station not in ("A", "B"):
             raise ValueError("station must be 'A' or 'B'")
-        times = np.array(self.times, dtype=np.int64)
+        # Checked as given (a cast makes NaN or 2**63 INT64_MIN); the cast copies the caller's array.
+        given = np.asarray(self.times)
+        with np.errstate(invalid="ignore"):
+            times = given.astype(np.int64)
+        if given.dtype.kind not in "iuf" or not (times == given).all():
+            raise ValueError(f"stream {self.station} times must be integers in int64 range")
         settings = codes("stream settings", self.settings, (0, 1))
         outcomes = codes("stream outcomes", self.outcomes, (-1, 1))
         if not (len(times) == len(settings) == len(outcomes)):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belllab.core import (
-    OUTCOME_INDEX,
     CHSH_SIGNS,
     CONTEXTS,
     AngleAssignment,
@@ -24,6 +23,9 @@ from belllab.core import (
 )
 
 SQRT2 = math.sqrt(2)
+
+#: Position of each outcome on a cell-block axis of a ContextTable: (+1, -1, 0).
+POSITION = {1: 0, -1: 1, 0: 2}
 
 
 def table_of(rows):
@@ -119,7 +121,7 @@ class TestTally:
 
     def test_single_cell_fold(self):
         table = table_of([(0, 0, 1, -1)] * 3)
-        assert table.count(SettingPair(0, 0), 1, -1) == 3
+        assert table.counts[0, 0, POSITION[1], POSITION[-1]] == 3
         assert table.counts.sum() == 3
 
     def test_seeded_stream_matches_naive_count(self):
@@ -135,7 +137,7 @@ class TestTally:
             naive[row] = naive.get(row, 0) + 1
         table = table_of(rows)
         for (x, y, a, b), count in naive.items():
-            assert table.count(SettingPair(x, y), a, b) == count
+            assert table.counts[x, y, POSITION[a], POSITION[b]] == count
         assert table.counts.sum() == 1000
 
     @given(st.lists(st.tuples(
@@ -150,20 +152,22 @@ class TestTally:
 
     def test_from_arrays_matches_record_fold(self):
         rng = np.random.default_rng(7)
-        x = rng.integers(0, 2, 500)
-        y = rng.integers(0, 2, 500)
+        x = rng.choice([-1, 0, 1], 500)
+        y = rng.choice([-1, 0, 1], 500)
         a = rng.choice([-1, 0, 1], 500)
         b = rng.choice([-1, 0, 1], 500)
-        # Oracle: one cell increment per row, in a plain Python loop.
+        # Oracle: one cell increment per row, in a plain Python loop; a row with
+        # an unknown (-1) setting belongs to no context.
         counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
         for row in zip(x, y, a, b):
             xi, yi, ai, bi = map(int, row)
-            counts[xi, yi, OUTCOME_INDEX[ai], OUTCOME_INDEX[bi]] += 1
+            if xi >= 0 and yi >= 0:
+                counts[xi, yi, POSITION[ai], POSITION[bi]] += 1
         assert ContextTable.from_arrays(x, y, a, b) == ContextTable(counts)
 
     def test_from_arrays_rejects_bad_codes(self):
-        # Outcome 2, setting 2, and codes that an int8 cast would wrap to valid ones.
-        for row in [(0, 0, 2, 1), (0, 0, 1, 2), (2, 0, 1, 1), (0, 0, 255, 1), (257, 0, 1, 1)]:
+        # Outcome 2, settings 2 and -2, and codes that an int8 cast would wrap to valid ones.
+        for row in [(0, 0, 2, 1), (0, 0, 1, 2), (2, 0, 1, 1), (-2, 0, 1, 1), (0, 0, 255, 1), (257, 0, 1, 1)]:
             with pytest.raises(ValueError):
                 table_of([row])
         # Codes that an int64 cast would truncate to valid ones, and NaN.

@@ -136,7 +136,7 @@ class TestSourceExperiment:
         assert (out.stream_a.times == out.stream_b.times).all()
         assert out.metadata["n_emissions"] == 1000
         assert len(out.truth) == 1000
-        assert int((~out.truth.attributed).sum()) == 0
+        assert int(((out.truth.x < 0) | (out.truth.y < 0)).sum()) == 0
 
     def test_dark_only_run(self):
         cfg = SourceProtocolConfig(pair_rate=0.0, duration=1.0, dark_rate=500.0)
@@ -245,3 +245,22 @@ def test_stream_leaves_caller_arrays_writeable():
     t[0] = 99
     assert stream.times.tolist() == [1, 2, 3]
     assert not stream.times.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.array([0, math.nan, 2]),
+        np.array([0, 1e30, 2]),
+        np.array([0, 2**63, 2**63 + 1], dtype=np.uint64),
+        [0, 1.5, 2],
+    ],
+    ids=["nan", "1e30", "uint64_2**63", "1.5"],
+)
+def test_stream_rejects_times_an_int64_cast_would_change(times):
+    with pytest.raises(ValueError, match="stream B times must be integers"):
+        RawEventStream("B", times, [0, 1, 0], [1, 1, -1])
+
+
+def test_stream_accepts_an_empty_list():
+    assert len(RawEventStream("A", [], [], [])) == 0

@@ -1,0 +1,47 @@
+"""The benchmark's in-process tracer on a tiny simulate -> windowed analyze chain.
+
+``perfbench/inproc.py`` rebinds the layer functions by name and reads the
+metadata of their results, so a renamed function or meta key would leave its
+per-layer metrics silently at zero. This runs it traced, as the benchmark does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_traced_chain_records_every_layer(tmp_path):
+    sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
+    sim["protocol"]["duration"] = 0.01
+    inputs = {name: str(tmp_path / f"{name}.csv") for name in ("timetags_a", "timetags_b")}
+    inputs["window"] = {"width_ns": 15, "strategy": "lattice"}
+    configs = {"simulate": sim, "analyze": {"seed": sim["seed"], "inputs": inputs}}
+    phases = []
+    for command, cfg in configs.items():
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(cfg))
+        phases.append([command, "--config", str(config), "--out", str(tmp_path)])
+    (tmp_path / "phases.json").write_text(json.dumps(phases))
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    script, result = REPO / "perfbench" / "inproc.py", tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "phases.json"), str(result), "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(result.read_text())
+    assert [(p["phase"], p["rc"]) for p in doc["phases"]] == [("simulate", 0), ("analyze", 0)]
+    spans = doc["spans"]
+    names = {s["name"] for s in spans}
+    assert "core.from_arrays" in names
+    matches = [s for s in spans if s["name"] == "pipeline.match_lattice"]
+    assert matches and all(s["matched"] > 0 for s in matches)
+    postselects = [s for s in spans if s["name"] == "pipeline.postselect"]
+    assert postselects and all(0 < s["retained"] <= s["input_rows"] for s in postselects)
