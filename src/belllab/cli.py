@@ -6,7 +6,10 @@ are JSON with a documented schema, validated before any output is written; the
 seed is mandatory (``--seed`` overrides the config) and is echoed, together
 with the resolved config, into every metadata output.
 
-Exit codes: 0 success, 2 input/config error, 3 internal invariant violation.
+``main`` returns 0 on success, 2 when a command raises a ``ValueError`` (every
+``BellLabError`` is one) or an ``OSError``, and 3 when it raises an
+``AssertionError``, an internal invariant violation. Any other exception is
+not caught: Python prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def _array(obj: dict, key: str, path: str) -> np.ndarray:
     value = _get(obj, key, path)
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(_join(path, key), f"must be a numeric array: {e}") from e
 
 
@@ -177,6 +180,15 @@ def _context_arrays(obj: dict, key: str, path: str) -> dict[SettingPair, np.ndar
     if not isinstance(spec, dict):
         raise ConfigError(_join(path, key), 'must map context keys "00".."11" to arrays')
     return {s: _array(spec, s.key(), _join(path, key)) for s in CONTEXTS}
+
+
+def _context_stack(obj: dict, key: str, path: str) -> np.ndarray:
+    """The four context arrays of ``key``, stacked on leading (2, 2) context axes."""
+    tables = list(_context_arrays(obj, key, path).values())
+    shapes = [t.shape for t in tables]
+    if len(set(shapes)) > 1:
+        raise ConfigError(_join(path, key), f"the four context arrays must have one shape, got {shapes}")
+    return np.stack(tables).reshape((2, 2) + shapes[0])
 
 
 def _angles(obj: dict, path: str) -> AngleAssignment:
@@ -198,15 +210,36 @@ def _rejection(obj: dict, path: str) -> Callable[[np.ndarray], np.ndarray] | Non
         )
 
 
-MODEL_FAMILIES = (
-    "quantum_singlet",
-    "deterministic_lhv",
-    "stochastic_lhv",
-    "contextual",
-    "post_selection",
-    "pearle",
-    "disjoint_support",
-)
+def _tabulated(cls, **readers):
+    """A builder of ``cls`` from one array per dataclass field, read in declaration order.
+
+    ``readers`` replaces ``_array`` for the fields it names.
+    """
+    return lambda spec, path, angles: cls(
+        **{f.name: readers.get(f.name, _array)(spec, f.name, path) for f in dataclasses.fields(cls)}
+    )
+
+
+#: Model builders by family, called as ``build(spec, path, angles)``.
+_BUILDERS = {
+    "quantum_singlet": lambda spec, path, angles: QuantumSingletModel(
+        angles=angles or _angles(spec, path),
+        visibility=_number(spec, "visibility", path, default=1.0),
+    ),
+    "deterministic_lhv": _tabulated(DeterministicLHVModel),
+    "stochastic_lhv": _tabulated(StochasticLHVModel),
+    "contextual": _tabulated(ContextualModel, instrument_weights=_context_stack),
+    "post_selection": _tabulated(PostSelectionModel),
+    "pearle": lambda spec, path, angles: pearle_model(
+        angles=angles or _angles(spec, path),
+        rejection=_rejection(spec, path),
+        bins=_integer(spec, "bins", path, default=720),
+        threshold_bins=_integer(spec, "threshold_bins", path, default=64),
+    ),
+    "disjoint_support": lambda spec, path, angles: disjoint_support_model(),
+}
+
+MODEL_FAMILIES = tuple(_BUILDERS)
 
 #: Families whose angles a theta sweep can set.
 THETA_FAMILIES = ("quantum_singlet", "pearle")
@@ -220,47 +253,7 @@ def build_model(spec: dict, path: str, angles: AngleAssignment | None = None) ->
     """
     family = _choice(spec, "family", path, MODEL_FAMILIES)
     with _section(path):
-        if family == "quantum_singlet":
-            return QuantumSingletModel(
-                angles=angles or _angles(spec, path),
-                visibility=_number(spec, "visibility", path, default=1.0),
-            )
-        if family == "deterministic_lhv":
-            return DeterministicLHVModel(
-                weights=_array(spec, "weights", path),
-                alice=_array(spec, "alice", path),
-                bob=_array(spec, "bob", path),
-            )
-        if family == "stochastic_lhv":
-            return StochasticLHVModel(
-                weights=_array(spec, "weights", path),
-                alice_plus=_array(spec, "alice_plus", path),
-                bob_plus=_array(spec, "bob_plus", path),
-            )
-        if family == "contextual":
-            tables = list(_context_arrays(spec, "instrument_weights", path).values())
-            return ContextualModel(
-                source_weights=_array(spec, "source_weights", path),
-                instrument_weights=np.stack(tables).reshape((2, 2) + tables[0].shape),
-                alice=_array(spec, "alice", path),
-                bob=_array(spec, "bob", path),
-            )
-        if family == "post_selection":
-            return PostSelectionModel(
-                source_weights=_array(spec, "source_weights", path),
-                alice_instrument=_array(spec, "alice_instrument", path),
-                bob_instrument=_array(spec, "bob_instrument", path),
-                alice=_array(spec, "alice", path),
-                bob=_array(spec, "bob", path),
-            )
-        if family == "pearle":
-            return pearle_model(
-                angles=angles or _angles(spec, path),
-                rejection=_rejection(spec, path),
-                bins=_integer(spec, "bins", path, default=720),
-                threshold_bins=_integer(spec, "threshold_bins", path, default=64),
-            )
-        return disjoint_support_model()
+        return _BUILDERS[family](spec, path, angles)
 
 
 def _setup(args, *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:

@@ -72,30 +72,47 @@ class ExactMoments:
     c: float
 
 
-def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
+def _law(name: str, values, ndim: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """A read-only float64 copy of ``values``, one probability law per index into ``lead``.
+
+    ``values`` must have ``ndim`` nonempty axes, the first of them of shape
+    ``lead``, and every entry must be finite and in [0, 1]. Each slice over
+    the remaining axes, the law's own, must sum to 1; a table with no axes of
+    its own holds one P(+1) per entry. A (2,) or (2, 2) ``lead`` indexes
+    setting labels or contexts, and the message names the one whose law does
+    not sum to 1.
+    """
+    values = np.array(values, dtype=np.float64)
+    if values.ndim != ndim or values.shape[: len(lead)] != lead or values.size == 0:
+        dims = ", ".join(map(str, lead + ("m",) * (ndim - len(lead))))
+        raise ValueError(f"{name} must be a nonempty table of shape ({dims}), got {values.shape}")
+    if not ((values >= -WEIGHT_EPS) & (values <= 1.0 + WEIGHT_EPS)).all():
+        raise ValueError(f"{name} entries must be finite and in [0, 1]")
+    if ndim > len(lead):
+        totals = values.sum(axis=tuple(range(len(lead), ndim)))
+        off = np.abs(totals - 1.0) > NORM_TOL
+        if off.any():
+            index = np.unravel_index(np.argmax(off), off.shape)
+            label = "".join(map(str, index))
+            where = {0: "", 1: f" for setting {label}", 2: f" for context {label}"}[len(lead)]
+            raise ValueError(f"{name}{where} must sum to 1, got {float(totals[index])!r}")
+    values.setflags(write=False)
+    return values
 
 
-def _check_distribution(name: str, w: np.ndarray) -> None:
-    if not np.isfinite(w).all():
-        raise ValueError(f"{name}: weights must be finite")
-    if (w < -WEIGHT_EPS).any():
-        raise ValueError(f"{name}: weights must be nonnegative")
-    total = float(w.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"{name}: weights must sum to 1, got {total!r}")
+def _responses(name: str, values, shape: tuple[int, ...], allowed: tuple[int, ...]) -> np.ndarray:
+    """``core.codes`` of ``name``'s response table, which must have ``shape``."""
+    table = codes(f"{name} responses", values, allowed)
+    if table.shape != shape:
+        raise ValueError(f"{name} responses must have shape {shape}, got {table.shape}")
+    return table
 
 
-def _cumulative(w: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(np.clip(np.asarray(w, dtype=np.float64).ravel(), 0.0, None))
+def _draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One draw from ``law`` per uniform in ``u``, as an index array per axis of ``law``."""
+    cum = np.cumsum(np.clip(law.ravel(), 0.0, None))
     cum /= cum[-1]
-    return cum
-
-
-def _categorical(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cum, u, side="right")
+    return np.unravel_index(np.searchsorted(cum, u, side="right"), law.shape)
 
 
 @dataclass(frozen=True)
@@ -144,16 +161,10 @@ class DeterministicLHVModel:
     bob: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_readonly(self.weights, np.float64))
+        object.__setattr__(self, "weights", _law("weights", self.weights, 1))
+        shape = (2,) + self.weights.shape
         for name in ("alice", "bob"):
-            object.__setattr__(self, name, codes(f"{name} responses", getattr(self, name), (-1, 1)))
-        n = self.weights.shape[0]
-        if self.weights.ndim != 1 or n == 0:
-            raise ValueError("weights must be a nonempty vector")
-        _check_distribution("hidden weights", self.weights)
-        for name, table in (("alice", self.alice), ("bob", self.bob)):
-            if table.shape != (2, n):
-                raise ValueError(f"{name} responses must have shape (2, {n})")
+            object.__setattr__(self, name, _responses(name, getattr(self, name), shape, (-1, 1)))
 
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         a = self.alice[s.x].astype(np.float64)
@@ -167,7 +178,7 @@ class DeterministicLHVModel:
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         # Draw order: one uniform vector for the hidden value.
-        lam = _categorical(_cumulative(self.weights), rng.random(len(x)))
+        (lam,) = _draw(self.weights, rng.random(len(x)))
         return self.alice[x, lam], self.bob[y, lam]
 
 
@@ -184,18 +195,10 @@ class StochasticLHVModel:
     bob_plus: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_readonly(self.weights, np.float64))
-        object.__setattr__(self, "alice_plus", _as_readonly(self.alice_plus, np.float64))
-        object.__setattr__(self, "bob_plus", _as_readonly(self.bob_plus, np.float64))
-        n = self.weights.shape[0]
-        if self.weights.ndim != 1 or n == 0:
-            raise ValueError("weights must be a nonempty vector")
-        _check_distribution("hidden weights", self.weights)
-        for name, table in (("alice_plus", self.alice_plus), ("bob_plus", self.bob_plus)):
-            if table.shape != (2, n):
-                raise ValueError(f"{name} must have shape (2, {n})")
-            if ((table < -WEIGHT_EPS) | (table > 1.0 + WEIGHT_EPS)).any():
-                raise ValueError(f"{name} entries must be probabilities")
+        object.__setattr__(self, "weights", _law("weights", self.weights, 1))
+        lead = (2,) + self.weights.shape
+        for name in ("alice_plus", "bob_plus"):
+            object.__setattr__(self, name, _law(name, getattr(self, name), 2, lead))
 
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         ea = 2.0 * self.alice_plus[s.x] - 1.0
@@ -210,7 +213,7 @@ class StochasticLHVModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         # Draw order: hidden value, then a's coin, then b's coin.
         n = len(x)
-        lam = _categorical(_cumulative(self.weights), rng.random(n))
+        (lam,) = _draw(self.weights, rng.random(n))
         u_a = rng.random(n)
         u_b = rng.random(n)
         a = np.where(u_a < self.alice_plus[x, lam], 1, -1).astype(np.int8)
@@ -236,26 +239,13 @@ class ContextualModel:
     bob: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source_weights", _as_readonly(self.source_weights, np.float64))
-        object.__setattr__(self, "instrument_weights", _as_readonly(self.instrument_weights, np.float64))
-        for name in ("alice", "bob"):
-            object.__setattr__(self, name, codes(f"{name} responses", getattr(self, name), (-1, 1)))
-        if self.source_weights.ndim != 2:
-            raise ValueError("source_weights must be a 2-d joint table")
-        n1, n2 = self.source_weights.shape
-        _check_distribution("source weights", self.source_weights)
-        if self.instrument_weights.ndim != 4 or self.instrument_weights.shape[:2] != (2, 2):
-            raise ValueError("instrument_weights must have shape (2, 2, mx, my)")
-        mx, my = self.instrument_weights.shape[2:]
-        for s in CONTEXTS:
-            _check_distribution(
-                f"instrument weights for context {s.key()}",
-                self.instrument_weights[s.x, s.y],
-            )
-        if self.alice.shape != (2, n1, mx):
-            raise ValueError(f"alice responses must have shape (2, {n1}, {mx})")
-        if self.bob.shape != (2, n2, my):
-            raise ValueError(f"bob responses must have shape (2, {n2}, {my})")
+        object.__setattr__(self, "source_weights", _law("source_weights", self.source_weights, 2))
+        object.__setattr__(
+            self, "instrument_weights", _law("instrument_weights", self.instrument_weights, 4, (2, 2))
+        )
+        (n1, n2), (mx, my) = self.source_weights.shape, self.instrument_weights.shape[2:]
+        object.__setattr__(self, "alice", _responses("alice", self.alice, (2, n1, mx), (-1, 1)))
+        object.__setattr__(self, "bob", _responses("bob", self.bob, (2, n2, my), (-1, 1)))
 
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         w = self.source_weights
@@ -274,22 +264,14 @@ class ContextualModel:
         # drawn for the whole batch up front; the per-context transform
         # consumes no extra randomness, so the draw count is context-free.
         n = len(x)
-        n1, n2 = self.source_weights.shape
-        my = self.instrument_weights.shape[3]
         u_src = rng.random(n)
         u_ins = rng.random(n)
-        flat_src = _categorical(_cumulative(self.source_weights), u_src)
-        k1, k2 = np.divmod(flat_src, n2)
+        k1, k2 = _draw(self.source_weights, u_src)
         mu_x = np.empty(n, dtype=np.int64)
         mu_y = np.empty(n, dtype=np.int64)
         for s in CONTEXTS:
             mask = (x == s.x) & (y == s.y)
-            if not mask.any():
-                continue
-            flat = _categorical(
-                _cumulative(self.instrument_weights[s.x, s.y]), u_ins[mask]
-            )
-            mu_x[mask], mu_y[mask] = np.divmod(flat, my)
+            mu_x[mask], mu_y[mask] = _draw(self.instrument_weights[s.x, s.y], u_ins[mask])
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 
@@ -310,29 +292,13 @@ class PostSelectionModel:
     bob: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source_weights", _as_readonly(self.source_weights, np.float64))
-        object.__setattr__(self, "alice_instrument", _as_readonly(self.alice_instrument, np.float64))
-        object.__setattr__(self, "bob_instrument", _as_readonly(self.bob_instrument, np.float64))
-        for name in ("alice", "bob"):
-            object.__setattr__(self, name, codes(f"{name} responses", getattr(self, name), (-1, 0, 1)))
-        if self.source_weights.ndim != 2:
-            raise ValueError("source_weights must be a 2-d joint table")
+        object.__setattr__(self, "source_weights", _law("source_weights", self.source_weights, 2))
+        for name in ("alice_instrument", "bob_instrument"):
+            object.__setattr__(self, name, _law(name, getattr(self, name), 2, (2,)))
         n1, n2 = self.source_weights.shape
-        _check_distribution("source weights", self.source_weights)
-        for name, table in (
-            ("alice_instrument", self.alice_instrument),
-            ("bob_instrument", self.bob_instrument),
-        ):
-            if table.ndim != 2 or table.shape[0] != 2:
-                raise ValueError(f"{name} must have shape (2, m)")
-            for lbl in (0, 1):
-                _check_distribution(f"{name}[{lbl}]", table[lbl])
-        mx = self.alice_instrument.shape[1]
-        my = self.bob_instrument.shape[1]
-        if self.alice.shape != (2, n1, mx):
-            raise ValueError(f"alice responses must have shape (2, {n1}, {mx})")
-        if self.bob.shape != (2, n2, my):
-            raise ValueError(f"bob responses must have shape (2, {n2}, {my})")
+        mx, my = self.alice_instrument.shape[1], self.bob_instrument.shape[1]
+        object.__setattr__(self, "alice", _responses("alice", self.alice, (2, n1, mx), (-1, 0, 1)))
+        object.__setattr__(self, "bob", _responses("bob", self.bob, (2, n2, my), (-1, 0, 1)))
         if all(self.exact_expectation(s).c <= 0.0 for s in CONTEXTS):
             raise ValueError("all contexts starve: no context retains any pairs")
 
@@ -361,21 +327,17 @@ class PostSelectionModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         # Draw order: source pair, Alice instrument, Bob instrument.
         n = len(x)
-        n2 = self.source_weights.shape[1]
         u_src = rng.random(n)
         u_a = rng.random(n)
         u_b = rng.random(n)
-        flat_src = _categorical(_cumulative(self.source_weights), u_src)
-        k1, k2 = np.divmod(flat_src, n2)
+        k1, k2 = _draw(self.source_weights, u_src)
         mu_x = np.empty(n, dtype=np.int64)
         mu_y = np.empty(n, dtype=np.int64)
-        cum_a = [_cumulative(self.alice_instrument[lbl]) for lbl in (0, 1)]
-        cum_b = [_cumulative(self.bob_instrument[lbl]) for lbl in (0, 1)]
         for lbl in (0, 1):
             mask = x == lbl
-            mu_x[mask] = _categorical(cum_a[lbl], u_a[mask])
+            (mu_x[mask],) = _draw(self.alice_instrument[lbl], u_a[mask])
             mask = y == lbl
-            mu_y[mask] = _categorical(cum_b[lbl], u_b[mask])
+            (mu_y[mask],) = _draw(self.bob_instrument[lbl], u_b[mask])
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 
@@ -493,9 +455,7 @@ def pearle_model(
         for lbl in (0, 1):
             c = np.cos(centers - theta_by_label[lbl])
             sign = np.where(c >= 0.0, 1, -1).astype(np.int8)
-            reject = np.asarray(rejection(np.abs(c)), dtype=np.float64)
-            if ((reject < -WEIGHT_EPS) | (reject > 1.0 + WEIGHT_EPS)).any():
-                raise ValueError("rejection curve must map into [0, 1]")
+            reject = _law("rejection curve", rejection(np.abs(c)), 1, (bins,))
             keep = thresholds[None, :] >= reject[:, None]
             table[lbl] = np.where(keep, sign[:, None], 0)
         return table

@@ -1,8 +1,9 @@
 """Exception types shared across modules.
 
 Input/contract violations raise ``ValueError`` subclasses so the CLI can map
-them uniformly to exit code 2; anything else escaping a command is treated
-as an internal invariant violation (exit code 3).
+them uniformly to exit code 2. The CLI maps only an ``AssertionError`` to exit
+code 3, an internal invariant violation; any other exception escaping a
+command ends it with a traceback and exit code 1.
 """
 
 from __future__ import annotations

@@ -499,6 +499,12 @@ POST_SELECTION_NARROWED = {
     "alice": [[[1]], [[-1.5]]],
     "bob": [[[1]], [[1]]],
 }
+STOCHASTIC_LHV = {
+    "family": "stochastic_lhv",
+    "weights": [1.0],
+    "alice_plus": [[0.5], [0.5]],
+    "bob_plus": [[0.5], [0.5]],
+}
 
 #: (command, config builder, text the error must carry: the field path first).
 MALFORMED = {
@@ -605,6 +611,40 @@ MALFORMED = {
         "simulate",
         lambda tmp: source_config(POST_SELECTION_NARROWED),
         "model: alice responses",
+    ),
+    # A 0-d weights table once crashed on its missing axis, and NaN passed the
+    # probability check of alice_plus.
+    "lhv_scalar_weights": (
+        "simulate",
+        lambda tmp: source_config({**LHV_NARROWED, "weights": 1.0, "alice": [[1], [1]]}),
+        "model: weights must be a nonempty table of shape (m), got ()",
+    ),
+    "stochastic_scalar_weights": (
+        "simulate",
+        lambda tmp: source_config({**STOCHASTIC_LHV, "weights": 1.0}),
+        "model: weights must be a nonempty table of shape (m), got ()",
+    ),
+    "stochastic_nan_alice_plus": (
+        "simulate",
+        lambda tmp: source_config({**STOCHASTIC_LHV, "alice_plus": [[math.nan], [0.5]]}),
+        "model: alice_plus entries must be finite and in [0, 1]",
+    ),
+    "huge_integer_weight": (
+        "simulate",
+        lambda tmp: source_config({**LHV_NARROWED, "weights": [10**400]}),
+        "model.weights: must be a numeric array",
+    ),
+    "feasibility_huge_integer_cell": (
+        "feasibility",
+        lambda tmp: {"contexts": {k: [[10**400, 0], [0, 0]] for k in ("00", "01", "10", "11")}},
+        "contexts.00: must be a numeric array",
+    ),
+    "contextual_instrument_shapes_differ": (
+        "simulate",
+        lambda tmp: source_config(
+            {**CONTEXTUAL_NARROWED, "instrument_weights": {"00": [[1.0]], "01": [1.0], "10": [[1.0]], "11": [[1.0]]}}
+        ),
+        "model.instrument_weights: the four context arrays must have one shape",
     ),
     "trials_float_cell": (
         "analyze",

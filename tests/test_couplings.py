@@ -1,5 +1,7 @@
 """Coupling families: exact laws, samplers, bounds, and presets."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belllab.cli import build_model
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, SettingPair
 from belllab.couplings import (
     ContextualModel,
@@ -23,6 +26,7 @@ from belllab.couplings import (
     sample_batch,
     statistical_dependence,
 )
+from belllab.errors import ConfigError
 from belllab.rng import stream
 
 from helpers import (
@@ -309,6 +313,29 @@ class TestPostSelectionModel:
             assert e_hat == pytest.approx(exact.e_ab, abs=5 * sigma)
 
 
+class TestLawMessages:
+    def test_instrument_law_names_its_context(self):
+        iw = np.full((2, 2, 1, 2), 0.5)
+        iw[1, 0, 0, 1] = 0.25
+        with pytest.raises(ValueError, match=r"instrument_weights for context 10 must sum to 1, got 0\.75"):
+            ContextualModel(
+                source_weights=np.array([[1.0]]),
+                instrument_weights=iw,
+                alice=np.ones((2, 1, 1), dtype=int),
+                bob=np.ones((2, 1, 2), dtype=int),
+            )
+
+    def test_instrument_law_names_its_setting(self):
+        with pytest.raises(ValueError, match=r"bob_instrument for setting 1 must sum to 1, got 0\.75"):
+            PostSelectionModel(
+                source_weights=np.array([[1.0]]),
+                alice_instrument=np.ones((2, 1)),
+                bob_instrument=np.array([[0.5, 0.5], [0.5, 0.25]]),
+                alice=np.ones((2, 1, 1), dtype=int),
+                bob=np.ones((2, 1, 2), dtype=int),
+            )
+
+
 class TestDeterministicBound:
     def test_max_is_exactly_two(self):
         assert max_deterministic_chsh() == 2.0
@@ -402,6 +429,12 @@ class TestPresets:
         assert abs(exact_chsh(m)) == pytest.approx(2.0, abs=0.02)
         for ctx in CONTEXTS:
             assert m.exact_expectation(ctx).c == pytest.approx(1.0)
+
+    def test_pearle_rejects_nan_rejection(self):
+        # NaN passes a check for entries below 0 or above 1, and no threshold
+        # is >= NaN, so every response of a NaN bin would silently become 0.
+        with pytest.raises(ValueError, match="rejection curve entries must be finite"):
+            pearle_model(CANONICAL_ANGLES, rejection=lambda c: np.where(c < 0.5, np.nan, 0.0))
 
     def test_rotation_invariant_constructor_depends_on_theta_only(self):
         def law(theta):
@@ -528,3 +561,100 @@ def test_raw_marginals_do_not_signal(family, seed):
                 k1, k2 = (int((drawn[s][station] == v).sum()) for s in pair)
                 p = (k1 + k2) / (2 * n)  # pooled under no signalling
                 assert abs(k1 - k2) / n <= 5 * math.sqrt(2 * p * (1 - p) / n)
+
+
+#: The four tabulated families and the classes ``build_model`` makes of them.
+TABULATED = {
+    "deterministic_lhv": DeterministicLHVModel,
+    "stochastic_lhv": StochasticLHVModel,
+    "contextual": ContextualModel,
+    "post_selection": PostSelectionModel,
+}
+CORRUPTIONS = ("scalar", "empty", "rank", "nan", "inf", "-inf", "negative", "shift")
+
+
+def tabulated_spec(family, rng):
+    """A valid JSON spec of ``family`` with 1 to 3 values per hidden-variable axis."""
+    n1, n2, mx, my = (int(k) for k in rng.integers(1, 4, size=4))
+
+    def law(*shape):
+        return rng.dirichlet(np.ones(math.prod(shape))).reshape(shape).tolist()
+
+    def signs(*shape):
+        return rng.choice([-1, 1], size=shape).tolist()
+
+    if family == "deterministic_lhv":
+        fields = {"weights": law(n1), "alice": signs(2, n1), "bob": signs(2, n1)}
+    elif family == "stochastic_lhv":
+        plus = rng.random((2, 2, n1)).tolist()
+        fields = {"weights": law(n1), "alice_plus": plus[0], "bob_plus": plus[1]}
+    elif family == "contextual":
+        fields = {
+            "source_weights": law(n1, n2),
+            "instrument_weights": {s.key(): law(mx, my) for s in CONTEXTS},
+            "alice": signs(2, n1, mx),
+            "bob": signs(2, n2, my),
+        }
+    else:
+        fields = {
+            "source_weights": law(n1, n2),
+            "alice_instrument": [law(mx), law(mx)],
+            "bob_instrument": [law(my), law(my)],
+            "alice": signs(2, n1, mx),
+            "bob": signs(2, n2, my),
+        }
+    return {"family": family, **fields}
+
+
+def corrupt(value, kind, shift, rng):
+    """``value`` made 0-d, empty or of another rank, or with one entry replaced or shifted."""
+    if kind == "scalar":
+        return 1.0
+    if kind == "empty":
+        return []
+    if kind == "rank":
+        return [value] if rng.random() < 0.5 else value[0]
+    table = np.array(value, dtype=np.float64)
+    flat = table.reshape(-1)
+    i = rng.integers(flat.size)
+    flat[i] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "negative": -0.5}.get(kind, flat[i] + shift)
+    return table.tolist()
+
+
+@given(
+    st.sampled_from(sorted(TABULATED)),
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(CORRUPTIONS), st.sampled_from([-0.1, -2e-9, 2e-9, 1e-6, 0.1])),
+        max_size=3,
+    ),
+)
+@settings(max_examples=300)
+def test_build_model_names_the_field_of_a_bad_table(family, seed, corruptions):
+    """A tabulated spec builds, or fails with a ConfigError naming one of its bad fields."""
+    rng = np.random.default_rng(seed)
+    spec = tabulated_spec(family, rng)
+    names = [f.name for f in dataclasses.fields(TABULATED[family])]
+    bad, must_fail = set(), False
+    for index, kind, shift in corruptions:
+        name = names[index % len(names)]
+        if name in bad:
+            continue  # a second change could undo the first
+        if name == "instrument_weights":
+            key = CONTEXTS[int(rng.integers(4))].key()
+            spec[name][key] = corrupt(spec[name][key], kind, shift, rng)
+        else:
+            spec[name] = corrupt(spec[name], kind, shift, rng)
+        bad.add(name)
+        # A shifted P(+1) entry can still be a probability.
+        must_fail |= not (kind == "shift" and name in ("alice_plus", "bob_plus"))
+    spec = json.loads(json.dumps(spec))  # as a config file holds it, NaN and Infinity included
+    try:
+        model = build_model(spec, "model")
+    except ConfigError as e:
+        assert bad, str(e)
+        prefixes = [f"model.{name}: " for name in bad] + [f"model: {name} " for name in bad]
+        assert str(e).startswith(tuple(prefixes)), str(e)
+    else:
+        assert not must_fail
+        assert isinstance(model, TABULATED[family])
