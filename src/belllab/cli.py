@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from contextlib import contextmanager
@@ -60,14 +61,17 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_MISSING = object()
+_MISSING = inspect.Parameter.empty  # the default of a required field, as of a required parameter
 
 
 # --- config plumbing --------------------------------------------------------
 #
-# The helpers below check JSON *types* and build field paths. The *range* of
-# each value is checked once, by the constructor it feeds; ``_section``
-# re-raises that constructor's ValueError as a ConfigError on the section path.
+# Every object the CLI builds is read by ``_fields``, one config field per
+# parameter of its constructor, of the same name and with the same default.
+# The readers below, called as ``read(obj, key, path, default)``, check JSON
+# *types* and build field paths. The *range* of each value is checked once, by
+# the constructor it feeds; ``_section`` re-raises that constructor's
+# ValueError as a ConfigError on the section path.
 
 
 def load_config(path: Path) -> dict:
@@ -109,10 +113,13 @@ def _get(obj: dict, key: str, path: str, default=_MISSING):
     return default
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value, path: str) -> float:
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     # The bound also rejects NaN, and JSON integers too large for a float.
-    if not (is_number and abs(value) <= sys.float_info.max):
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):
         raise ConfigError(path, f"must be a finite number, got {value!r}")
     return float(value)
 
@@ -166,77 +173,101 @@ def _streams(obj: dict, path: str) -> list:
     return streams
 
 
-def _array(obj: dict, key: str, path: str) -> np.ndarray:
-    value = _get(obj, key, path)
+def _array(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarray:
+    value = _get(obj, key, path, default)
+    if value is default:
+        return value
     try:
-        return np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(_join(path, key), f"must be a numeric array: {e}") from e
+    # A float cast reads true as 1 and "2" as 2; every entry must be a JSON number.
+    bad = [v for v in np.asarray(value, dtype=object).flat if not _is_number(v)]
+    if bad:
+        raise ConfigError(_join(path, key), f"must be a numeric array, got {bad[0]!r}")
+    return array
 
 
-def _context_arrays(obj: dict, key: str, path: str) -> dict[SettingPair, np.ndarray]:
+def _context_arrays(obj: dict, key: str, path: str, default=_MISSING) -> dict[SettingPair, np.ndarray]:
     """A map of context keys "00".."11" to numeric arrays."""
-    spec = _get(obj, key, path)
+    spec = _get(obj, key, path, default)
     if not isinstance(spec, dict):
         raise ConfigError(_join(path, key), 'must map context keys "00".."11" to arrays')
     return {s: _array(spec, s.key(), _join(path, key)) for s in CONTEXTS}
 
 
-def _context_stack(obj: dict, key: str, path: str) -> np.ndarray:
+def _context_stack(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarray:
     """The four context arrays of ``key``, stacked on leading (2, 2) context axes."""
-    tables = list(_context_arrays(obj, key, path).values())
+    tables = list(_context_arrays(obj, key, path, default).values())
     shapes = [t.shape for t in tables]
     if len(set(shapes)) > 1:
         raise ConfigError(_join(path, key), f"the four context arrays must have one shape, got {shapes}")
     return np.stack(tables).reshape((2, 2) + shapes[0])
 
 
-def _angles(obj: dict, path: str) -> AngleAssignment:
-    spec = _get(obj, "angles", path)
-    path = _join(path, "angles")
-    return AngleAssignment(alice=_pair(spec, "alice", path), bob=_pair(spec, "bob", path))
+def _fields(build: Callable, read=_array, **readers) -> Callable[[dict, str], object]:
+    """A reader of ``build(**fields)`` from the object at ``path``, one field per parameter.
 
-
-def _rejection(obj: dict, path: str) -> Callable[[np.ndarray], np.ndarray] | None:
-    spec = _get(obj, "rejection", path, default=None)
-    if spec is None:
-        return None  # pearle_model's default curve
-    path = _join(path, "rejection")
-    with _section(path):
-        return rejection_curve(
-            _get(spec, "kind", path),
-            max_reject=_number(spec, "max_reject", path, default=0.8),
-            exponent=_number(spec, "exponent", path, default=1.0),
-        )
-
-
-def _tabulated(cls, **readers):
-    """A builder of ``cls`` from one array per dataclass field, read in declaration order.
-
-    ``readers`` replaces ``_array`` for the fields it names.
+    Parameters are read in declaration order, each by ``read`` unless
+    ``readers`` names it, with the parameter's own default; the call's
+    ValueError names ``path``.
     """
-    return lambda spec, path, angles: cls(
-        **{f.name: readers.get(f.name, _array)(spec, f.name, path) for f in dataclasses.fields(cls)}
-    )
+    params = inspect.signature(build).parameters.values()
+
+    def built(obj: dict, path: str):
+        with _section(path):
+            return build(**{p.name: readers.get(p.name, read)(obj, p.name, path, p.default) for p in params})
+
+    return built
 
 
-#: Model builders by family, called as ``build(spec, path, angles)``.
+def _nested(build: Callable, read, **readers):
+    """A reader of a field holding an object that ``_fields(build, read, **readers)`` reads."""
+    fields = _fields(build, read, **readers)
+
+    def read_nested(obj: dict, key: str, path: str, default=_MISSING):
+        value = _get(obj, key, path, default)
+        return value if value is default else fields(value, _join(path, key))
+
+    return read_nested
+
+
+_angles = _nested(AngleAssignment, _pair)
+_rejection = _nested(rejection_curve, _number, kind=_get)  # absent or null: pearle_model's curve
+
+
+def _delay(group: str, station: str):
+    """A reader of ``group.station``; an absent or null ``group`` shifts nothing."""
+
+    def read(obj: dict, key: str, path: str, default=_MISSING) -> tuple[float, float]:
+        spec = _get(obj, group, path, default=None)
+        return _pair({} if spec is None else spec, station, _join(path, group), default)
+
+    return read
+
+
+#: Protocol configs by kind, called as ``build(spec, path)``.
+_PROTOCOLS = {
+    "event_ready": _fields(EventReadyConfig, _number),
+    "source": _fields(
+        SourceProtocolConfig,
+        _number,
+        setting_delay_a=_delay("setting_delay", "alice"),
+        setting_delay_b=_delay("setting_delay", "bob"),
+        outcome_delay_a=_delay("outcome_delay", "alice"),
+        outcome_delay_b=_delay("outcome_delay", "bob"),
+    ),
+}
+
+#: Model builders by family, called as ``build(spec, path)``.
 _BUILDERS = {
-    "quantum_singlet": lambda spec, path, angles: QuantumSingletModel(
-        angles=angles or _angles(spec, path),
-        visibility=_number(spec, "visibility", path, default=1.0),
-    ),
-    "deterministic_lhv": _tabulated(DeterministicLHVModel),
-    "stochastic_lhv": _tabulated(StochasticLHVModel),
-    "contextual": _tabulated(ContextualModel, instrument_weights=_context_stack),
-    "post_selection": _tabulated(PostSelectionModel),
-    "pearle": lambda spec, path, angles: pearle_model(
-        angles=angles or _angles(spec, path),
-        rejection=_rejection(spec, path),
-        bins=_integer(spec, "bins", path, default=720),
-        threshold_bins=_integer(spec, "threshold_bins", path, default=64),
-    ),
-    "disjoint_support": lambda spec, path, angles: disjoint_support_model(),
+    "quantum_singlet": _fields(QuantumSingletModel, _number, angles=_angles),
+    "deterministic_lhv": _fields(DeterministicLHVModel),
+    "stochastic_lhv": _fields(StochasticLHVModel),
+    "contextual": _fields(ContextualModel, instrument_weights=_context_stack),
+    "post_selection": _fields(PostSelectionModel),
+    "pearle": _fields(pearle_model, _integer, angles=_angles, rejection=_rejection),
+    "disjoint_support": _fields(disjoint_support_model),
 }
 
 MODEL_FAMILIES = tuple(_BUILDERS)
@@ -245,15 +276,9 @@ MODEL_FAMILIES = tuple(_BUILDERS)
 THETA_FAMILIES = ("quantum_singlet", "pearle")
 
 
-def build_model(spec: dict, path: str, angles: AngleAssignment | None = None) -> CouplingModel:
-    """Construct a coupling model from its JSON description.
-
-    ``angles`` replaces the spec's own ``angles`` field; theta sweeps use it
-    to set the relative angle per point.
-    """
-    family = _choice(spec, "family", path, MODEL_FAMILIES)
-    with _section(path):
-        return _BUILDERS[family](spec, path, angles)
+def build_model(spec: dict, path: str) -> CouplingModel:
+    """Construct a coupling model from its JSON description."""
+    return _BUILDERS[_choice(spec, "family", path, MODEL_FAMILIES)](spec, path)
 
 
 def _setup(args, *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:
@@ -294,41 +319,21 @@ def _document(command: str, seed: int, **fields) -> dict:
 def cmd_simulate(args) -> int:
     cfg, seed, out = _setup(args)
     proto = _get(cfg, "protocol", "")
-    kind = _choice(proto, "kind", "protocol", ("event_ready", "source"))
+    kind = _choice(proto, "kind", "protocol", tuple(_PROTOCOLS))
+    protocol = _PROTOCOLS[kind](proto, "protocol")
 
     if kind == "event_ready":
+        n_trials = _integer(proto, "n_trials", "protocol")
         with _section("protocol"):
-            ev = EventReadyConfig(
-                herald_prob=_number(proto, "herald_prob", "protocol"),
-                visibility=_number(proto, "visibility", "protocol", default=1.0),
-                fidelity_a=_number(proto, "fidelity_a", "protocol", default=1.0),
-                fidelity_b=_number(proto, "fidelity_b", "protocol", default=1.0),
-            )
-            n_trials = _integer(proto, "n_trials", "protocol")
-            run = run_event_ready(ev, _angles(proto, "protocol"), n_trials, seed)
+            run = run_event_ready(protocol, _angles(proto, "angles", "protocol"), n_trials, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
         print(f"wrote {out / 'trials.csv'}")
         meta = _document("simulate", seed, config=cfg, counts=run.meta, warnings=[])
         _write(out / "metadata.json", bio.dump_json(meta))
         return EXIT_OK
 
-    def delay(key: str, station: str) -> tuple[float, float]:
-        spec = _get(proto, key, "protocol", default=None)  # absent or null: no delays
-        return _pair({} if spec is None else spec, station, f"protocol.{key}", default=(0.0, 0.0))
-
-    with _section("protocol"):
-        src = SourceProtocolConfig(
-            pair_rate=_number(proto, "pair_rate", "protocol"),
-            duration=_number(proto, "duration", "protocol"),
-            jitter_sd=_number(proto, "jitter_sd", "protocol", default=0.0),
-            dark_rate=_number(proto, "dark_rate", "protocol", default=0.0),
-            setting_delay_a=delay("setting_delay", "alice"),
-            setting_delay_b=delay("setting_delay", "bob"),
-            outcome_delay_a=delay("outcome_delay", "alice"),
-            outcome_delay_b=delay("outcome_delay", "bob"),
-        )
     model = build_model(_get(cfg, "model", ""), "model")
-    run = run_source_experiment(src, model, seed)
+    run = run_source_experiment(protocol, model, seed)
     bio.write_timetags_csv(out / "timetags_a.csv", run.stream_a, seed)
     bio.write_timetags_csv(out / "timetags_b.csv", run.stream_b, seed)
     bio.write_pairs_csv(out / "raw_pairs.csv", run.truth, seed)
@@ -460,7 +465,7 @@ def cmd_sweep(args) -> int:
             points = theta_sweep(
                 # theta is the relative angle at the (0, 0) context
                 lambda theta: build_model(
-                    mspec, "sweep.model", AngleAssignment(alice=(theta, 0.0), bob=(0.0, 0.0))
+                    {**mspec, "angles": {"alice": [theta, 0.0], "bob": [0.0, 0.0]}}, "sweep.model"
                 ),
                 thetas,
                 n_trials=n_per_point,

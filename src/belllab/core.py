@@ -124,9 +124,7 @@ class ContextTable:
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: np.ndarray | None = None):
-        if counts is None:
-            counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
+    def __init__(self, counts: np.ndarray):
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (2, 2, 3, 3):
             raise ValueError(f"counts must have shape (2, 2, 3, 3), got {counts.shape}")

@@ -408,7 +408,7 @@ def statistical_dependence(model: ContextualModel | PostSelectionModel) -> float
     return worst
 
 
-def rejection_curve(kind: str = "linear", *, max_reject: float = 0.8, exponent: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+def rejection_curve(kind: str, *, max_reject: float = 0.8, exponent: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """Named decreasing rejection curves r(c) on c = |cos| in [0, 1].
 
     ``linear``: r(c) = max_reject * (1 - c).

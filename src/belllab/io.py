@@ -48,8 +48,7 @@ import numpy as np
 from .analysis import SweepPoint
 from .core import CONTEXTS, ContextTable, CorrelationSummary
 from .errors import ConfigError
-from .pipeline import PairedRawData, WindowPoint
-from .protocol import RawEventStream
+from .pipeline import PairedRawData, RawEventStream, WindowPoint
 
 SCHEMA_VERSION = 1
 

@@ -45,19 +45,17 @@ All functions here are pure: identical inputs give identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import CONTEXTS, ContextTable, CorrelationSummary, SettingPair, chsh, codes, estimate
 from .errors import PipelineError
 
-if TYPE_CHECKING:  # only for annotations; protocol imports this module
-    from .protocol import RawEventStream
-
 __all__ = [
     "CoincidencePolicy",
     "PairedRawData",
+    "RawEventStream",
     "WindowPoint",
     "match_coincidences",
     "postselect",
@@ -118,8 +116,50 @@ class PairedRawData:
         return ContextTable.from_arrays(self.x, self.y, self.a, self.b)
 
 
+@dataclass(frozen=True)
+class RawEventStream:
+    """One station's time-tagged detections, sorted by (time, sequence number).
+
+    Times must be non-decreasing; the pairing strategies rely on it.
+    """
+
+    station: str
+    times: np.ndarray
+    settings: np.ndarray
+    outcomes: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.station not in ("A", "B"):
+            raise ValueError("station must be 'A' or 'B'")
+        # Checked as given (a cast makes NaN or 2**63 INT64_MIN); the cast copies the caller's array.
+        given = np.asarray(self.times)
+        with np.errstate(invalid="ignore"):
+            times = given.astype(np.int64)
+        if given.dtype.kind not in "iuf" or not (times == given).all():
+            raise ValueError(f"stream {self.station} times must be integers in int64 range")
+        settings = codes("stream settings", self.settings, (0, 1))
+        outcomes = codes("stream outcomes", self.outcomes, (-1, 1))
+        if not (len(times) == len(settings) == len(outcomes)):
+            raise ValueError("stream columns must have equal length")
+        bad = np.flatnonzero(times[1:] < times[:-1])
+        if bad.size:
+            i = int(bad[0])
+            # Events are named by position from 1, as a time-tag file's data rows are.
+            raise PipelineError(
+                f"stream {self.station} is not time-sorted: data row {i + 2} has time "
+                f"{int(times[i + 1])}, before {int(times[i])} in data row {i + 1}"
+            )
+        times.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "outcomes", outcomes)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
 def _paired(
-    a: "RawEventStream", b: "RawEventStream", ia: np.ndarray, ib: np.ndarray, strategy: str, w: int
+    a: RawEventStream, b: RawEventStream, ia: np.ndarray, ib: np.ndarray, strategy: str, w: int
 ) -> PairedRawData:
     """Rows from per-row event indices of each station, -1 where a station has none.
 
@@ -257,8 +297,8 @@ def _match_greedy(t: np.ndarray, from_b: np.ndarray, w: int) -> tuple[np.ndarray
 
 
 def match_coincidences(
-    stream_a: "RawEventStream",
-    stream_b: "RawEventStream",
+    stream_a: RawEventStream,
+    stream_b: RawEventStream,
     policy: CoincidencePolicy,
     merged: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PairedRawData:
@@ -322,8 +362,8 @@ class WindowPoint:
 
 
 def window_sweep(
-    stream_a: "RawEventStream",
-    stream_b: "RawEventStream",
+    stream_a: RawEventStream,
+    stream_b: RawEventStream,
     w_values: Sequence[int],
     strategy: str = "lattice",
 ) -> list[WindowPoint]:

@@ -38,15 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .core import MAX_ITEMS, AngleAssignment, codes
+from .core import MAX_ITEMS, AngleAssignment
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
-from .errors import ConfigError, PipelineError
-from .pipeline import PairedRawData
+from .errors import ConfigError
+from .pipeline import PairedRawData, RawEventStream
 
 __all__ = [
     "SourceProtocolConfig",
     "EventReadyConfig",
-    "RawEventStream",
     "SourceRun",
     "run_source_experiment",
     "run_event_ready",
@@ -145,48 +144,6 @@ class EventReadyConfig:
         for name, f in (("fidelity_a", self.fidelity_a), ("fidelity_b", self.fidelity_b)):
             if not (0.5 <= f <= 1.0):
                 raise ValueError(f"{name} must be in [0.5, 1], got {f}")
-
-
-@dataclass(frozen=True)
-class RawEventStream:
-    """One station's time-tagged detections, sorted by (time, sequence number).
-
-    Times must be non-decreasing; the pairing strategies rely on it.
-    """
-
-    station: str
-    times: np.ndarray
-    settings: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.station not in ("A", "B"):
-            raise ValueError("station must be 'A' or 'B'")
-        # Checked as given (a cast makes NaN or 2**63 INT64_MIN); the cast copies the caller's array.
-        given = np.asarray(self.times)
-        with np.errstate(invalid="ignore"):
-            times = given.astype(np.int64)
-        if given.dtype.kind not in "iuf" or not (times == given).all():
-            raise ValueError(f"stream {self.station} times must be integers in int64 range")
-        settings = codes("stream settings", self.settings, (0, 1))
-        outcomes = codes("stream outcomes", self.outcomes, (-1, 1))
-        if not (len(times) == len(settings) == len(outcomes)):
-            raise ValueError("stream columns must have equal length")
-        bad = np.flatnonzero(times[1:] < times[:-1])
-        if bad.size:
-            i = int(bad[0])
-            # Events are named by position from 1, as a time-tag file's data rows are.
-            raise PipelineError(
-                f"stream {self.station} is not time-sorted: data row {i + 2} has time "
-                f"{int(times[i + 1])}, before {int(times[i])} in data row {i + 1}"
-            )
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "outcomes", outcomes)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,7 @@ from belllab.couplings import (
     PostSelectionModel,
     StochasticLHVModel,
 )
-from belllab.pipeline import UNKNOWN_SETTING, PairedRawData
-from belllab.protocol import RawEventStream
+from belllab.pipeline import UNKNOWN_SETTING, PairedRawData, RawEventStream
 
 
 def savetxt_int_csv(header: str, columns: dict[str, np.ndarray]) -> bytes:
@@ -64,7 +63,7 @@ def lattice_rows(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[np.ndarray, np
     return ia[order], ib[order], audit
 
 
-def _match_lattice(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
+def _match_lattice(a: RawEventStream, b: RawEventStream, w: int) -> PairedRawData:
     ia, ib, audit = lattice_rows(a.times, b.times, w)
 
     def column(values: np.ndarray, rows: np.ndarray, missing: int) -> np.ndarray:
@@ -80,7 +79,7 @@ def _match_lattice(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRa
     )
 
 
-def _match_greedy(a: "RawEventStream", b: "RawEventStream", w: int) -> PairedRawData:
+def _match_greedy(a: RawEventStream, b: RawEventStream, w: int) -> PairedRawData:
     ta, tb = a.times, b.times
     na, nb = len(ta), len(tb)
     rows: list[tuple[int, int, int, int]] = []

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 from belllab import io as bio
-from belllab.cli import main
-from belllab.core import AngleAssignment, SettingPair
-from belllab.couplings import pearle_model, rejection_curve
-from belllab.protocol import RawEventStream
+from belllab.cli import _PROTOCOLS, build_model, main
+from belllab.core import CANONICAL_ANGLES, AngleAssignment, SettingPair
+from belllab.couplings import QuantumSingletModel, pearle_model, rejection_curve
+from belllab.pipeline import RawEventStream
+from belllab.protocol import EventReadyConfig, SourceProtocolConfig
 
 SQRT2 = math.sqrt(2)
 REPO = Path(__file__).resolve().parents[1]
@@ -629,6 +631,28 @@ MALFORMED = {
         lambda tmp: source_config({**STOCHASTIC_LHV, "alice_plus": [[math.nan], [0.5]]}),
         "model: alice_plus entries must be finite and in [0, 1]",
     ),
+    # A float cast once read true as 1, and "1.0" as 1.0.
+    "lhv_boolean_weight": (
+        "simulate",
+        lambda tmp: source_config({**LHV_NARROWED, "weights": [True], "alice": [[1], [1]]}),
+        "model.weights: must be a numeric array, got True",
+    ),
+    "lhv_string_weight": (
+        "simulate",
+        lambda tmp: source_config({**LHV_NARROWED, "weights": ["1.0"], "alice": [[1], [1]]}),
+        "model.weights: must be a numeric array, got '1.0'",
+    ),
+    "feasibility_boolean_cell": (
+        "feasibility",
+        lambda tmp: {"contexts": {**FEASIBILITY_CASES["local"], "00": [[True, 0], [0, 0]]}},
+        "contexts.00: must be a numeric array, got True",
+    ),
+    # The curve's kind has no default.
+    "rejection_without_kind": (
+        "simulate",
+        lambda tmp: source_config({"family": "pearle", "angles": CANONICAL_ANGLES_JSON, "rejection": {}}),
+        "model.rejection.kind: missing required field",
+    ),
     "huge_integer_weight": (
         "simulate",
         lambda tmp: source_config({**LHV_NARROWED, "weights": [10**400]}),
@@ -765,6 +789,16 @@ class TestMalformedConfigs:
             )
             assert row.split(",")[1] == repr(direct.exact_expectation(SettingPair(0, 0)).e_ab)
 
+    def test_theta_sweep_replaces_malformed_spec_angles(self, tmp_path):
+        model = {"family": "pearle", "bins": 90, "threshold_bins": 8}
+        sweeps = []
+        for name, spec in (("plain", model), ("malformed", {**model, "angles": {"alice": "north"}})):
+            sweep = {"kind": "theta", "model": spec, "thetas": [0.0, 0.7]}
+            cfg = write_config(tmp_path / f"{name}.json", {"seed": 1, "sweep": sweep})
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            sweeps.append((tmp_path / name / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
+
 
 #: Feasibility inputs: tables of a local model (a witness), a PR box (a CHSH
 #: certificate) and tables whose marginals signal (a dual certificate).
@@ -895,6 +929,33 @@ class TestModelConfigs:
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "sum to 1" in capsys.readouterr().err
+
+
+class TestConstructorDefaults:
+    """A config that omits every optional field builds what the constructor builds from its required arguments."""
+
+    @pytest.mark.parametrize(
+        "kind, spec, expected",
+        [
+            ("event_ready", {"herald_prob": 0.5}, EventReadyConfig(0.5)),
+            ("source", {"pair_rate": 10.0, "duration": 1.0}, SourceProtocolConfig(10.0, 1.0)),
+        ],
+    )
+    def test_protocol(self, kind, spec, expected):
+        assert _PROTOCOLS[kind]({"kind": kind, **spec}, "protocol") == expected
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            ("quantum_singlet", QuantumSingletModel(CANONICAL_ANGLES)),
+            ("pearle", pearle_model(CANONICAL_ANGLES)),
+        ],
+    )
+    def test_model(self, family, expected):
+        model = build_model({"family": family, "angles": CANONICAL_ANGLES_JSON}, "model")
+        assert type(model) is type(expected)
+        for f in dataclasses.fields(expected):
+            assert np.array_equal(getattr(model, f.name), getattr(expected, f.name)), f.name
 
 
 SUBMODULES = ("core", "couplings", "protocol", "pipeline", "io", "analysis", "cli")

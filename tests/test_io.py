@@ -14,8 +14,8 @@ from belllab import io as bio
 from belllab.analysis import nosignalling_test
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, ContextTable, estimate
 from belllab.errors import ConfigError
-from belllab.pipeline import PairedRawData
-from belllab.protocol import EventReadyConfig, RawEventStream, run_event_ready
+from belllab.pipeline import PairedRawData, RawEventStream
+from belllab.protocol import EventReadyConfig, run_event_ready
 
 INT64 = np.iinfo(np.int64)
 

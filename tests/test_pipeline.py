@@ -17,6 +17,7 @@ from belllab.errors import PipelineError
 from belllab.pipeline import (
     CoincidencePolicy,
     PairedRawData,
+    RawEventStream,
     _match_greedy,
     _match_lattice,
     _merge,
@@ -24,7 +25,7 @@ from belllab.pipeline import (
     postselect,
     window_sweep,
 )
-from belllab.protocol import RawEventStream, SourceProtocolConfig, run_source_experiment
+from belllab.protocol import SourceProtocolConfig, run_source_experiment
 
 
 def make_stream(station, events):

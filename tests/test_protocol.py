@@ -8,10 +8,10 @@ import pytest
 from belllab import protocol
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, ContextTable, chsh, estimate
 from belllab.couplings import QuantumSingletModel, pearle_model, sample_batch
+from belllab.pipeline import RawEventStream
 from belllab.protocol import (
     CHUNK,
     EventReadyConfig,
-    RawEventStream,
     SourceProtocolConfig,
     run_event_ready,
     run_source_experiment,
