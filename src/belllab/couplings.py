@@ -109,10 +109,19 @@ def _responses(name: str, values, shape: tuple[int, ...], allowed: tuple[int, ..
 
 
 def _draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One draw from ``law`` per uniform in ``u``, as an index array per axis of ``law``."""
-    cum = np.cumsum(np.clip(law.ravel(), 0.0, None))
+    """One draw from ``law`` per uniform in ``u``, as an index array per axis of ``law``.
+
+    The cumulative runs over the positive entries only, and the search result
+    is mapped back to their indices. That returns the index a search over the
+    whole cumulative would: adding 0.0 leaves a float partial sum unchanged,
+    and a right-side search lands only where the cumulative steps up, which
+    is on a positive entry. Entries in [-WEIGHT_EPS, 0] carry no weight.
+    """
+    flat = law.ravel()
+    support = np.flatnonzero(flat > 0.0)
+    cum = np.cumsum(flat[support])
     cum /= cum[-1]
-    return np.unravel_index(np.searchsorted(cum, u, side="right"), law.shape)
+    return np.unravel_index(support[np.searchsorted(cum, u, side="right")], law.shape)
 
 
 @dataclass(frozen=True)
@@ -270,8 +279,8 @@ class ContextualModel:
         mu_x = np.empty(n, dtype=np.int64)
         mu_y = np.empty(n, dtype=np.int64)
         for s in CONTEXTS:
-            mask = (x == s.x) & (y == s.y)
-            mu_x[mask], mu_y[mask] = _draw(self.instrument_weights[s.x, s.y], u_ins[mask])
+            rows = np.flatnonzero((x == s.x) & (y == s.y))
+            mu_x[rows], mu_y[rows] = _draw(self.instrument_weights[s.x, s.y], u_ins[rows])
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 
@@ -334,10 +343,10 @@ class PostSelectionModel:
         mu_x = np.empty(n, dtype=np.int64)
         mu_y = np.empty(n, dtype=np.int64)
         for lbl in (0, 1):
-            mask = x == lbl
-            (mu_x[mask],) = _draw(self.alice_instrument[lbl], u_a[mask])
-            mask = y == lbl
-            (mu_y[mask],) = _draw(self.bob_instrument[lbl], u_b[mask])
+            rows = np.flatnonzero(x == lbl)
+            (mu_x[rows],) = _draw(self.alice_instrument[lbl], u_a[rows])
+            rows = np.flatnonzero(y == lbl)
+            (mu_y[rows],) = _draw(self.bob_instrument[lbl], u_b[rows])
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 

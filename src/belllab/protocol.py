@@ -213,11 +213,11 @@ def _emission_events(
     outcome_delay: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     detected = outcomes != 0
-    t = emit_times[detected]
-    s = settings[detected]
-    o = outcomes[detected]
+    t = np.compress(detected, emit_times)
+    s = np.compress(detected, settings)
+    o = np.compress(detected, outcomes)
     shift = (
-        jitter[detected]
+        np.compress(detected, jitter)
         + np.take(setting_delay, s)
         + np.take(outcome_delay, np.where(o == 1, 0, 1))
     )
@@ -245,9 +245,7 @@ def run_source_experiment(
     if n_emit < 1:
         warnings.append("expected pair count below 1; streams contain only dark counts")
 
-    emit_times = np.sort(
-        _rng.stream(seed, "source-times").integers(0, duration_ns, size=n_emit)
-    ).astype(np.int64)
+    emit_times = np.sort(_rng.stream(seed, "source-times").integers(0, duration_ns, size=n_emit))
 
     def make_chunk(start: int, stop: int, index: int):
         m = stop - start
@@ -256,7 +254,7 @@ def run_source_experiment(
         a, b = sample_batch(model, x, y, _rng.stream(seed, "source-model", index))
         jit_a = _rng.stream(seed, "source-jitter-a", index).normal(0.0, cfg.jitter_sd, size=m)
         jit_b = _rng.stream(seed, "source-jitter-b", index).normal(0.0, cfg.jitter_sd, size=m)
-        return x, y, a.astype(np.int8), b.astype(np.int8), jit_a, jit_b
+        return x, y, a, b, jit_a, jit_b
 
     x, y, a, b, jit_a, jit_b = _run_chunks(n_emit, make_chunk)
 

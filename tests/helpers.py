@@ -155,6 +155,14 @@ def greedy_indices(ta: np.ndarray, tb: np.ndarray, w: int) -> tuple[list[int], l
     return ia, ib
 
 
+def full_cumulative_draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Categorical draws as ``couplings._draw`` first made them: a search over the
+    cumulative of every entry of ``law``, negative entries clipped to 0."""
+    cum = np.cumsum(np.clip(law.ravel(), 0.0, None))
+    cum /= cum[-1]
+    return np.unravel_index(np.searchsorted(cum, u, side="right"), law.shape)
+
+
 def random_deterministic_model(rng: np.random.Generator, n_hidden: int = 6) -> DeterministicLHVModel:
     w = rng.dirichlet(np.ones(n_hidden))
     return DeterministicLHVModel(

@@ -140,6 +140,91 @@ def pearle_streams(tmp_path_factory):
     return out
 
 
+#: Source runs of the four explicit-table families, each with zero-weight
+#: entries in its laws; 70000 emissions make two generation chunks.
+SIMULATE_SPECS = {
+    "contextual": {
+        "family": "contextual",
+        "source_weights": [[0.5, 0.0], [0.0, 0.5]],
+        "instrument_weights": {
+            "00": [[1.0, 0.0], [0.0, 0.0]],
+            "01": [[0.0, 1.0], [0.0, 0.0]],
+            "10": [[0.0, 0.0], [1.0, 0.0]],
+            "11": [[0.25, 0.25], [0.25, 0.25]],
+        },
+        "alice": [[[1, 1], [-1, -1]], [[1, -1], [1, -1]]],
+        "bob": [[[1, -1], [1, -1]], [[1, 1], [-1, -1]]],
+    },
+    "post_selection": {
+        "family": "post_selection",
+        "source_weights": [[0.0, 0.5], [0.25, 0.25]],
+        "alice_instrument": [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]],
+        "bob_instrument": [[0.0, 0.0, 1.0], [0.5, 0.25, 0.25]],
+        "alice": [[[1, 0, -1], [-1, 0, 1]], [[1, 1, 0], [-1, -1, 1]]],
+        "bob": [[[1, -1, 0], [-1, 1, 1]], [[0, 1, -1], [0, -1, 1]]],
+    },
+    "deterministic_lhv": {
+        "family": "deterministic_lhv",
+        "weights": [0.0, 0.5, 0.0, 0.5, 0.0],
+        "alice": [[1, -1, 1, 1, -1], [1, 1, -1, -1, 1]],
+        "bob": [[-1, 1, 1, -1, 1], [1, -1, -1, 1, 1]],
+    },
+    "stochastic_lhv": {
+        "family": "stochastic_lhv",
+        "weights": [0.25, 0.0, 0.75],
+        "alice_plus": [[0.9, 0.5, 0.1], [0.2, 0.3, 0.7]],
+        "bob_plus": [[0.6, 0.5, 0.0], [1.0, 0.4, 0.25]],
+    },
+}
+
+#: sha256 of the files simulate writes, for ``pearle_streams`` and for each of
+#: ``SIMULATE_SPECS``.
+SIMULATE_SHA256 = {
+    "pearle": {
+        "timetags_a.csv": "de86c6a4763e2f828e19fa48544cb952930ea1b2b9eef3b07725e3e381228708",
+        "timetags_b.csv": "1ab651894635a862a873f53fbf1fe7a6bb16195bf870350ef040734be398cb2d",
+        "raw_pairs.csv": "bae98c27fdf38f88e063f354d829b7bec47d5b733352b8ea181f61db0480b792",
+    },
+    "contextual": {
+        "timetags_a.csv": "f7762c61b939ac63f8f31c19f91a3134c9ea980e615ffeb25be88d0631770e41",
+        "timetags_b.csv": "6cb179628f95c193719cd922b029608218982a0bcfe8636f9707ddbd07490be0",
+        "raw_pairs.csv": "3db637d85ba592ff2c7b700d8e697f5f61277c919e306aa1d348eb62fb4f5ea3",
+    },
+    "post_selection": {
+        "timetags_a.csv": "ccf0cafd78c949b9e3a71495652cec52a309a3ca03aebd532a4038ed1972139f",
+        "timetags_b.csv": "57b0149cc008307e9a31516afbb0644feb293e27dbe93a241c2454707ead1d99",
+        "raw_pairs.csv": "43542f7c6336f39669ad2534aae7ce10cb2a4be63ab8cc70a162c9bd55f11b41",
+    },
+    "deterministic_lhv": {
+        "timetags_a.csv": "431b66ae79e835d3ae5b0c57bb8b0df86267d12f85a96fbf7d7c801466b08f52",
+        "timetags_b.csv": "d168b025f881234752b6dc1934715bfe3ca5a0022af7293fb45f2b3cd31e5aa6",
+        "raw_pairs.csv": "637a00968db9b751939fdc5d1b47c8251ea850a13fec11c26baeaf6fb7d6cb5c",
+    },
+    "stochastic_lhv": {
+        "timetags_a.csv": "2508cd982a791cb8edf6b55706ba6af20b5013f66f92d26b2e850d3fb7f2f2fd",
+        "timetags_b.csv": "7937a07591f31b7634401a86655be06c2c076c78e6c71d451f2a604f1993179d",
+        "raw_pairs.csv": "ea7d6f6c311119c8706e1245eb6c0b3c2b18c7da47c4bf4029578818fe884d78",
+    },
+}
+
+
+class TestSimulateBytes:
+    def test_pearle_files_unchanged(self, pearle_streams):
+        for name, digest in SIMULATE_SHA256["pearle"].items():
+            assert hashlib.sha256((pearle_streams / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("family", sorted(SIMULATE_SPECS))
+    def test_tabulated_family_files_unchanged(self, tmp_path, family):
+        cfg = source_config(
+            SIMULATE_SPECS[family], pair_rate=70_000.0, jitter_sd=2.0, dark_rate=500.0,
+            setting_delay={"alice": [0.0, 4.0], "bob": [0.0, 6.0]},
+        )
+        cfg["seed"] = 20260810
+        assert main(["simulate", "--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path)]) == 0
+        for name, digest in SIMULATE_SHA256[family].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 #: sha256 of report.json from analyze at W = 15 ns on ``pearle_streams``, per
 #: (strategy, raw_pairs given).
 REPORT_JSON_SHA256 = {

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from belllab.cli import build_model
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, SettingPair
 from belllab.couplings import (
+    WEIGHT_EPS,
     ContextualModel,
     DeterministicLHVModel,
     PostSelectionModel,
     QuantumSingletModel,
     StochasticLHVModel,
+    _draw,
+    _law,
     deterministic_strategies,
     disjoint_support_model,
     exact_chsh,
@@ -32,6 +36,7 @@ from belllab.rng import stream
 from helpers import (
     brute_force_contextual,
     brute_force_postselection,
+    full_cumulative_draw,
     random_contextual_model,
     random_deterministic_model,
     random_postselection_model,
@@ -561,6 +566,56 @@ def test_raw_marginals_do_not_signal(family, seed):
                 k1, k2 = (int((drawn[s][station] == v).sum()) for s in pair)
                 p = (k1 + k2) / (2 * n)  # pooled under no signalling
                 assert abs(k1 - k2) / n <= 5 * math.sqrt(2 * p * (1 - p) / n)
+
+
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_draw_over_the_support_matches_the_full_cumulative(ndim, single, seed):
+    """``_draw`` returns the oracle's indices, zero runs and tiny negatives included."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(1, 6, size=ndim))
+    n = math.prod(shape)
+    flat = np.zeros(n)
+    if single:
+        flat[rng.integers(n)] = 1.0
+    else:
+        flat[:] = rng.random(n) + 0.01
+        # Runs of zeros at the start, in the middle and at the end.
+        start, end = rng.integers(0, n // 3 + 1, size=2)
+        mid = int(rng.integers(0, n))
+        flat[:start] = 0.0
+        flat[mid : mid + int(rng.integers(0, n // 3 + 1))] = 0.0
+        flat[n - end :] = 0.0
+        if not (flat > 0).any():
+            flat[rng.integers(n)] = 1.0
+        flat /= flat.sum()
+    zeros = np.flatnonzero(flat == 0.0)
+    tiny = rng.choice(zeros, size=len(zeros) // 2, replace=False)
+    flat[tiny] = -WEIGHT_EPS * (1.0 - rng.random(len(tiny)))  # in [-WEIGHT_EPS, 0)
+    law = _law("law", flat.reshape(shape), ndim)
+    # Uniforms on each partial sum of the normalized law and one float below it.
+    partial = np.cumsum(np.clip(law.ravel(), 0.0, None))
+    partial /= partial[-1]
+    partial = partial[partial < 1.0]
+    ends = [0.0, np.nextafter(1.0, 0.0)]
+    u = np.concatenate([rng.random(64), partial, np.nextafter(partial, 0.0), ends])
+    got, want = _draw(law, u), full_cumulative_draw(law, u)
+    assert len(got) == ndim
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_pearle_draw_makes_no_law_sized_temporary():
+    """A draw from the Pearle source law allocates under half the law's size."""
+    law = pearle_model(CANONICAL_ANGLES).source_weights
+    u = stream(1, "sampling").random(2**16)
+    tracemalloc.start()
+    try:
+        _draw(law, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < law.nbytes / 2, (peak, law.nbytes)
 
 
 #: The four tabulated families and the classes ``build_model`` makes of them.
