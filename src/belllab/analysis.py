@@ -38,6 +38,7 @@ from .core import (
     ContextTable,
     CorrelationSummary,
     SettingPair,
+    ordered_map,
 )
 from .couplings import CouplingModel, deterministic_strategies, sample_batch
 from .errors import AnalysisError
@@ -500,20 +501,22 @@ def theta_sweep(
     the (0, 0) context is theta. With ``n_trials`` unset the exact expectation is
     used (stderr 0, n 0); otherwise each point is estimated from n_trials
     Monte-Carlo draws on the stream (seed, "sweep", point index), with E
-    conditioned on nonzero pairs and n reporting the pairs used.
+    conditioned on nonzero pairs and n reporting the pairs used. The points
+    run through ``ordered_map``, so ``model_factory`` may be called from
+    worker threads; the first point whose call raises, in grid order, raises.
     """
     if len(thetas) == 0:
         raise AnalysisError("theta sweep needs a non-empty grid")
     if n_trials is not None and (not 1 <= n_trials <= MAX_ITEMS or seed is None):
         raise AnalysisError(f"Monte-Carlo sweeps need 1 <= n_trials <= {MAX_ITEMS} and a seed")
     context = SettingPair(0, 0)
-    points = []
-    for idx, theta in enumerate(thetas):
-        model = model_factory(float(theta))
+
+    def point(item: tuple[int, float]) -> SweepPoint:
+        idx, theta = item[0], float(item[1])
+        model = model_factory(theta)
         if n_trials is None:
             m = model.exact_expectation(context)
-            points.append(SweepPoint(theta=float(theta), e_ab=m.e_ab, stderr=0.0, n=0))
-            continue
+            return SweepPoint(theta=theta, e_ab=m.e_ab, stderr=0.0, n=0)
         g = _rng.stream(seed, "sweep", idx)
         x = y = np.zeros(n_trials, dtype=np.int64)
         a, b = sample_batch(model, x, y, g)
@@ -521,9 +524,10 @@ def theta_sweep(
         used = prod != 0.0
         k = int(used.sum())
         if k == 0:
-            points.append(SweepPoint(theta=float(theta), e_ab=None, stderr=0.0, n=0))
-            continue
+            return SweepPoint(theta=theta, e_ab=None, stderr=0.0, n=0)
         e = float(prod[used].mean())
         stderr = math.sqrt(max(1.0 - e * e, 0.0) / k)
-        points.append(SweepPoint(theta=float(theta), e_ab=e, stderr=stderr, n=k))
-    return points
+        return SweepPoint(theta=theta, e_ab=e, stderr=stderr, n=k)
+
+    # Each point draws from its own stream, so the points run on the workers.
+    return list(ordered_map(point, list(enumerate(thetas))))

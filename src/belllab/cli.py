@@ -221,6 +221,11 @@ def _fields(build: Callable, read=_array, **readers) -> Callable[[dict, str], ob
     return built
 
 
+def _default(build: Callable, name: str):
+    """The default of ``build``'s parameter ``name``, for a field read outside ``_fields``."""
+    return inspect.signature(build).parameters[name].default
+
+
 def _nested(build: Callable, read, **readers):
     """A reader of a field holding an object that ``_fields(build, read, **readers)`` reads."""
     fields = _fields(build, read, **readers)
@@ -393,7 +398,7 @@ def cmd_analyze(args) -> int:
         stream_a, stream_b = _streams(inputs, "inputs")
         wspec = _get(inputs, "window", "inputs")
         width = _integer(wspec, "width_ns", "inputs.window")
-        strategy = _get(wspec, "strategy", "inputs.window", default="lattice")
+        strategy = _get(wspec, "strategy", "inputs.window", default=_default(window_sweep, "strategy"))
         with _section("inputs.window"):
             (point,) = window_sweep(stream_a, stream_b, [width], strategy=strategy)
         final_table, summary = point.table, point.summary
@@ -460,7 +465,7 @@ def cmd_sweep(args) -> int:
         mspec = _get(spec, "model", "sweep")
         _choice(mspec, "family", "sweep.model", THETA_FAMILIES)
         thetas = _thetas(spec)
-        n_per_point = _integer(spec, "n_per_point", "sweep", default=None)
+        n_per_point = _integer(spec, "n_per_point", "sweep", default=_default(theta_sweep, "n_trials"))
         with _section("sweep"):
             points = theta_sweep(
                 # theta is the relative angle at the (0, 0) context
@@ -480,7 +485,7 @@ def cmd_sweep(args) -> int:
             isinstance(w, bool) or not isinstance(w, int) for w in windows
         ):
             raise ConfigError("sweep.windows_ns", f"must be an array of integers, got {windows!r}")
-        strategy = _get(spec, "strategy", "sweep", default="lattice")
+        strategy = _get(spec, "strategy", "sweep", default=_default(window_sweep, "strategy"))
         with _section("sweep"):
             points = window_sweep(stream_a, stream_b, windows, strategy=strategy)
         name, text, rows = "windows", bio.window_sweep_csv(points, seed), [p.to_json() for p in points]

@@ -13,17 +13,19 @@ Two types shape their own JSON with ``to_json``: ``WindowPoint`` writes ``S``
 and leaves out its table and pairing audit, and ``FeasibilityResult`` labels
 its joint weights by strategy.
 
-The integer CSV writers format whole columns at once with numpy, in blocks
-of ``BLOCK_ROWS`` rows, so memory stays flat however long the file. The
-readers check the two header lines, then give ``np.loadtxt`` the path, not
-the open file: numpy parses a file it opened itself in large chunks in C,
-but iterates any other object one Python line at a time. Given a path, it
-picks a decompressor from the suffix, so the readers refuse ``.gz``,
-``.bz2``, ``.xz`` and ``.lzma`` names. Trial ids and time tags are parsed as
-int64 and every code column as int16: a code cell beyond int16 is a parse
-error, and ``core.codes`` checks the rest before narrowing them to int8.
-Every reader message places a row as ``data row N``, counting the rows that
-hold data from 1.
+The integer CSV writers format whole columns at once with numpy, in row
+blocks that ``core.ordered_map`` spreads over the ``BELLLAB_THREADS``
+workers and that are written in order. The blocks in flight hold at most
+``BLOCK_ROWS`` rows together, so memory stays flat however long the file and
+whatever the worker count. The readers check the two header lines, then
+give ``np.loadtxt`` the path, not the open file: numpy parses a file it
+opened itself in large chunks in C, but iterates any other object one Python
+line at a time. Given a path, it picks a decompressor from the suffix, so
+the readers refuse ``.gz``, ``.bz2``, ``.xz`` and ``.lzma`` names. Trial ids
+and time tags are parsed as int64 and every code column as int16: a code
+cell beyond int16 is a parse error, and ``core.codes`` checks the rest
+before narrowing them to int8. Every reader message places a row as ``data
+row N``, counting the rows that hold data from 1.
 
 Column schemas:
 
@@ -46,14 +48,14 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import SweepPoint
-from .core import CONTEXTS, ContextTable, CorrelationSummary
+from .core import CONTEXTS, ContextTable, CorrelationSummary, ordered_map, row_blocks
 from .errors import ConfigError
 from .pipeline import PairedRawData, RawEventStream, WindowPoint
 
 SCHEMA_VERSION = 1
 
-#: Rows formatted per write by the integer CSV writers. Output bytes do not
-#: depend on it; it bounds the writers' memory.
+#: Rows the integer CSV writers format at once, over all workers. Output bytes
+#: do not depend on it; it bounds the writers' memory.
 BLOCK_ROWS = 1 << 18
 
 __all__ = [
@@ -116,18 +118,23 @@ def _cells(values: np.ndarray, sep: str) -> np.ndarray:
 def _int_csv(path: Path, header: str, columns: dict[str, np.ndarray]) -> None:
     """Write ``header``, the column names and the rows as decimal integers.
 
-    Rows are formatted and written BLOCK_ROWS at a time, which bounds the
-    memory of the character matrices whatever the file size.
+    Row blocks are formatted on the workers and written in order. The blocks
+    in flight hold at most BLOCK_ROWS rows together, which bounds the memory
+    of the character matrices whatever the file size and worker count.
     """
     arrays = list(columns.values())
     seps = "," * (len(arrays) - 1) + "\n"
+
+    def block(span: tuple[int, int]) -> bytes:
+        start, stop = span
+        chars = np.vstack([_cells(a[start:stop], sep) for a, sep in zip(arrays, seps)])
+        # Row-major bytes of the block, less the unused (0) characters.
+        return chars.T.tobytes().translate(None, b"\0")
+
     with path.open("wb") as f:
         f.write(f"{header}\n{','.join(columns)}\n".encode())
-        for start in range(0, len(arrays[0]), BLOCK_ROWS):
-            stop = start + BLOCK_ROWS
-            chars = np.vstack([_cells(a[start:stop], sep) for a, sep in zip(arrays, seps)])
-            # Row-major bytes of the block, less the unused (0) characters.
-            f.write(chars.T.tobytes().translate(None, b"\0"))
+        for text in ordered_map(block, row_blocks(len(arrays[0]), BLOCK_ROWS)):
+            f.write(text)
 
 
 def _located(message: str) -> str:

@@ -31,16 +31,13 @@ experiment.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as _rng
-from .core import MAX_ITEMS, AngleAssignment
+from .core import MAX_ITEMS, AngleAssignment, ordered_map
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
-from .errors import ConfigError
 from .pipeline import PairedRawData, RawEventStream
 
 __all__ = [
@@ -49,7 +46,6 @@ __all__ = [
     "SourceRun",
     "run_source_experiment",
     "run_event_ready",
-    "worker_count",
 ]
 
 #: Trials/emissions are generated in independent chunks of this size. The
@@ -58,30 +54,15 @@ __all__ = [
 CHUNK = 1 << 16
 
 
-def worker_count() -> int:
-    """Worker cap from BELLLAB_THREADS (default: all cores). Never affects results."""
-    raw = os.environ.get("BELLLAB_THREADS")
-    if not raw:
-        return os.cpu_count() or 1
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ConfigError("BELLLAB_THREADS", f"must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def _run_chunks(n_items: int, make_chunk) -> list[np.ndarray]:
-    """Evaluate make_chunk(start, stop, index) over CHUNK-sized ranges, in order.
+    """Evaluate make_chunk(start, stop, index) over CHUNK-sized ranges, on ``ordered_map``'s workers.
 
     ``make_chunk`` returns a tuple of arrays; each of them is joined over the
     chunks. An empty run is one empty chunk, so the columns keep their dtypes.
     """
     starts = range(0, n_items, CHUNK) or [0]
     spans = [(start, min(start + CHUNK, n_items), i) for i, start in enumerate(starts)]
-    workers = min(worker_count(), len(spans))
-    if workers <= 1:
-        chunks = [make_chunk(*span) for span in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda span: make_chunk(*span), spans))
+    chunks = list(ordered_map(lambda span: make_chunk(*span), spans))
     return [np.concatenate(column) for column in zip(*chunks)]
 
 

@@ -4,8 +4,10 @@ Every stochastic routine in this package draws from a Philox generator keyed
 by ``(seed, *stream_ids)``. Streams with different ids are statistically
 independent, and a stream's output depends only on its key, never on how many
 other streams exist or in which order they are consumed. That is what makes
-chunked (and optionally parallel) generation reproducible: chunk ``i`` always
-uses the stream ``(seed, purpose, i)`` regardless of worker count.
+chunked generation reproducible when ``core.ordered_map`` runs the chunks on
+``BELLLAB_THREADS`` workers: chunk ``i`` of a protocol run always uses the
+stream ``(seed, purpose, i)``, and point ``i`` of a theta sweep the stream
+``(seed, "sweep", i)``, whatever the worker count.
 """
 
 from __future__ import annotations

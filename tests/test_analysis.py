@@ -432,6 +432,24 @@ class TestThetaSweep:
         with pytest.raises(AnalysisError):
             theta_sweep(self.singlet_factory(), [0.1], n_trials=100)
 
+    def test_first_failing_point_raises_on_workers(self, monkeypatch):
+        # The points run on two workers; the error is point 3's, as in a serial loop.
+        monkeypatch.setenv("BELLLAB_THREADS", "2")
+        thetas = [0.1 * i for i in range(10)]
+        calls = []
+
+        def factory(theta):
+            calls.append(theta)
+            idx = thetas.index(theta)
+            if idx in (3, 7):
+                raise ValueError(f"point {idx} failed")
+            return self.singlet_factory()(theta)
+
+        with pytest.raises(ValueError, match="^point 3 failed$"):
+            theta_sweep(factory, thetas, n_trials=2_000, seed=4)
+        # At most two points are in flight, so the sweep stops before point 7.
+        assert sorted(calls) == thetas[: len(calls)] and len(calls) <= 5
+
 
 class TestPairwiseTables:
     def test_singlet_tables_by_hand(self):

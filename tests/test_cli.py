@@ -490,6 +490,42 @@ class TestSweep:
         for name, digest in THETA_SWEEP_SHA256[case].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind", ["theta", "window"])
+    def test_bytes_independent_of_worker_count(self, tmp_path, monkeypatch, pearle_streams, kind):
+        if kind == "theta":
+            sweep = {"model": {"family": "quantum_singlet", "visibility": 0.8}, "n_per_point": 20_000}
+            sweep["thetas"] = {"start": 0.0, "stop": 3.0, "count": 12}
+        else:
+            sweep = {"windows_ns": [4, 15, 60], "strategy": "greedy"}
+            sweep.update((key, str(pearle_streams / f"{key}.csv")) for key in ("timetags_a", "timetags_b"))
+        cfg = write_config(tmp_path / "c.json", {"seed": 11, "sweep": {"kind": kind, **sweep}})
+        name = "sweep" if kind == "theta" else "windows"
+        outputs = []
+        for threads in ("1", "2", "5"):
+            monkeypatch.setenv("BELLLAB_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+            outputs.append([(out / f).read_bytes() for f in (f"{name}.csv", f"{name}.json", "metadata.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_theta_sweep_reports_the_first_failing_point(self, tmp_path, monkeypatch, capsys):
+        # Points 3 and 7 fail to build on two workers; the error is point 3's, as in a serial loop.
+        monkeypatch.setenv("BELLLAB_THREADS", "2")
+        thetas = [0.25 * i for i in range(10)]
+        check = AngleAssignment.__post_init__
+
+        def refuse_two_points(angles):
+            if angles.alice[0] in (thetas[3], thetas[7]):
+                raise ValueError(f"point {thetas.index(angles.alice[0])} refused")
+            check(angles)
+
+        monkeypatch.setattr(AngleAssignment, "__post_init__", refuse_two_points)
+        sweep = {"kind": "theta", "model": {"family": "quantum_singlet"}, "thetas": thetas, "n_per_point": 1000}
+        cfg = write_config(tmp_path / "c.json", {"seed": 1, "sweep": sweep})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: sweep.model.angles: point 3 refused\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_empty_grid_exits_two(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

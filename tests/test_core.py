@@ -1,7 +1,9 @@
 """Core types, columnar tallying, estimation, and the CHSH statistic."""
 
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,11 @@ from belllab.core import (
     chsh,
     codes,
     estimate,
+    ordered_map,
+    row_blocks,
+    worker_count,
 )
+from belllab.errors import ConfigError
 
 SQRT2 = math.sqrt(2)
 
@@ -294,3 +300,81 @@ class TestChsh:
             bumped = dict(base)
             bumped[(s.x, s.y)] = 0.25
             assert chsh(summary_from(bumped)) == pytest.approx(CHSH_SIGNS[s] * 0.25)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    def test_results_in_input_order(self, monkeypatch, threads):
+        monkeypatch.setenv("BELLLAB_THREADS", threads)
+        # Later items finish first, so the pool completes them out of order.
+        delays = [0.004 * (9 - i) for i in range(10)]
+
+        def slow_square(i):
+            threading.Event().wait(delays[i])
+            return i * i
+
+        assert list(ordered_map(slow_square, range(10))) == [i * i for i in range(10)]
+        assert list(ordered_map(slow_square, [])) == []
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_at_most_worker_count_items_in_flight(self, monkeypatch, threads):
+        monkeypatch.setenv("BELLLAB_THREADS", str(threads))
+        lock = threading.Lock()
+        running, peak = [0], [0]
+        first_round = threading.Barrier(threads)
+
+        def task(i):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            if i < threads:
+                first_round.wait(timeout=10)  # the first items all start before any ends
+            return i
+
+        held = 0
+        for i in ordered_map(task, range(12)):
+            # The caller holds item i: it counts as in flight until it asks for the next.
+            with lock:
+                assert running[0] <= threads
+                running[0] -= 1
+            held += 1
+        assert held == 12 and peak[0] == threads
+
+    def test_first_error_in_input_order(self, monkeypatch):
+        monkeypatch.setenv("BELLLAB_THREADS", "8")
+
+        def task(i):
+            if i in (3, 7):
+                # Item 7 fails at once, item 3 only after a pause.
+                threading.Event().wait(0.05 if i == 3 else 0.0)
+                raise ValueError(f"item {i}")
+            return i
+
+        results = []
+        with pytest.raises(ValueError, match="^item 3$"):
+            for r in ordered_map(task, range(10)):
+                results.append(r)
+        assert results == [0, 1, 2]
+
+
+class TestWorkerCount:
+    def test_defaults_to_the_cores(self, monkeypatch):
+        monkeypatch.delenv("BELLLAB_THREADS", raising=False)
+        assert worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv("BELLLAB_THREADS", "3")
+        assert worker_count() == 3
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "two", "1.5"])
+    def test_rejects_non_positive_integers(self, monkeypatch, raw):
+        monkeypatch.setenv("BELLLAB_THREADS", raw)
+        with pytest.raises(ConfigError, match="^BELLLAB_THREADS: "):
+            worker_count()
+
+    @pytest.mark.parametrize("threads, rows", [(1, 4), (4, 4), (4, 1), (3, 10), (2, 1 << 18)])
+    def test_row_blocks_share_the_rows(self, monkeypatch, threads, rows):
+        monkeypatch.setenv("BELLLAB_THREADS", str(threads))
+        for n in (0, 1, rows, 3 * rows + 2):
+            blocks = row_blocks(n, rows)
+            assert [b for block in blocks for b in range(*block)] == list(range(n))
+            sizes = [stop - start for start, stop in blocks]
+            assert all(size == max(rows // threads, 1) for size in sizes[:-1])

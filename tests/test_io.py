@@ -1,6 +1,7 @@
 """File format round trips and header validation."""
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -98,6 +99,31 @@ def test_int_csv_crosses_block_rows(tmp_path):
     columns = {"id": ids, "wide": wide, "code": np.resize(np.array([-1, 0, 1], dtype=np.int8), n)}
     bio._int_csv(tmp_path / "rows.csv", "# header", columns)
     assert (tmp_path / "rows.csv").read_bytes() == savetxt_int_csv("# header", columns)
+
+
+def test_int_csv_memory_flat_across_workers(tmp_path, monkeypatch):
+    # Over four blocks' worth of rows, four workers share the one block's budget.
+    n = 4 * bio.BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    columns = {
+        "trial_id": np.arange(n),
+        "x": rng.integers(0, 2, size=n).astype(np.int8),
+        "a": (1 - 2 * rng.integers(0, 2, size=n)).astype(np.int8),
+    }
+    peaks, files = {}, {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("BELLLAB_THREADS", threads)
+        path = tmp_path / f"rows_{threads}.csv"
+        bio._int_csv(path, "# header", columns)  # the first pool imports concurrent.futures
+        tracemalloc.start()
+        try:
+            bio._int_csv(path, "# header", columns)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        files[threads] = path.read_bytes()
+    assert files["1"] == files["4"]
+    assert peaks["4"] <= 1.05 * peaks["1"] + 2**16, peaks
 
 
 def test_writers_stream_row_blocks(tmp_path, monkeypatch):
