@@ -518,10 +518,13 @@ def theta_sweep(
             m = model.exact_expectation(context)
             return SweepPoint(theta=theta, e_ab=m.e_ab, stderr=0.0, n=0)
         g = _rng.stream(seed, "sweep", idx)
-        x = y = np.zeros(n_trials, dtype=np.int64)
+        # int8 settings pass ``codes`` without a round trip.
+        x = y = np.zeros(n_trials, dtype=np.int8)
         a, b = sample_batch(model, x, y, g)
-        prod = a.astype(np.float64) * b.astype(np.float64)
-        used = prod != 0.0
+        # Outcomes are int8 in (-1, 0, 1), so the product cannot wrap, and a
+        # float64 mean of +-1 values is exact in any summation order.
+        prod = a * b
+        used = prod != 0
         k = int(used.sum())
         if k == 0:
             return SweepPoint(theta=theta, e_ab=None, stderr=0.0, n=0)

@@ -18,9 +18,11 @@ be read either way; the strategy used is recorded in the pairing metadata:
   earliest event per station wins; extra events in the bin are dropped and
   counted), a bin with events on one side only yields a one-sided row.
   One stable sort merges the two streams' times per sweep, since their time
-  order does not depend on W. Per width, each run of equal bins in the merge
-  is a row, numbered by a running count of run starts, and a station's first
-  event in a run, its earliest in that bin, takes that row.
+  order does not depend on W, and one running count of station B's events
+  goes with it. Per width, each run of equal bins in the merge is a row. A
+  station's count before a run is the index of its earliest event in that
+  bin, if the count grows before the next run starts; else the station has
+  no event in the row.
 * ``greedy``: both streams are scanned in time order (ties process station A
   first) and the earliest unconsumed event pairs with the first available
   opposite event within W; each event is used at most once.
@@ -31,13 +33,19 @@ be read either way; the strategy used is recorded in the pairing metadata:
   that drops the waiting events out of reach, then pairs or joins. These maps
   compose in closed form, so after a binary search per event in the sweep's
   merge z comes from an O(n) scan at any W: serial in blocks of 32, recursive
-  over blocks.
+  over blocks. The merge's B count gives each event's own index and the
+  queue's bounds, so neither strategy counts events again per width.
 
 One-sided rows from stream pairing carry a -1 sentinel for the remote
 station's setting: that information never enters the detection streams and
 cannot be reconstructed. Such rows belong to no context: a ContextTable
 counts them in none, and post-selection metadata counts them as unattributed.
 Rows from an emission truth record always carry both settings.
+
+A window sweep tallies each width's raw rows once, and that tally is also
+the post-selected rows' table: stream outcomes are +-1, so a zero outcome
+only fills the empty side of a one-sided row, and that row's unknown remote
+setting keeps it out of every context.
 
 All functions here are pure: identical inputs give identical outputs.
 """
@@ -189,52 +197,52 @@ def _paired(
     )
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of sorted ``values`` that differ from the one before."""
-    starts = np.ones(len(values), dtype=bool)
-    starts[1:] = values[1:] != values[:-1]
-    return starts
+def _run_bounds(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of sorted ``values`` starts, then ``len(values)``."""
+    edge = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
 
 
-def _running_count(mask: np.ndarray) -> np.ndarray:
-    """True entries of ``mask`` up to and including each position.
+def _merge(ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both stations' times in one time order, station B's positions, and B's count.
 
-    The cast comes first: numpy sums intp in place about twice as fast as it
-    sums bool through a buffered cast.
-    """
-    count = mask.astype(np.intp)
-    return np.cumsum(count, out=count)
-
-
-def _merge(ta: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both stations' times in one time order, and the mask of station B's positions.
-
-    The stable sort puts station A first on ties and keeps each station's own
-    order, so a station's events appear in the merge in index order. The
-    merge does not depend on the window width; a sweep builds it once, and
-    its arrays are read-only so that no width can change what the next reads.
+    ``from_b`` masks station B's merged positions, and ``n_b[i]`` is the
+    number of B events among the first i merged positions (``n_b[-1]`` counts
+    them all). The stable sort puts station A first on ties and keeps each
+    station's own order, so a station's events appear in the merge in index
+    order: at merged position i, the next B event has index ``n_b[i]`` and
+    the next A event ``i - n_b[i]``. The merge does not depend on the window
+    width; a sweep builds it once, and its arrays are read-only so that no
+    width can change what the next reads.
     """
     t = np.concatenate([ta, tb])
     order = np.argsort(t, kind="stable")
-    merged = t[order], order >= len(ta)
+    from_b = order >= len(ta)
+    # Cast, then sum in place: about twice as fast as summing bool through a buffered cast.
+    n_b = np.zeros(len(t) + 1, dtype=np.intp)
+    n_b[1:] = from_b
+    np.cumsum(n_b, out=n_b)
+    merged = t[order], from_b, n_b
     for column in merged:
         column.setflags(write=False)
     return merged
 
 
-def _match_lattice(t: np.ndarray, from_b: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def _match_lattice(
+    t: np.ndarray, from_b: np.ndarray, n_b: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray]:
     # Merged times are sorted, so bins are too: each run of equal bins is one
-    # row, numbered from 1 by the running count of run starts.
-    row = _running_count(_run_starts(t // w))
-    ia = np.full(int(row[-1]) if len(row) else 0, -1, dtype=np.intp)
-    ib = ia.copy()
-    for index, mask in ((ia, ~from_b), (ib, from_b)):
-        # The station's rows in its own order: its first event in a row (the
-        # earliest in that bin) starts a run. ``compress`` beats a mask index.
-        rows = np.compress(mask, row)
-        first = np.flatnonzero(_run_starts(rows))
-        index[rows[first] - 1] = first
-    return ia, ib
+    # row. A station's count before a run is the index of its first event in
+    # the run, the earliest in that bin, if the count grows by the next run.
+    # ``n_b`` carries all of ``from_b`` that this needs.
+    bounds = _run_bounds(t // w)
+    ib = n_b[bounds]
+    ia = bounds - ib
+    for count in (ia, ib):
+        # An index beats a mask here: 1 ms against 3.5 ms at 4e5 rows (numpy 2.4.6).
+        count[np.flatnonzero(count[1:] == count[:-1])] = -1
+    return ia[:-1], ib[:-1]
 
 
 #: A clamp bound beyond any queue count, so it never binds.
@@ -259,9 +267,9 @@ def _queue_counts(s: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip(z_in + s, lo, hi).T.reshape(-1)[:n]
 
 
-def _match_greedy(t: np.ndarray, from_b: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    n_b = _running_count(from_b)
-    n_b -= from_b  # B events before each merged position
+def _match_greedy(
+    t: np.ndarray, from_b: np.ndarray, n_b: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray]:
     # A gap of more than w empties the queue, so only later events of a cluster
     # are scanned. The uint64 difference of sorted int64 times cannot wrap.
     inner = np.flatnonzero(np.diff(t.view(np.uint64)) <= w) + 1
@@ -288,19 +296,23 @@ def _match_greedy(t: np.ndarray, from_b: np.ndarray, w: int) -> tuple[np.ndarray
     pa, pb = ~is_b & (z <= 0), is_b & (z >= 0)
     # Every event but the paired arrivals starts a row, in merged order, which
     # is the loop's order: each row holds the earliest event not yet consumed.
-    ia = np.where(from_b, -1, np.arange(len(from_b)) - n_b)  # an A event's own index
-    ib = np.where(from_b, n_b, -1)
+    before = n_b[:-1]
+    ia = np.where(from_b, -1, np.arange(len(from_b)) - before)  # an A event's own index
+    ib = np.where(from_b, before, -1)
     ia[np.flatnonzero(from_b)[nb_k[pa] + z[pa] - 1]] = na_k[pa]
     ib[np.flatnonzero(~from_b)[na_k[pb] - z[pb] - 1]] = nb_k[pb]
-    paired = inner[pa | pb]
-    return np.delete(ia, paired), np.delete(ib, paired)
+    keep = np.ones(len(from_b), dtype=bool)
+    keep[inner] = ~(pa | pb)
+    # The scan's columns go before the two copies, which set the call's peak.
+    del inner, is_b, nb_k, na_k, z, pa, pb
+    return np.compress(keep, ia), np.compress(keep, ib)
 
 
 def match_coincidences(
     stream_a: RawEventStream,
     stream_b: RawEventStream,
     policy: CoincidencePolicy,
-    merged: tuple[np.ndarray, np.ndarray] | None = None,
+    merged: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> PairedRawData:
     """Pair two detection streams into raw data under the given policy.
 
@@ -318,7 +330,7 @@ def match_coincidences(
 
 
 def postselect(
-    pairs: PairedRawData,
+    pairs: PairedRawData, table: ContextTable | None = None
 ) -> tuple[PairedRawData, dict[SettingPair, float | None]]:
     """Extract rows with both outcomes nonzero; report retention per context.
 
@@ -326,9 +338,11 @@ def postselect(
     gives it for the input's table: retained/total over the rows of that
     context, ``None`` for contexts with no rows. Row conservation (retained +
     dropped = input) and the rows in no context are recorded in metadata.
+    ``table`` is ``pairs.to_context_table()``, tallied here when not given; a
+    caller that needs the table itself passes the one it tallied.
     """
     rows = np.flatnonzero((pairs.a != 0) & (pairs.b != 0))
-    summary = estimate(pairs.to_context_table())
+    summary = estimate(pairs.to_context_table() if table is None else table)
     c_table = {s: summary[s].c for s in CONTEXTS}
     meta = {
         "input_rows": len(pairs),
@@ -380,8 +394,9 @@ def window_sweep(
     points = []
     for policy in policies:
         raw = match_coincidences(stream_a, stream_b, policy, merged)
-        final, c_table = postselect(raw)
-        table = final.to_context_table()
+        # The raw rows' table is also the final rows' table (module docstring).
+        table = raw.to_context_table()
+        final, c_table = postselect(raw, table)
         summary = estimate(table)
         points.append(
             WindowPoint(

@@ -228,7 +228,7 @@ def assert_lattice_matches_sets(ta, tb, w, merged=None):
 
 
 class TestLatticeAgainstSets:
-    """The rank-scatter lattice against the set-based oracle, index for index."""
+    """The run-start lattice against the set-based oracle, index for index."""
 
     @given(EXTREME_TIMES, EXTREME_TIMES, EXTREME_WINDOWS)
     @example([], [INT64_MIN, 0, INT64_MAX], INT64_MAX)
@@ -297,9 +297,11 @@ class TestSharedMerge:
         assert_shared_merge_matches_oracles(ta, tb, widths)
 
     def test_merge_is_read_only(self):
-        t, from_b = _merge(np.array([1, 5], dtype=np.int64), np.array([3], dtype=np.int64))
-        assert t.tolist() == [1, 3, 5] and from_b.tolist() == [False, True, False]
-        assert not t.flags.writeable and not from_b.flags.writeable
+        t, from_b, n_b = _merge(np.array([1, 5], dtype=np.int64), np.array([3, 5], dtype=np.int64))
+        assert t.tolist() == [1, 3, 5, 5] and from_b.tolist() == [False, True, False, True]
+        # B events among the first i merged positions, i = 0..4.
+        assert n_b.tolist() == [0, 0, 1, 1, 2]
+        assert not any(column.flags.writeable for column in (t, from_b, n_b))
 
 
 class TestGreedy:
@@ -465,8 +467,8 @@ class TestWindowSweep:
         out = run_source_experiment(cfg, pearle_model(CANONICAL_ANGLES), seed=11)
         swept = []
 
-        def recording_postselect(pairs):
-            swept.append(postselect(pairs))
+        def recording_postselect(pairs, table=None):
+            swept.append(postselect(pairs, table))
             return swept[-1]
 
         monkeypatch.setattr(pipeline, "postselect", recording_postselect)
@@ -482,6 +484,33 @@ class TestWindowSweep:
             assert c_table == alone_c
             assert point.table == alone.to_context_table()
             assert point.c_by_context == {s.key(): alone_c[s] for s in CONTEXTS}
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["lattice", "greedy"]),
+        st.sampled_from(["none", "A", "B"]),
+    )
+    @settings(max_examples=60)
+    def test_tables_equal_one_width_chain(self, seed, strategy, empty):
+        # The sweep tallies each width's raw rows once and reports that tally
+        # as the post-selected rows' table; postselect reuses it.
+        rng = np.random.default_rng(seed)
+        streams = []
+        for station in "AB":
+            n = 0 if station == empty else int(rng.integers(0, 200))
+            streams.append(RawEventStream(
+                station, np.sort(rng.integers(-50, 400, n)), rng.integers(0, 2, n), rng.choice([-1, 1], n)
+            ))
+        widths = [int(w) for w in rng.integers(1, 60, 3)]
+        for w, point in zip(widths, window_sweep(*streams, widths, strategy)):
+            raw = match_coincidences(*streams, CoincidencePolicy(window_ns=w, strategy=strategy))
+            final, c_table = postselect(raw)
+            assert point.table == final.to_context_table()
+            assert point.meta == final.meta
+            reused, reused_c = postselect(raw, raw.to_context_table())
+            assert reused_c == c_table and reused.meta == final.meta
+            for k in "xyab":
+                assert getattr(reused, k).tolist() == getattr(final, k).tolist()
 
     def test_empty_width_list_rejected(self):
         a = make_stream("A", [])
