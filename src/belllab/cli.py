@@ -332,19 +332,16 @@ def cmd_simulate(args) -> int:
         with _section("protocol"):
             run = run_event_ready(protocol, _angles(proto, "angles", "protocol"), n_trials, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
-        print(f"wrote {out / 'trials.csv'}")
-        meta = _document("simulate", seed, config=cfg, counts=run.meta, warnings=[])
-        _write(out / "metadata.json", bio.dump_json(meta))
-        return EXIT_OK
-
-    model = build_model(_get(cfg, "model", ""), "model")
-    run = run_source_experiment(protocol, model, seed)
-    bio.write_timetags_csv(out / "timetags_a.csv", run.stream_a, seed)
-    bio.write_timetags_csv(out / "timetags_b.csv", run.stream_b, seed)
-    bio.write_pairs_csv(out / "raw_pairs.csv", run.truth, seed)
-    for name in ("timetags_a.csv", "timetags_b.csv", "raw_pairs.csv"):
+        names, counts = ["trials.csv"], dict(run.meta)
+    else:
+        model = build_model(_get(cfg, "model", ""), "model")
+        run = run_source_experiment(protocol, model, seed)
+        bio.write_timetags_csv(out / "timetags_a.csv", run.stream_a, seed)
+        bio.write_timetags_csv(out / "timetags_b.csv", run.stream_b, seed)
+        bio.write_pairs_csv(out / "raw_pairs.csv", run.truth, seed)
+        names, counts = ["timetags_a.csv", "timetags_b.csv", "raw_pairs.csv"], dict(run.metadata)
+    for name in names:
         print(f"wrote {out / name}")
-    counts = dict(run.metadata)
     warnings = counts.pop("warnings", [])
     meta = _document("simulate", seed, config=cfg, counts=counts, warnings=warnings)
     _write(out / "metadata.json", bio.dump_json(meta))
@@ -438,8 +435,7 @@ def cmd_analyze(args) -> int:
         warnings=warnings,
     )
     _write(out / "report.json", bio.dump_json(report))
-    if args.format == "csv":
-        _write(out / "summary.csv", bio.summary_csv(summary, seed))
+    _write(out / "summary.csv", bio.summary_csv(summary, seed))
     return EXIT_OK
 
 
@@ -492,9 +488,8 @@ def cmd_sweep(args) -> int:
         counts = {"points": len(points), "strategy": strategy}
 
     _write(out / f"{name}.csv", text)
-    if args.format == "json":
-        doc = {"schema_version": bio.SCHEMA_VERSION, "seed": seed, "points": rows}
-        _write(out / f"{name}.json", bio.dump_json(doc))
+    doc = {"schema_version": bio.SCHEMA_VERSION, "seed": seed, "points": rows}
+    _write(out / f"{name}.json", bio.dump_json(doc))
     meta = _document("sweep", seed, config=cfg, counts=counts, warnings=[])
     _write(out / "metadata.json", bio.dump_json(meta))
     return EXIT_OK
@@ -527,27 +522,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"belllab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(
-        p: argparse.ArgumentParser, *, default_format: str | None = None, out_required: bool = True
-    ):
+    def common(p: argparse.ArgumentParser, out_default: str | None = "."):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if out_required:
-            p.add_argument("--out", default=".", help="output directory (default: .)")
-        else:
-            p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        if default_format is not None:
-            p.add_argument(
-                "--format",
-                choices=("csv", "json"),
-                default=default_format,
-                help=f"additional output format (default: {default_format})",
-            )
+        p.add_argument("--out", default=out_default, help=f"output directory (default: {out_default or 'stdout'})")
 
     common(sub.add_parser("simulate", help="run a protocol simulation"))
-    common(sub.add_parser("analyze", help="estimate, test and report"), default_format="json")
-    common(sub.add_parser("sweep", help="theta or window sweep"), default_format="csv")
-    common(sub.add_parser("feasibility", help="joint-coupling LP feasibility"), out_required=False)
+    common(sub.add_parser("analyze", help="estimate, test and report"))
+    common(sub.add_parser("sweep", help="theta or window sweep"))
+    common(sub.add_parser("feasibility", help="joint-coupling LP feasibility"), out_default=None)
     return parser
 
 

@@ -247,38 +247,37 @@ def _cell(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def theta_sweep_csv(points: Sequence[SweepPoint], seed: int) -> str:
-    lines = [_header("theta-sweep", seed), "theta_rad,E,stderr,n"]
-    for p in points:
-        lines.append(f"{p.theta!r},{_cell(p.e_ab)},{p.stderr!r},{p.n}")
+def _text_csv(kind: str, seed: int, columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """The header, the column names and one line per row of cells, each ending in a newline."""
+    lines = [_header(kind, seed), ",".join(columns), *(",".join(row) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def theta_sweep_csv(points: Sequence[SweepPoint], seed: int) -> str:
+    rows = [[repr(p.theta), _cell(p.e_ab), repr(p.stderr), str(p.n)] for p in points]
+    return _text_csv("theta-sweep", seed, ["theta_rad", "E", "stderr", "n"], rows)
 
 
 def window_sweep_csv(points: Sequence[WindowPoint], seed: int) -> str:
-    ctx = [s.key() for s in CONTEXTS]
-    columns = (
-        ["window_ns", "S"]
-        + [f"e_{k}" for k in ctx]
-        + [f"c_{k}" for k in ctx]
-        + [f"n_pairs_{k}" for k in ctx]
-    )
-    lines = [_header("window-sweep", seed), ",".join(columns)]
-    for p in points:
-        row = [str(p.window_ns), _cell(p.s)]
-        row += [_cell(p.summary[s].e_ab) for s in CONTEXTS]
-        row += [_cell(p.c_by_context[s.key()]) for s in CONTEXTS]
-        row += [str(p.summary[s].n_pairs) for s in CONTEXTS]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = ["window_ns", "S"] + [f"{c}_{s.key()}" for c in ("e", "c", "n_pairs") for s in CONTEXTS]
+    rows = [
+        [str(p.window_ns), _cell(p.s)]
+        + [_cell(p.summary[s].e_ab) for s in CONTEXTS]
+        + [_cell(p.c_by_context[s.key()]) for s in CONTEXTS]
+        + [str(p.summary[s].n_pairs) for s in CONTEXTS]
+        for p in points
+    ]
+    return _text_csv("window-sweep", seed, columns, rows)
 
 
 def summary_csv(summary: CorrelationSummary, seed: int) -> str:
-    lines = [_header("summary", seed), "context,e_ab,e_a,e_b,c,n_pairs,n_total"]
+    columns = ["context", "e_ab", "e_a", "e_b", "c", "n_pairs", "n_total"]
+    rows = []
     for s in CONTEXTS:
         est = summary[s]
         cells = [_cell(v) for v in (est.e_ab, est.e_a, est.e_b, est.c)]
-        lines.append(",".join([s.key(), *cells, str(est.n_pairs), str(est.n_total)]))
-    return "\n".join(lines) + "\n"
+        rows.append([s.key(), *cells, str(est.n_pairs), str(est.n_total)])
+    return _text_csv("summary", seed, columns, rows)
 
 
 def _encode(obj: object) -> object:

@@ -42,10 +42,10 @@ cannot be reconstructed. Such rows belong to no context: a ContextTable
 counts them in none, and post-selection metadata counts them as unattributed.
 Rows from an emission truth record always carry both settings.
 
-A window sweep tallies each width's raw rows once, and that tally is also
-the post-selected rows' table: stream outcomes are +-1, so a zero outcome
-only fills the empty side of a one-sided row, and that row's unknown remote
-setting keeps it out of every context.
+A window sweep tallies each width's raw rows once (``postselect`` reads the
+cached tally), and that tally is also the post-selected rows' table: stream
+outcomes are +-1, so a zero outcome only fills the empty side of a one-sided
+row, whose unknown remote setting keeps it out of every context.
 
 All functions here are pure: identical inputs give identical outputs.
 """
@@ -53,6 +53,7 @@ All functions here are pure: identical inputs give identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +121,12 @@ class PairedRawData:
         return len(self.x)
 
     def to_context_table(self) -> ContextTable:
-        """Tally the rows, zeros included; a row with an unknown (-1) setting is in no context."""
+        """The rows' tally, zeros included, with a row of unknown (-1) setting in no context; the
+        columns are read-only, so the first call's table is returned again by every later one."""
+        return self._table
+
+    @cached_property
+    def _table(self) -> ContextTable:
         return ContextTable.from_arrays(self.x, self.y, self.a, self.b)
 
 
@@ -329,20 +335,17 @@ def match_coincidences(
     return _paired(stream_a, stream_b, ia, ib, policy.strategy, policy.window_ns)
 
 
-def postselect(
-    pairs: PairedRawData, table: ContextTable | None = None
-) -> tuple[PairedRawData, dict[SettingPair, float | None]]:
+def postselect(pairs: PairedRawData) -> tuple[PairedRawData, dict[SettingPair, float | None]]:
     """Extract rows with both outcomes nonzero; report retention per context.
 
-    Returns the final data (no zeros) and C per context, as ``estimate``
-    gives it for the input's table: retained/total over the rows of that
-    context, ``None`` for contexts with no rows. Row conservation (retained +
-    dropped = input) and the rows in no context are recorded in metadata.
-    ``table`` is ``pairs.to_context_table()``, tallied here when not given; a
-    caller that needs the table itself passes the one it tallied.
+    Returns the final data (no zeros) and C per context, as ``estimate`` gives
+    it for ``pairs.to_context_table()``, the rows' cached tally, which a caller
+    that needs the table shares: retained/total over the rows of that context,
+    ``None`` for contexts with no rows. Row conservation (retained + dropped =
+    input) and the rows in no context are recorded in metadata.
     """
     rows = np.flatnonzero((pairs.a != 0) & (pairs.b != 0))
-    summary = estimate(pairs.to_context_table() if table is None else table)
+    summary = estimate(pairs.to_context_table())
     c_table = {s: summary[s].c for s in CONTEXTS}
     meta = {
         "input_rows": len(pairs),
@@ -379,7 +382,7 @@ def window_sweep(
     stream_a: RawEventStream,
     stream_b: RawEventStream,
     w_values: Sequence[int],
-    strategy: str = "lattice",
+    strategy: str = CoincidencePolicy.strategy,
 ) -> list[WindowPoint]:
     """Run the pairing + post-selection + estimation chain per window width.
 
@@ -394,9 +397,9 @@ def window_sweep(
     points = []
     for policy in policies:
         raw = match_coincidences(stream_a, stream_b, policy, merged)
+        final, c_table = postselect(raw)
         # The raw rows' table is also the final rows' table (module docstring).
         table = raw.to_context_table()
-        final, c_table = postselect(raw, table)
         summary = estimate(table)
         points.append(
             WindowPoint(

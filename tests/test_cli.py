@@ -234,8 +234,7 @@ REPORT_JSON_SHA256 = {
     ("lattice", True): "e542fd9032e2fa5f0870b4f69b52521a5d29c4b0dfad2f456f4d3a46d3e199bc",
 }
 
-#: sha256 of the trials-branch outputs of analyze --format csv, on 5000
-#: event-ready trials.
+#: sha256 of the trials-branch outputs of analyze, on 5000 event-ready trials.
 TRIALS_REPORT_SHA256 = {
     "report.json": "b93f32e5fb79a22dbbb1869f6ca506d3cfffaf045072a7004a717ad3e8596309",
     "summary.csv": "257032c829b6be78d58e5c2f8acf5a80af5f4db64c0f8b1c7509a606fbfde7b1",
@@ -358,7 +357,7 @@ class TestAnalyze:
         monkeypatch.chdir(tmp_path)
         main(["simulate", "--config", write_config(tmp_path / "sim.json", event_ready_config(5000, seed=2))])
         cfg = write_config(tmp_path / "an.json", {"seed": 2, "inputs": {"trials": "trials.csv"}})
-        assert main(["analyze", "--config", cfg, "--out", "r", "--format", "csv"]) == 0
+        assert main(["analyze", "--config", cfg, "--out", "r"]) == 0
         for name, digest in TRIALS_REPORT_SHA256.items():
             assert hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() == digest
 
@@ -383,7 +382,7 @@ WINDOWS_CSV_SHA256 = {
     "greedy": "72247577498e6a72d8b67761b708ee6af9c4a14dcdb1de6996cf574f7a197ed5",
     "lattice": "3a949875e55dbda0d424cfb1404431b0bf4fee084d40f741a91228bb1eb3e8c4",
 }
-#: sha256 of windows.json from the same sweeps, run with --format json.
+#: sha256 of windows.json from the same sweeps.
 WINDOWS_JSON_SHA256 = {
     "greedy": "77981a7015a850990aa12138eeca6d983b622858f649b03abd036a51d64d6508",
     "lattice": "b14a1c8515ae8fa97bbc654019fb4410652c2c408fb53871aba5bab12c695c96",
@@ -393,7 +392,7 @@ THETA_SWEEPS = {
     "exact": {"model": {"family": "quantum_singlet", "visibility": 0.9}, "thetas": {"start": 0.0, "stop": 3.0, "count": 7}},
     "monte_carlo": {"model": {"family": "quantum_singlet"}, "thetas": [0.0, 0.7, 2.0], "n_per_point": 2000},
 }
-#: sha256 of sweep.csv and sweep.json from sweep --format json, per theta sweep.
+#: sha256 of sweep.csv and sweep.json from sweep, per theta sweep.
 THETA_SWEEP_SHA256 = {
     "exact": {
         "sweep.csv": "c29f6f26de19246538aef918b6c180d3ad6bcbbb93a394a3767a47533ce1348f",
@@ -477,7 +476,7 @@ class TestSweep:
         sweep = {"kind": "window", "strategy": strategy, "windows_ns": BENCH_WINDOWS_NS}
         sweep.update((key, str(tmp_path / f"{key}.csv")) for key in ("timetags_a", "timetags_b"))
         cfg = write_config(tmp_path / "w.json", {"seed": sim["seed"], "sweep": sweep})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "windows.csv").read_bytes()).hexdigest()
         assert digest == WINDOWS_CSV_SHA256[strategy]
         digest = hashlib.sha256((tmp_path / "windows.json").read_bytes()).hexdigest()
@@ -486,7 +485,7 @@ class TestSweep:
     @pytest.mark.parametrize("case", sorted(THETA_SWEEPS))
     def test_theta_sweep_bytes_unchanged(self, tmp_path, case):
         cfg = write_config(tmp_path / "c.json", {"seed": 6, "sweep": {"kind": "theta", **THETA_SWEEPS[case]}})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         for name, digest in THETA_SWEEP_SHA256[case].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -504,7 +503,7 @@ class TestSweep:
         for threads in ("1", "2", "5"):
             monkeypatch.setenv("BELLLAB_THREADS", threads)
             out = tmp_path / threads
-            assert main(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
             outputs.append([(out / f).read_bytes() for f in (f"{name}.csv", f"{name}.json", "metadata.json")])
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -1101,8 +1100,9 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("command", ["simulate", "feasibility"])
-    def test_format_flag_only_where_it_acts(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep", "feasibility"])
+    def test_format_flag_refused(self, command, tmp_path, capsys):
+        # Every command writes one fixed set of files; no flag picks among them.
         cfg = write_config(tmp_path / "c.json", event_ready_config(10))
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--config", cfg, "--out", str(tmp_path), "--format", "json"])

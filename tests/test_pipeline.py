@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belllab import pipeline
-from belllab.core import CANONICAL_ANGLES, CONTEXTS, SettingPair, chsh, estimate
+from belllab.core import CANONICAL_ANGLES, CONTEXTS, ContextTable, SettingPair, chsh, estimate
 from belllab.couplings import QuantumSingletModel, pearle_model
 from belllab.errors import PipelineError
 from belllab.pipeline import (
@@ -467,8 +467,8 @@ class TestWindowSweep:
         out = run_source_experiment(cfg, pearle_model(CANONICAL_ANGLES), seed=11)
         swept = []
 
-        def recording_postselect(pairs, table=None):
-            swept.append(postselect(pairs, table))
+        def recording_postselect(pairs):
+            swept.append(postselect(pairs))
             return swept[-1]
 
         monkeypatch.setattr(pipeline, "postselect", recording_postselect)
@@ -493,7 +493,7 @@ class TestWindowSweep:
     @settings(max_examples=60)
     def test_tables_equal_one_width_chain(self, seed, strategy, empty):
         # The sweep tallies each width's raw rows once and reports that tally
-        # as the post-selected rows' table; postselect reuses it.
+        # as the post-selected rows' table.
         rng = np.random.default_rng(seed)
         streams = []
         for station in "AB":
@@ -504,13 +504,26 @@ class TestWindowSweep:
         widths = [int(w) for w in rng.integers(1, 60, 3)]
         for w, point in zip(widths, window_sweep(*streams, widths, strategy)):
             raw = match_coincidences(*streams, CoincidencePolicy(window_ns=w, strategy=strategy))
-            final, c_table = postselect(raw)
+            final, _ = postselect(raw)
             assert point.table == final.to_context_table()
             assert point.meta == final.meta
-            reused, reused_c = postselect(raw, raw.to_context_table())
-            assert reused_c == c_table and reused.meta == final.meta
-            for k in "xyab":
-                assert getattr(reused, k).tolist() == getattr(final, k).tolist()
+
+    @pytest.mark.parametrize("strategy", ["lattice", "greedy"])
+    def test_one_tally_per_width(self, strategy, monkeypatch):
+        # postselect and the point's table share the raw rows' cached tally.
+        tallies = []
+        tally = ContextTable.from_arrays
+
+        def counting_tally(*columns):
+            tallies.append(columns)
+            return tally(*columns)
+
+        monkeypatch.setattr(ContextTable, "from_arrays", counting_tally)
+        a = make_stream("A", [(1, 0, 1), (9, 1, -1), (30, 0, 1)])
+        b = make_stream("B", [(2, 1, 1), (12, 0, -1), (50, 1, 1)])
+        widths = [4, 15, 60, 15]
+        window_sweep(a, b, widths, strategy)
+        assert len(tallies) == len(widths)
 
     def test_empty_width_list_rejected(self):
         a = make_stream("A", [])
