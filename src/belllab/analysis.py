@@ -1,7 +1,10 @@
 """Statistical inference and coupling-feasibility analysis.
 
-Four operations:
+Five operations:
 
+* ``report`` - every block that ``analyze`` reports for one post-selected
+  table: its summary, S and |S|, the one- and two-sided local-bound tests,
+  the no-signalling comparison and the warnings they raise.
 * ``lhv_pvalue`` - a Hoeffding tail bound on the trial-averaged CHSH score
   under the hypothesis that some local hidden-variable coupling generated
   the data with uniform, fixed setting probabilities. One-sided: p = 1
@@ -38,6 +41,8 @@ from .core import (
     ContextTable,
     CorrelationSummary,
     SettingPair,
+    chsh,
+    estimate,
     ordered_map,
 )
 from .couplings import CouplingModel, deterministic_strategies, sample_batch
@@ -49,6 +54,8 @@ __all__ = [
     "NoSignallingReport",
     "FeasibilityCertificate",
     "FeasibilityResult",
+    "Report",
+    "report",
     "lhv_pvalue",
     "nosignalling_test",
     "coupling_feasibility",
@@ -104,11 +111,13 @@ def lhv_pvalue(summary: CorrelationSummary) -> HypothesisReport:
         if est.e_ab is not None:
             score_sum += CHSH_SIGNS[s] * est.e_ab * est.n_pairs
     s_hat = 4.0 * score_sum / n
-    if s_hat > 2.0:
-        p = math.exp(-n * (s_hat - 2.0) ** 2 / 32.0)
-    else:
-        p = 1.0
+    p = _hoeffding_tail(s_hat, n)
     return HypothesisReport(s_hat=s_hat, n=int(n), p_value=p, method="hoeffding")
+
+
+def _hoeffding_tail(s_hat: float, n: float) -> float:
+    """The LHV bound on P(S_hat >= s_hat) over n trials; 1 unless s_hat exceeds 2."""
+    return math.exp(-n * (s_hat - 2.0) ** 2 / 32.0) if s_hat > 2.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -205,6 +214,48 @@ def nosignalling_test(raw: ContextTable, final: ContextTable) -> NoSignallingRep
         raw_block_p=_block_p(blocks["raw"]),
         final_block_p=_block_p(blocks["final"]),
     )
+
+
+@dataclass(frozen=True)
+class Report:
+    """The blocks ``analyze`` reports for one post-selected table; a refused test is ``None``."""
+
+    summary: CorrelationSummary
+    chsh: float | None
+    chsh_abs: float | None
+    hypothesis: HypothesisReport | None
+    hypothesis_abs: HypothesisReport | None
+    no_signalling: NoSignallingReport
+    warnings: tuple[str, ...]
+
+
+def report(final: ContextTable, raw: ContextTable | None = None) -> Report:
+    """Estimate and test the post-selected table ``final``; compare it with ``raw``, or itself.
+
+    Relabelling Alice's outcomes negates every integer count sum, and so S_hat
+    exactly: the two-sided test is the one-sided tail at -S_hat when S < 0,
+    written ``0.0 - s_hat`` to give +0.0 at zero, as the relabelled sum does.
+    """
+    summary = estimate(final)
+    s = chsh(summary)
+    warnings = []
+    if s is None:
+        starved = [k.key() for k in CONTEXTS if summary[k].e_ab is None]
+        warnings.append(f"starved contexts (undefined expectations): {starved}")
+    hypothesis = hypothesis_abs = None
+    try:
+        hypothesis = lhv_pvalue(summary)
+    except AnalysisError as e:
+        warnings.append(f"hypothesis test skipped: {e}")
+    else:
+        s_hat = 0.0 - hypothesis.s_hat if (s is not None and s < 0) else hypothesis.s_hat
+        # The orientation is chosen after seeing the data: union bound over the
+        # two outcome relabellings keeps the tail bound valid.
+        p = min(1.0, 2.0 * _hoeffding_tail(s_hat, hypothesis.n))
+        hypothesis_abs = HypothesisReport(s_hat, hypothesis.n, p, method="hoeffding-two-sided")
+    ns = nosignalling_test(final if raw is None else raw, final)
+    s_abs = None if s is None else abs(s)
+    return Report(summary, s, s_abs, hypothesis, hypothesis_abs, ns, tuple(warnings))
 
 
 # --- normal and chi-square tails -------------------------------------------

@@ -27,16 +27,8 @@ import numpy as np
 
 from . import __version__
 from . import io as bio
-from .analysis import (
-    AnalysisError,
-    HypothesisReport,
-    chsh_combinations,
-    coupling_feasibility,
-    lhv_pvalue,
-    nosignalling_test,
-    theta_sweep,
-)
-from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, ContextTable, CorrelationSummary, SettingPair, chsh, estimate
+from .analysis import chsh_combinations, coupling_feasibility, report, theta_sweep
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair
 from .couplings import (
     ContextualModel,
     CouplingModel,
@@ -348,48 +340,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _orient_positive(table: ContextTable) -> ContextTable:
-    """Relabel Alice's outcome channels (+1 <-> -1), flipping the sign of S."""
-    return ContextTable(table.counts[:, :, [1, 0, 2], :])
-
-
-def _hypothesis_blocks(
-    final_table: ContextTable, summary: CorrelationSummary, warnings: list[str]
-) -> tuple[HypothesisReport | None, HypothesisReport | None]:
-    """The one-sided and the two-sided test of the table, whose estimate is ``summary``."""
-    try:
-        primary = lhv_pvalue(summary)
-    except AnalysisError as e:
-        warnings.append(f"hypothesis test skipped: {e}")
-        return None, None
-    s = chsh(summary)
-    oriented = estimate(_orient_positive(final_table)) if (s is not None and s < 0) else summary
-    rep = lhv_pvalue(oriented)
-    # The orientation is chosen after seeing the data: union bound over the
-    # two outcome relabellings keeps the tail bound valid.
-    two_sided = HypothesisReport(
-        s_hat=rep.s_hat,
-        n=rep.n,
-        p_value=min(1.0, 2.0 * rep.p_value),
-        method="hoeffding-two-sided",
-    )
-    return primary, two_sided
-
-
 def cmd_analyze(args) -> int:
     cfg, seed, out = _setup(args)
     inputs = _get(cfg, "inputs", "")
     if not isinstance(inputs, dict):
         raise ConfigError("inputs", "must be an object")
     warnings: list[str] = []
-    window_block = None
+    window = None
 
     if "trials" in inputs:
         # The reader keeps ready trials only, and those have nonzero outcomes:
         # post-selection leaves the table as it is.
         trials = bio.read_trials_csv(_path(inputs, "trials", "inputs"))
         raw_table = final_table = trials.to_context_table()
-        summary = estimate(final_table)
     elif "timetags_a" in inputs or "timetags_b" in inputs:
         # A windowed analysis is one width of the window sweep.
         stream_a, stream_b = _streams(inputs, "inputs")
@@ -398,8 +361,8 @@ def cmd_analyze(args) -> int:
         strategy = _get(wspec, "strategy", "inputs.window", default=_default(window_sweep, "strategy"))
         with _section("inputs.window"):
             (point,) = window_sweep(stream_a, stream_b, [width], strategy=strategy)
-        final_table, summary = point.table, point.summary
-        window_block = {"c_by_context": point.c_by_context, "pairing": point.meta}
+        final_table = point.table
+        window = {"c_by_context": {s.key(): point.summary[s].c for s in CONTEXTS}, "pairing": point.meta}
         if "raw_pairs" in inputs:
             raw_table = bio.read_pairs_csv(_path(inputs, "raw_pairs", "inputs")).to_context_table()
         else:
@@ -410,32 +373,16 @@ def cmd_analyze(args) -> int:
     else:
         raise ConfigError("inputs", 'must contain "trials" or "timetags_a"/"timetags_b"')
 
-    s = chsh(summary)
-    if s is None:
-        starved = [k.key() for k in CONTEXTS if summary[k].e_ab is None]
-        warnings.append(f"starved contexts (undefined expectations): {starved}")
-    hypothesis, hypothesis_abs = _hypothesis_blocks(final_table, summary, warnings)
-    ns = nosignalling_test(raw_table if raw_table is not None else final_table, final_table)
+    result = report(final_table, raw_table)
+    ns = result.no_signalling
     if raw_table is None:
         ns = {**dataclasses.asdict(ns), "raw_from_truth_record": False}
-
-    report = _document(
-        "analyze",
-        seed,
-        config=cfg,
-        summary=summary,
-        chsh=s,
-        chsh_abs=None if s is None else abs(s),
-        hypothesis=hypothesis,
-        hypothesis_abs=hypothesis_abs,
-        no_signalling=ns,
-        raw_table=raw_table,
-        final_table=final_table,
-        window=window_block,
-        warnings=warnings,
+    blocks = {**vars(result), "no_signalling": ns, "warnings": warnings + list(result.warnings)}
+    doc = _document(
+        "analyze", seed, config=cfg, raw_table=raw_table, final_table=final_table, window=window, **blocks
     )
-    _write(out / "report.json", bio.dump_json(report))
-    _write(out / "summary.csv", bio.summary_csv(summary, seed))
+    _write(out / "report.json", bio.dump_json(doc))
+    _write(out / "summary.csv", bio.summary_csv(result.summary, seed))
     return EXIT_OK
 
 

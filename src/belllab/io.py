@@ -9,9 +9,11 @@ byte-identical files.
 ``dump_json`` is the one place a result becomes JSON. A JSON document writes
 each result as its dataclass fields, a ``ContextTable`` or
 ``CorrelationSummary`` as one entry per context key and an array as a list.
-Two types shape their own JSON with ``to_json``: ``WindowPoint`` writes ``S``
-and leaves out its table and pairing audit, and ``FeasibilityResult`` labels
-its joint weights by strategy.
+The blocks of ``report.json`` are the fields of one ``analysis.Report``, the
+two-sided test included. Two types shape their own JSON with ``to_json``:
+``WindowPoint`` writes ``S`` and its summary's retention C and leaves out its
+table and pairing audit, and ``FeasibilityResult`` labels its joint weights
+by strategy. The window-sweep CSV reads C from the same summary.
 
 The integer CSV writers format whole columns at once with numpy, in row
 blocks that ``core.ordered_map`` spreads over the ``BELLLAB_THREADS``
@@ -263,7 +265,7 @@ def window_sweep_csv(points: Sequence[WindowPoint], seed: int) -> str:
     rows = [
         [str(p.window_ns), _cell(p.s)]
         + [_cell(p.summary[s].e_ab) for s in CONTEXTS]
-        + [_cell(p.c_by_context[s.key()]) for s in CONTEXTS]
+        + [_cell(p.summary[s].c) for s in CONTEXTS]
         + [str(p.summary[s].n_pairs) for s in CONTEXTS]
         for p in points
     ]

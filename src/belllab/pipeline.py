@@ -94,7 +94,7 @@ class CoincidencePolicy:
             raise PipelineError(f"unknown pairing strategy: {self.strategy!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedRawData:
     """Rows of (x, y, a, b) with outcomes in {-1, 0, +1}.
 
@@ -130,7 +130,7 @@ class PairedRawData:
         return ContextTable.from_arrays(self.x, self.y, self.a, self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawEventStream:
     """One station's time-tagged detections, sorted by (time, sequence number).
 
@@ -360,13 +360,12 @@ def postselect(pairs: PairedRawData) -> tuple[PairedRawData, dict[SettingPair, f
 
 @dataclass(frozen=True)
 class WindowPoint:
-    """One window-sweep row: width, post-selected table and summary, S, retention."""
+    """One window-sweep row: width, post-selected table and summary, S; C is the summary's."""
 
     window_ns: int
     table: ContextTable
     summary: CorrelationSummary
     s: float | None
-    c_by_context: dict
     meta: dict
 
     def to_json(self) -> dict:
@@ -374,7 +373,7 @@ class WindowPoint:
             "window_ns": self.window_ns,
             "S": self.s,
             "summary": self.summary,
-            "c_by_context": self.c_by_context,
+            "c_by_context": {s.key(): self.summary[s].c for s in CONTEXTS},
         }
 
 
@@ -397,7 +396,8 @@ def window_sweep(
     points = []
     for policy in policies:
         raw = match_coincidences(stream_a, stream_b, policy, merged)
-        final, c_table = postselect(raw)
+        # postselect's C estimates the same cached tally as the summary does.
+        final, _ = postselect(raw)
         # The raw rows' table is also the final rows' table (module docstring).
         table = raw.to_context_table()
         summary = estimate(table)
@@ -407,7 +407,6 @@ def window_sweep(
                 table=table,
                 summary=summary,
                 s=chsh(summary),
-                c_by_context={s.key(): c_table[s] for s in CONTEXTS},
                 meta=final.meta,
             )
         )

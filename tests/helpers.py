@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from belllab.core import CONTEXTS, AngleAssignment, SettingPair
+from belllab.analysis import HypothesisReport, lhv_pvalue
+from belllab.core import CONTEXTS, AngleAssignment, ContextTable, SettingPair, chsh, estimate
 from belllab.couplings import (
     ContextualModel,
     DeterministicLHVModel,
@@ -319,3 +320,21 @@ def tables_from_expectations(e_a, e_b, e_ab) -> dict:
                 t[ai, bi] = (1 + a * e_a[s] + b * e_b[s] + a * b * e_ab[s]) / 4
         tables[s] = t
     return tables
+
+
+def two_sided_by_relabelling(table: ContextTable) -> HypothesisReport:
+    """The two-sided local-bound test as first written, the reference for ``analysis.report``.
+
+    When S < 0, Alice's outcome channels are relabelled (+1 <-> -1), which
+    flips the sign of S, and the relabelled table is estimated again. The
+    one-sided test of the oriented table then has its p-value doubled, a union
+    bound over the two orientations. Raises where ``lhv_pvalue`` refuses.
+    """
+    summary = estimate(table)
+    s = chsh(summary)
+    if s is not None and s < 0:
+        summary = estimate(ContextTable(table.counts[:, :, [1, 0, 2], :]))
+    rep = lhv_pvalue(summary)
+    return HypothesisReport(
+        s_hat=rep.s_hat, n=rep.n, p_value=min(1.0, 2.0 * rep.p_value), method="hoeffding-two-sided"
+    )

@@ -1,14 +1,19 @@
-"""Hypothesis test, no-signalling tests, LP feasibility, and angle sweeps."""
+"""Hypothesis test, no-signalling tests, the report, LP feasibility, and angle sweeps."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from belllab.core import (
     CANONICAL_ANGLES,
+    CHSH_SIGNS,
     CONTEXTS,
+    MAX_ITEMS,
     AngleAssignment,
     ContextTable,
     SettingPair,
@@ -29,6 +34,7 @@ from belllab.analysis import (
     lhv_pvalue,
     nosignalling_test,
     pairwise_tables,
+    report,
     theta_sweep,
 )
 from belllab.pipeline import PairedRawData, postselect
@@ -39,6 +45,7 @@ from helpers import (
     random_nosignalling_tables,
     random_stochastic_model,
     tables_from_expectations,
+    two_sided_by_relabelling,
 )
 
 SQRT2 = math.sqrt(2)
@@ -218,6 +225,148 @@ class TestNoSignalling:
             report = nosignalling_test(out.truth.to_context_table(), final.to_context_table())
             assert report.final_block_p < 0.01
             assert report.raw_block_p > 0.05
+
+
+def _split(draw, n: int, parts: int) -> np.ndarray:
+    """``n`` counts over ``parts`` cells, cut at drawn points."""
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=parts - 1, max_size=parts - 1)))
+    return np.diff([0, *cuts, n])
+
+
+@st.composite
+def guarded_tables(draw) -> ContextTable:
+    """Tables whose setting counts pass the uniformity guard, up to about MAX_ITEMS trials.
+
+    Zero outcomes make the pair counts differ between contexts, so S and
+    S_hat can take opposite signs. An oriented table moves a drawn share of
+    each context's pairs to the outcomes that push S_hat towards +-4, so the
+    tail is tested beyond the bound; a mirrored one has S_hat 0, exactly
+    where the divisions round back to the integer count sums.
+    """
+    per_context = draw(st.sampled_from([1, 3, 40, 10**4, MAX_ITEMS // 4 - 7, MAX_ITEMS]))
+    spread = math.isqrt(per_context)
+    orient = draw(st.sampled_from([0, 1, -1]))
+    counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
+    for s in CONTEXTS:
+        n = per_context + draw(st.integers(-spread, spread))
+        n_zero = draw(st.integers(0, n))
+        block = counts[s.x, s.y]
+        block[:2, :2] = _split(draw, n - n_zero, 4).reshape(2, 2)
+        block[2, :], block[:2, 2] = np.split(_split(draw, n_zero, 5), [3])
+        if orient:
+            # Flipping Alice's outcome turns an agreeing pair into a disagreeing one.
+            quarters = draw(st.integers(0, 4))
+            agree = CHSH_SIGNS[s] * orient > 0
+            for i, j in itertools.product(range(2), repeat=2):
+                if (i == j) != agree:
+                    moved = block[i, j] * quarters // 4
+                    block[i, j] -= moved
+                    block[1 - i, j] += moved
+    if draw(st.booleans()):
+        # Context 01 is context 00 relabelled and context 11 repeats 10, so
+        # every term of S_hat cancels the one before it. Pairs added to 01 in
+        # equal agreeing and disagreeing counts keep its term (where the
+        # division rounds back) but not its correlation, so S need not be 0.
+        counts[0, 1] = counts[0, 0, [1, 0, 2]]
+        counts[0, 1, 0, :2] += draw(st.integers(0, spread))
+        counts[1, 1] = counts[1, 0]
+    return ContextTable(counts)
+
+
+def _pairs_table(pairs_by_context) -> ContextTable:
+    """A table from lists of (a, b, count) per context key."""
+    counts = np.zeros((2, 2, 3, 3), dtype=np.int64)
+    index = {1: 0, -1: 1, 0: 2}
+    for key, cells in pairs_by_context.items():
+        for a, b, k in cells:
+            counts[int(key[0]), int(key[1]), index[a], index[b]] += k
+    return ContextTable(counts)
+
+
+#: S = 1/3 - 1 + 1 - 1 < 0, and S_hat = 4 (1 - 1 + 1 - 1) / 6 = 0 exactly.
+NEGATIVE_S_ZERO_S_HAT = _pairs_table(
+    {"00": [(1, 1, 2), (1, -1, 1)], "01": [(1, -1, 1)], "10": [(1, 1, 1)], "11": [(1, 1, 1)]}
+)
+#: S = 1 - 1 - 1 - 1 < 0, while S_hat = 4 (10 - 3) / 13 > 0.
+NEGATIVE_S_POSITIVE_S_HAT = _pairs_table(
+    {"00": [(1, 1, 10)], "01": [(1, -1, 1)], "10": [(-1, 1, 1)], "11": [(1, 1, 1)]}
+)
+#: S_hat = -2.001 over MAX_ITEMS trials, a fifth of them with a zero outcome:
+#: the two-sided p is about 2 exp(-3.125), far from 0 and from 1.
+NEAR_CAP = _pairs_table(
+    {
+        k: [(1, 1, agree), (1, -1, 20_000_000 - agree), (0, 1, 5_000_000)]
+        for k, agree in (("00", 3_746_875), ("01", 3_746_875), ("10", 3_746_875), ("11", 16_253_125))
+    }
+)
+
+
+class TestReport:
+    def test_edge_tables_are_what_they_claim(self):
+        zero, positive = (estimate(t) for t in (NEGATIVE_S_ZERO_S_HAT, NEGATIVE_S_POSITIVE_S_HAT))
+        assert chsh(zero) < 0 and repr(lhv_pvalue(zero).s_hat) == "0.0"
+        assert chsh(positive) < 0 < lhv_pvalue(positive).s_hat
+        # Plain negation would write -0.0 where the relabelled table gives +0.0.
+        assert repr(-lhv_pvalue(zero).s_hat) == "-0.0"
+        assert repr(two_sided_by_relabelling(NEGATIVE_S_ZERO_S_HAT).s_hat) == "0.0"
+        near_cap = two_sided_by_relabelling(NEAR_CAP)
+        assert chsh(estimate(NEAR_CAP)) < 0 and near_cap.n == MAX_ITEMS
+        assert near_cap.s_hat == pytest.approx(2.001) and 0.05 < near_cap.p_value < 0.1
+
+    @given(guarded_tables())
+    @example(NEGATIVE_S_ZERO_S_HAT)
+    @example(NEGATIVE_S_POSITIVE_S_HAT)
+    @example(NEAR_CAP)
+    @settings(max_examples=600)
+    def test_two_sided_block_equals_the_relabelled_table(self, table):
+        # report negates S_hat instead of relabelling and estimating again;
+        # every field must keep its repr, the sign of a zero included.
+        try:
+            expected = two_sided_by_relabelling(table)
+        except AnalysisError:
+            expected = None
+        assert repr(report(table).hypothesis_abs) == repr(expected)
+
+    def test_blocks_of_a_populated_table(self):
+        table = table_from_correlations({(0, 0): 0.7, (0, 1): 0.7, (1, 0): 0.7, (1, 1): -0.7})
+        result = report(table)
+        summary = estimate(table)
+        assert [result.summary[s] for s in CONTEXTS] == [summary[s] for s in CONTEXTS]
+        assert result.chsh == result.chsh_abs == chsh(summary)
+        assert result.hypothesis == lhv_pvalue(summary)
+        assert result.hypothesis_abs.method == "hoeffding-two-sided"
+        assert result.hypothesis_abs.p_value == min(1.0, 2.0 * result.hypothesis.p_value)
+        assert result.warnings == ()
+
+    def test_starved_table_warns_and_skips_the_test(self):
+        table = _pairs_table({"00": [(1, -1, 1), (1, 1, 1)]})
+        result = report(table)
+        assert result.chsh is None and result.chsh_abs is None
+        assert result.hypothesis is None and result.hypothesis_abs is None
+        assert result.warnings == (
+            "starved contexts (undefined expectations): ['01', '10', '11']",
+            "hypothesis test skipped: all contexts must be populated; empty: ['01', '10', '11']",
+        )
+
+    def test_nonuniform_settings_skip_the_test_only(self):
+        table = _pairs_table({"00": [(1, 1, 100_000)], "01": [(1, 1, 100)],
+                              "10": [(1, 1, 100)], "11": [(1, 1, 100)]})
+        result = report(table)
+        assert result.chsh == result.chsh_abs == 2.0
+        assert result.hypothesis is None and result.hypothesis_abs is None
+        (warning,) = result.warnings
+        assert warning.startswith(
+            "hypothesis test skipped: setting counts are inconsistent with the uniform-settings protocol"
+        )
+
+    def test_no_signalling_compares_raw_or_the_final_table(self):
+        final = _pairs_table({"00": [(1, 1, 30), (-1, 1, 10)], "01": [(1, -1, 20)],
+                              "10": [(-1, -1, 25)], "11": [(1, 1, 5), (-1, 1, 15)]})
+        raw = _pairs_table({"00": [(1, 1, 30), (-1, 1, 10), (0, 1, 7)], "01": [(1, -1, 20), (1, 0, 3)],
+                            "10": [(-1, -1, 25)], "11": [(1, 1, 5), (-1, 1, 15), (0, 0, 9)]})
+        assert report(final).no_signalling == nosignalling_test(final, final)
+        assert report(final, raw).no_signalling == nosignalling_test(raw, final)
+        assert report(final, raw).no_signalling != report(final).no_signalling
 
 
 class TestTails:

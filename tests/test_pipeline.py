@@ -453,7 +453,8 @@ class TestWindowSweep:
         p1 = window_sweep(out.stream_a, out.stream_b, [5, 10])
         p2 = window_sweep(out.stream_a, out.stream_b, [5, 10])
         assert [p.s for p in p1] == [p.s for p in p2]
-        assert [p.c_by_context for p in p1] == [p.c_by_context for p in p2]
+        c1, c2 = ([[p.summary[s].c for s in CONTEXTS] for p in ps] for ps in (p1, p2))
+        assert c1 == c2
 
     @pytest.mark.parametrize("strategy", ["lattice", "greedy"])
     def test_sweep_equals_one_width_calls(self, strategy, monkeypatch):
@@ -483,7 +484,7 @@ class TestWindowSweep:
             assert final.meta == alone.meta == point.meta
             assert c_table == alone_c
             assert point.table == alone.to_context_table()
-            assert point.c_by_context == {s.key(): alone_c[s] for s in CONTEXTS}
+            assert {s: point.summary[s].c for s in CONTEXTS} == alone_c
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -551,3 +552,15 @@ class TestWindowSweep:
     def test_numpy_integer_width_stored_as_int(self):
         policy = CoincidencePolicy(window_ns=np.int64(15))
         assert type(policy.window_ns) is int and policy.window_ns == 15
+
+
+def test_row_containers_compare_by_identity():
+    # A generated __eq__ would compare tuples of numpy columns, which raises
+    # on two rows; equality is identity, so == always gives a bool.
+    pairs = PairedRawData([0, 1], [1, 0], [1, -1], [1, 0])
+    stream = make_stream("A", [(1, 0, 1), (2, 1, -1)])
+    for item, twin in ((pairs, PairedRawData([0, 1], [1, 0], [1, -1], [1, 0])),
+                       (stream, make_stream("A", [(1, 0, 1), (2, 1, -1)]))):
+        assert (item == twin) is False
+        assert (item == item) is True
+        assert (item != twin) is True

@@ -3,6 +3,8 @@
 ``perfbench/inproc.py`` rebinds the layer functions by name and reads the
 metadata of their results, so a renamed function or meta key would leave its
 per-layer metrics silently at zero. This runs it traced, as the benchmark does.
+The report's tests run inside ``analysis.report``, so their spans must be
+recorded there, under the ``analysis`` names the per-layer metrics read.
 """
 
 import json
@@ -45,3 +47,6 @@ def test_traced_chain_records_every_layer(tmp_path):
     assert matches and all(s["matched"] > 0 for s in matches)
     postselects = [s for s in spans if s["name"] == "pipeline.postselect"]
     assert postselects and all(0 < s["retained"] <= s["input_rows"] for s in postselects)
+    (report,) = [s for s in spans if s["name"] == "analysis.report"]
+    inside = {s["name"] for s in spans if s["parent"] == report["id"]}
+    assert {"core.estimate", "analysis.lhv_pvalue", "analysis.nosignalling_test"} <= inside
