@@ -97,6 +97,8 @@ CONTEXTS = (SettingPair(0, 0), SettingPair(0, 1), SettingPair(1, 0), SettingPair
 #: Largest number of trials, emissions, expected dark counts or table entries
 #: one run may ask for. Sizes read from a config are checked against it before
 #: anything is allocated, so a typo is an input error, not an out-of-memory kill.
+#: At the cap a Pearle source `simulate` peaks near 5.3 GB of RSS (about 53 B per
+#: emission), and a window sweep over its streams near 8.6 GB (about 86 B).
 MAX_ITEMS = 10**8
 
 #: CHSH sign per context: +1 everywhere except the (1, 1) context.

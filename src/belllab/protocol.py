@@ -22,7 +22,9 @@ Two families are simulated:
 Setting choices at the two stations come from separate random streams, and
 are independent of each other and of all model draws. Generation is chunked
 with one counter-based stream per (seed, purpose, chunk), so identical
-(config, model, seed) give bit-identical output for any worker count.
+(config, model, seed) give bit-identical output for any worker count. A
+source chunk returns its truth columns and each station's detected events
+(int64 times, int8 settings and outcomes), so its jitter draws die with it.
 
 The delay and rejection knobs are hypothesis mechanisms for reported
 coincidence anomalies, not claims about what produced them in any actual
@@ -54,16 +56,16 @@ __all__ = [
 CHUNK = 1 << 16
 
 
-def _run_chunks(n_items: int, make_chunk) -> list[np.ndarray]:
+def _run_chunks(n_items: int, make_chunk) -> list[tuple[np.ndarray, ...]]:
     """Evaluate make_chunk(start, stop, index) over CHUNK-sized ranges, on ``ordered_map``'s workers.
 
-    ``make_chunk`` returns a tuple of arrays; each of them is joined over the
-    chunks. An empty run is one empty chunk, so the columns keep their dtypes.
+    ``make_chunk`` returns a sequence of arrays, its columns. The result holds
+    one tuple per column, of that column's chunks in order, for the caller to
+    join. An empty run is one empty chunk, so the columns keep their dtypes.
     """
     starts = range(0, n_items, CHUNK) or [0]
     spans = [(start, min(start + CHUNK, n_items), i) for i, start in enumerate(starts)]
-    chunks = list(ordered_map(lambda span: make_chunk(*span), spans))
-    return [np.concatenate(column) for column in zip(*chunks)]
+    return list(zip(*ordered_map(lambda span: make_chunk(*span), spans)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def run_event_ready(
         b = np.where(flip_b, -b, b).astype(np.int8)
         return attempts.sum(keepdims=True), x, y, a, b
 
-    attempts, x, y, a, b = _run_chunks(n_trials, make_chunk)
+    attempts, x, y, a, b = map(np.concatenate, _run_chunks(n_trials, make_chunk))
     metadata = {
         "n_trials": int(n_trials),
         # Python ints: the chunk sums fit int64, their total need not.
@@ -189,21 +191,18 @@ def _emission_events(
     emit_times: np.ndarray,
     settings: np.ndarray,
     outcomes: np.ndarray,
-    jitter: np.ndarray,
+    jitter: np.ndarray | float,
     setting_delay: tuple[float, float],
     outcome_delay: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One station's events in one chunk; ``jitter`` is one draw per emission, or 0.0."""
     detected = outcomes != 0
-    t = np.compress(detected, emit_times)
     s = np.compress(detected, settings)
     o = np.compress(detected, outcomes)
-    shift = (
-        np.compress(detected, jitter)
-        + np.take(setting_delay, s)
-        + np.take(outcome_delay, np.where(o == 1, 0, 1))
-    )
-    times = t + np.rint(shift).astype(np.int64)
-    return times, s, o
+    if np.ndim(jitter):
+        jitter = np.compress(detected, jitter)
+    shift = jitter + np.take(setting_delay, s) + np.take(outcome_delay, np.where(o == 1, 0, 1))
+    return np.compress(detected, emit_times) + np.rint(shift).astype(np.int64), s, o
 
 
 def run_source_experiment(
@@ -226,49 +225,56 @@ def run_source_experiment(
     if n_emit < 1:
         warnings.append("expected pair count below 1; streams contain only dark counts")
 
-    emit_times = np.sort(_rng.stream(seed, "source-times").integers(0, duration_ns, size=n_emit))
+    emit_times = _rng.stream(seed, "source-times").integers(0, duration_ns, size=n_emit)
+    emit_times.sort()
 
     def make_chunk(start: int, stop: int, index: int):
         m = stop - start
         x = _rng.stream(seed, "source-settings-a", index).integers(0, 2, size=m, dtype=np.int8)
         y = _rng.stream(seed, "source-settings-b", index).integers(0, 2, size=m, dtype=np.int8)
         a, b = sample_batch(model, x, y, _rng.stream(seed, "source-model", index))
-        jit_a = _rng.stream(seed, "source-jitter-a", index).normal(0.0, cfg.jitter_sd, size=m)
-        jit_b = _rng.stream(seed, "source-jitter-b", index).normal(0.0, cfg.jitter_sd, size=m)
-        return x, y, a, b, jit_a, jit_b
+        columns = [x, y, a, b]
+        for station, settings, outcomes, d_set, d_out in (
+            ("a", x, a, cfg.setting_delay_a, cfg.outcome_delay_a),
+            ("b", y, b, cfg.setting_delay_b, cfg.outcome_delay_b),
+        ):
+            # A jitter stream feeds nothing else, and normal(0, 0) draws +0.0.
+            g = _rng.stream(seed, f"source-jitter-{station}", index)
+            jitter = g.normal(0.0, cfg.jitter_sd, size=m) if cfg.jitter_sd else 0.0
+            columns += _emission_events(
+                emit_times[start:stop], settings, outcomes, jitter, d_set, d_out
+            )
+        return columns
 
-    x, y, a, b, jit_a, jit_b = _run_chunks(n_emit, make_chunk)
+    # Each column's chunks are popped as they are joined, so no chunk outlives its join.
+    columns = _run_chunks(n_emit, make_chunk)
+    del emit_times
+    truth = PairedRawData(
+        *(np.concatenate(columns.pop(0)) for _ in "xyab"), meta={"source": "emission-truth"}
+    )
 
     streams = {}
     dark_counts = {}
-    for station, settings, outcomes, jitter, d_set, d_out in (
-        ("A", x, a, jit_a, cfg.setting_delay_a, cfg.outcome_delay_a),
-        ("B", y, b, jit_b, cfg.setting_delay_b, cfg.outcome_delay_b),
-    ):
-        times, s_det, o_det = _emission_events(
-            emit_times, settings, outcomes, jitter, d_set, d_out
-        )
+    for station in ("A", "B"):
         g = _rng.stream(seed, f"source-dark-{station.lower()}")
         n_dark = int(g.poisson(cfg.dark_rate * cfg.duration))
-        dark_times = g.integers(0, duration_ns, size=n_dark).astype(np.int64)
-        dark_settings = g.integers(0, 2, size=n_dark, dtype=np.int8)
-        dark_outcomes = (1 - 2 * g.integers(0, 2, size=n_dark)).astype(np.int8)
         dark_counts[station] = n_dark
-
-        all_times = np.concatenate([times, dark_times])
-        all_settings = np.concatenate([s_det, dark_settings])
-        all_outcomes = np.concatenate([o_det, dark_outcomes])
-        # Detected events come in emission order, then the dark events, so a
-        # stable sort breaks time ties by emission, dark events last.
-        order = np.argsort(all_times, kind="stable")
-        streams[station] = RawEventStream(
-            station=station,
-            times=all_times[order],
-            settings=all_settings[order],
-            outcomes=all_outcomes[order],
+        dark = (
+            g.integers(0, duration_ns, size=n_dark),
+            g.integers(0, 2, size=n_dark, dtype=np.int8),
+            (1 - 2 * g.integers(0, 2, size=n_dark)).astype(np.int8),
         )
+        times, settings, outcomes = (np.concatenate((*columns.pop(0), d)) for d in dark)
+        # Detected events come in emission order, then the dark events, so a
+        # stable sort breaks time ties by emission, dark events last. Sorting
+        # the times in place gives the same values as gathering them.
+        order = np.argsort(times, kind="stable")
+        settings, outcomes = settings[order], outcomes[order]
+        del order
+        times.sort()
+        streams[station] = RawEventStream(station, times, settings, outcomes)
+        del times, settings, outcomes  # the stream holds copies; free these before B's join
 
-    truth = PairedRawData(x=x, y=y, a=a, b=b, meta={"source": "emission-truth"})
     metadata = {
         "n_emissions": int(n_emit),
         "dark_a": dark_counts["A"],

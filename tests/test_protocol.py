@@ -1,6 +1,8 @@
 """Protocol simulators: event-ready trials and source-based streams."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,66 @@ class TestEventReady:
             run_event_ready(EventReadyConfig(herald_prob=0.5), CANONICAL_ANGLES, 0, seed=1)
 
 
+def _reference_run(cfg, model, seed):
+    """Truth columns and both stations' events, rebuilt one emission at a time.
+
+    Oracle: an independent reimplementation of the event loop, consuming the
+    documented streams in the documented order. An event is (time, dark,
+    sequence number, setting, outcome), so sorting the tuples gives the
+    documented order: by time, then detected events in emission order, then
+    dark events in draw order.
+    """
+    n = int(round(cfg.pair_rate * cfg.duration))
+    duration_ns = max(int(round(cfg.duration * 1e9)), 1)
+    times = np.sort(stream(seed, "source-times").integers(0, duration_ns, size=n)).tolist()
+    columns = {name: [] for name in ("x", "y", "a", "b", "jitter_a", "jitter_b")}
+    for index, start in enumerate(range(0, n, CHUNK)):
+        m = min(CHUNK, n - start)
+        x = stream(seed, "source-settings-a", index).integers(0, 2, size=m, dtype=np.int8)
+        y = stream(seed, "source-settings-b", index).integers(0, 2, size=m, dtype=np.int8)
+        a, b = sample_batch(model, x, y, stream(seed, "source-model", index))
+        for name, values in (("x", x), ("y", y), ("a", a), ("b", b)):
+            columns[name] += values.tolist()
+        for s in "ab":
+            # Drawn at jitter_sd 0 too: normal(0, 0) is +0.0.
+            g = stream(seed, f"source-jitter-{s}", index)
+            columns[f"jitter_{s}"] += g.normal(0.0, cfg.jitter_sd, size=m).tolist()
+    events = {}
+    for station, settings, outcomes, jitter, d_set, d_out in (
+        ("A", columns["x"], columns["a"], columns["jitter_a"], cfg.setting_delay_a, cfg.outcome_delay_a),
+        ("B", columns["y"], columns["b"], columns["jitter_b"], cfg.setting_delay_b, cfg.outcome_delay_b),
+    ):
+        rows = []
+        for i in range(n):
+            if outcomes[i] != 0:
+                shift = jitter[i] + d_set[settings[i]]
+                shift += d_out[0] if outcomes[i] == 1 else d_out[1]
+                rows.append((times[i] + int(np.rint(shift)), False, i, settings[i], outcomes[i]))
+        g = stream(seed, f"source-dark-{station.lower()}")
+        n_dark = int(g.poisson(cfg.dark_rate * cfg.duration))
+        dark = zip(
+            g.integers(0, duration_ns, size=n_dark).tolist(),
+            g.integers(0, 2, size=n_dark, dtype=np.int8).tolist(),
+            (1 - 2 * g.integers(0, 2, size=n_dark)).tolist(),
+        )
+        rows += [(t, True, j, s, o) for j, (t, s, o) in enumerate(dark)]
+        events[station] = sorted(rows)
+    return [columns[name] for name in "xyab"], events
+
+
+def _assert_matches_reference(out, truth, events):
+    for stream_, rows in ((out.stream_a, events["A"]), (out.stream_b, events["B"])):
+        assert stream_.times.dtype == np.int64
+        assert stream_.settings.dtype == stream_.outcomes.dtype == np.int8
+        assert stream_.times.tolist() == [r[0] for r in rows]
+        assert stream_.settings.tolist() == [r[3] for r in rows]
+        assert stream_.outcomes.tolist() == [r[4] for r in rows]
+    assert out.metadata["dark_a"] == sum(r[1] for r in events["A"])
+    assert out.metadata["dark_b"] == sum(r[1] for r in events["B"])
+    # The truth record keeps every emission's raw outcomes, zeros included.
+    assert [out.truth.x.tolist(), out.truth.y.tolist(), out.truth.a.tolist(), out.truth.b.tolist()] == truth
+
+
 class TestSourceExperiment:
     def test_lossless_limit(self):
         cfg = SourceProtocolConfig(pair_rate=1000.0, duration=1.0)
@@ -160,53 +222,30 @@ class TestSourceExperiment:
         for stream in (out.stream_a, out.stream_b):
             assert (stream.times[1:] >= stream.times[:-1]).all()
 
-    def test_matches_reference_event_loop(self):
-        # Oracle: an independent per-emission reimplementation of the event
-        # loop, consuming the documented streams in the documented order.
-        cfg = SourceProtocolConfig(
-            pair_rate=50.0,
-            duration=1.0,
-            jitter_sd=3.0,
-            setting_delay_a=(0.0, 4.0),
-            setting_delay_b=(1.0, 0.0),
-            outcome_delay_a=(0.0, 2.0),
-            outcome_delay_b=(0.5, 0.0),
-        )
+    def test_matches_reference_event_loop(self, monkeypatch):
+        # Three chunks of emissions packed into 1e5 ns, so emissions share
+        # times and nearly every dark event ties with a detected one.
+        n = 2 * CHUNK + 99
         model = pearle_model(CANONICAL_ANGLES, bins=36, threshold_bins=8)
-        seed = 13
-        out = run_source_experiment(cfg, model, seed=seed)
-
-        n = 50
-        duration_ns = int(round(cfg.duration * 1e9))
-        times = np.sort(stream(seed, "source-times").integers(0, duration_ns, size=n))
-        x = stream(seed, "source-settings-a", 0).integers(0, 2, size=n, dtype=np.int8)
-        y = stream(seed, "source-settings-b", 0).integers(0, 2, size=n, dtype=np.int8)
-        a, b = sample_batch(model, x, y, stream(seed, "source-model", 0))
-        jit_a = stream(seed, "source-jitter-a", 0).normal(0.0, cfg.jitter_sd, size=n)
-        jit_b = stream(seed, "source-jitter-b", 0).normal(0.0, cfg.jitter_sd, size=n)
-
-        events_a = []
-        for i in range(n):
-            if a[i] != 0:
-                shift = jit_a[i] + cfg.setting_delay_a[x[i]]
-                shift += cfg.outcome_delay_a[0] if a[i] == 1 else cfg.outcome_delay_a[1]
-                events_a.append((int(times[i] + np.rint(shift)), int(x[i]), int(a[i]), i))
-        events_a.sort(key=lambda e: (e[0], e[3]))
-        assert [e[0] for e in events_a] == out.stream_a.times.tolist()
-        assert [e[1] for e in events_a] == out.stream_a.settings.tolist()
-        assert [e[2] for e in events_a] == out.stream_a.outcomes.tolist()
-
-        events_b = []
-        for i in range(n):
-            if b[i] != 0:
-                shift = jit_b[i] + cfg.setting_delay_b[y[i]]
-                shift += cfg.outcome_delay_b[0] if b[i] == 1 else cfg.outcome_delay_b[1]
-                events_b.append((int(times[i] + np.rint(shift)), int(y[i]), int(b[i]), i))
-        events_b.sort(key=lambda e: (e[0], e[3]))
-        assert [e[0] for e in events_b] == out.stream_b.times.tolist()
-        # Truth record preserves the per-emission raw outcomes.
-        assert (out.truth.x == x).all() and (out.truth.y == y).all()
-        assert (out.truth.a == a).all() and (out.truth.b == b).all()
+        for jitter_sd in (0.0, 2.0):
+            cfg = SourceProtocolConfig(
+                pair_rate=n * 1e4,
+                duration=1e-4,
+                jitter_sd=jitter_sd,
+                dark_rate=2e7,
+                setting_delay_a=(0.0, 4.0),
+                setting_delay_b=(1.0, 0.0),
+                outcome_delay_a=(0.0, 2.0),
+                outcome_delay_b=(0.5, 0.0),
+            )
+            truth, events = _reference_run(cfg, model, seed=13)
+            dark_times = {t for t, dark, *_ in events["A"] if dark}
+            assert any(t in dark_times for t, dark, *_ in events["A"] if not dark)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("BELLLAB_THREADS", threads)
+                out = run_source_experiment(cfg, model, seed=13)
+                assert out.metadata["n_emissions"] == n
+                _assert_matches_reference(out, truth, events)
 
     def test_reproducible_across_worker_counts(self, monkeypatch):
         cfg = SourceProtocolConfig(pair_rate=float(2 * CHUNK + 99), duration=1.0, jitter_sd=2.0)
@@ -230,9 +269,38 @@ class TestSourceExperiment:
             assert summary[s].c is not None and 0.0 < summary[s].c < 1.0
 
     def test_warning_on_subunit_expected_pairs(self):
-        cfg = SourceProtocolConfig(pair_rate=0.1, duration=1.0)
-        out = run_source_experiment(cfg, QuantumSingletModel(angles=CANONICAL_ANGLES), seed=1)
-        assert out.metadata["warnings"]
+        # No pair is emitted: the streams hold the dark counts alone.
+        cfg = SourceProtocolConfig(pair_rate=0.1, duration=1.0, jitter_sd=2.0, dark_rate=300.0)
+        model = QuantumSingletModel(angles=CANONICAL_ANGLES)
+        out = run_source_experiment(cfg, model, seed=1)
+        assert out.metadata["warnings"] and out.metadata["n_emissions"] == 0
+        _assert_matches_reference(out, *_reference_run(cfg, model, seed=1))
+
+
+def test_source_run_peak_memory_per_emission(monkeypatch):
+    # Each chunk turns its own emissions into events, so no per-emission
+    # jitter column outlives its chunk and no column is held twice over the
+    # whole run. The shipped Pearle source's jitter and delays, at one thread.
+    monkeypatch.setenv("BELLLAB_THREADS", "1")
+    n = 1 << 20
+    cfg = SourceProtocolConfig(
+        pair_rate=float(n),
+        duration=1.0,
+        jitter_sd=2.0,
+        setting_delay_a=(0.0, 4.0),
+        setting_delay_b=(0.0, 6.0),
+        outcome_delay_a=(0.0, 8.0),
+        outcome_delay_b=(0.0, 8.0),
+    )
+    model = pearle_model(CANONICAL_ANGLES)
+    run_source_experiment(dataclasses.replace(cfg, pair_rate=10.0), model, seed=1)
+    tracemalloc.start()
+    try:
+        run_source_experiment(cfg, model, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n, f"{peak / n:.1f} B per emission"
 
 
 def test_stream_leaves_caller_arrays_writeable():

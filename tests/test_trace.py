@@ -41,6 +41,11 @@ def test_traced_chain_records_every_layer(tmp_path):
     doc = json.loads(result.read_text())
     assert [(p["phase"], p["rc"]) for p in doc["phases"]] == [("simulate", 0), ("analyze", 0)]
     spans = doc["spans"]
+    # perfbench pins protocol.events and replays the run at one thread by this name.
+    (source,) = [s for s in spans if s["name"] == "protocol.run_source_experiment"]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert source["events"] == meta["counts"]["events_a"] + meta["counts"]["events_b"] > 0
+    assert "protocol.run_source_experiment" in doc["single_thread_s"]
     names = {s["name"] for s in spans}
     assert "core.from_arrays" in names
     matches = [s for s in spans if s["name"] == "pipeline.match_lattice"]
