@@ -11,30 +11,3 @@ Modules:
 """
 
 __version__ = "0.1.0"
-
-from .core import (  # noqa: F401
-    CANONICAL_ANGLES,
-    CHSH_SIGNS,
-    CONTEXTS,
-    AngleAssignment,
-    ContextEstimate,
-    ContextTable,
-    CorrelationSummary,
-    SettingPair,
-    chsh,
-    estimate,
-)
-from .couplings import (  # noqa: F401
-    ContextualModel,
-    CouplingModel,
-    DeterministicLHVModel,
-    PostSelectionModel,
-    QuantumSingletModel,
-    StochasticLHVModel,
-    disjoint_support_model,
-    exact_chsh,
-    max_deterministic_chsh,
-    pearle_model,
-    sample_batch,
-    statistical_dependence,
-)

@@ -6,10 +6,10 @@ are JSON with a documented schema, validated before any output is written; the
 seed is mandatory (``--seed`` overrides the config) and is echoed, together
 with the resolved config, into every metadata output.
 
-``main`` returns 0 on success, 2 when a command raises a ``ValueError`` (every
-``BellLabError`` is one) or an ``OSError``, and 3 when it raises an
-``AssertionError``, an internal invariant violation. Any other exception is
-not caught: Python prints its traceback and exits 1.
+``main`` returns 0 on success, 2 when a command raises a ``ValueError`` (a
+``ConfigError`` or ``AnalysisError`` is one) or an ``OSError``, and 3 when it
+raises an ``AssertionError``, an internal invariant violation. Any other
+exception is not caught: Python prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .couplings import (
     pearle_model,
     rejection_curve,
 )
-from .errors import BellLabError, ConfigError
+from .errors import ConfigError
 from .pipeline import window_sweep
 from .protocol import (
     EventReadyConfig,
@@ -245,7 +245,7 @@ def _delay(group: str, station: str):
 
 #: Protocol configs by kind, called as ``build(spec, path)``.
 _PROTOCOLS = {
-    "event_ready": _fields(EventReadyConfig, _number),
+    "event_ready": _fields(EventReadyConfig, _number, n_trials=_integer),
     "source": _fields(
         SourceProtocolConfig,
         _number,
@@ -320,9 +320,10 @@ def cmd_simulate(args) -> int:
     protocol = _PROTOCOLS[kind](proto, "protocol")
 
     if kind == "event_ready":
-        n_trials = _integer(proto, "n_trials", "protocol")
+        # The singlet's angles and visibility are fields of the protocol section.
+        model = _BUILDERS["quantum_singlet"](proto, "protocol")
         with _section("protocol"):
-            run = run_event_ready(protocol, _angles(proto, "angles", "protocol"), n_trials, seed)
+            run = run_event_ready(protocol, model, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
         names, counts = ["trials.csv"], dict(run.meta)
     else:
@@ -435,8 +436,7 @@ def cmd_sweep(args) -> int:
         counts = {"points": len(points), "strategy": strategy}
 
     _write(out / f"{name}.csv", text)
-    doc = {"schema_version": bio.SCHEMA_VERSION, "seed": seed, "points": rows}
-    _write(out / f"{name}.json", bio.dump_json(doc))
+    _write(out / f"{name}.json", bio.dump_json(_document("sweep", seed, points=rows)))
     meta = _document("sweep", seed, config=cfg, counts=counts, warnings=[])
     _write(out / "metadata.json", bio.dump_json(meta))
     return EXIT_OK
@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BellLabError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as e:

@@ -1,29 +1,23 @@
 """Exception types shared across modules.
 
-Input/contract violations raise ``ValueError`` subclasses so the CLI can map
-them uniformly to exit code 2. The CLI maps only an ``AssertionError`` to exit
-code 3, an internal invariant violation; any other exception escaping a
-command ends it with a traceback and exit code 1.
+Input/contract violations raise ``ValueError``, or one of the two subclasses
+below where a caller catches that kind alone: ``analysis.report`` turns an
+``AnalysisError`` into a warning, and the CLI keeps a ``ConfigError``'s field
+path. The CLI maps every ``ValueError`` to exit code 2 and only an
+``AssertionError`` to exit code 3, an internal invariant violation; any other
+exception escaping a command ends it with a traceback and exit code 1.
 """
 
 from __future__ import annotations
 
-__all__ = ["BellLabError", "PipelineError", "AnalysisError", "ConfigError"]
+__all__ = ["AnalysisError", "ConfigError"]
 
 
-class BellLabError(ValueError):
-    """Base class for input and contract violations."""
-
-
-class PipelineError(BellLabError):
-    """Raised by the coincidence pipeline on malformed inputs."""
-
-
-class AnalysisError(BellLabError):
+class AnalysisError(ValueError):
     """Raised by analysis operations on inputs violating their preconditions."""
 
 
-class ConfigError(BellLabError):
+class ConfigError(ValueError):
     """Raised on configuration schema violations; carries a field path."""
 
     def __init__(self, path: str, message: str):

@@ -59,7 +59,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import CONTEXTS, ContextTable, CorrelationSummary, SettingPair, chsh, codes, estimate
-from .errors import PipelineError
 
 __all__ = [
     "CoincidencePolicy",
@@ -85,13 +84,13 @@ class CoincidencePolicy:
     def __post_init__(self) -> None:
         w = self.window_ns
         if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-            raise PipelineError(f"window width must be an integer, got {w!r}")
+            raise ValueError(f"window width must be an integer, got {w!r}")
         # Bins and time differences are int64 nanoseconds.
         if not 0 < w < 2**63:
-            raise PipelineError(f"window width must be in (0, 2**63) ns, got {w}")
+            raise ValueError(f"window width must be in (0, 2**63) ns, got {w}")
         object.__setattr__(self, "window_ns", int(w))
         if self.strategy not in ("lattice", "greedy"):
-            raise PipelineError(f"unknown pairing strategy: {self.strategy!r}")
+            raise ValueError(f"unknown pairing strategy: {self.strategy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +109,7 @@ class PairedRawData:
 
     def __post_init__(self) -> None:
         if len({len(np.asarray(getattr(self, name))) for name in "xyab"}) > 1:
-            raise PipelineError("paired-data columns must have equal length")
+            raise ValueError("paired-data columns must have equal length")
         settings, outcomes = (UNKNOWN_SETTING, 0, 1), (-1, 0, 1)
         for name in "xy":
             object.__setattr__(self, name, codes("settings", getattr(self, name), settings))
@@ -159,7 +158,7 @@ class RawEventStream:
         if bad.size:
             i = int(bad[0])
             # Events are named by position from 1, as a time-tag file's data rows are.
-            raise PipelineError(
+            raise ValueError(
                 f"stream {self.station} is not time-sorted: data row {i + 2} has time "
                 f"{int(times[i + 1])}, before {int(times[i])} in data row {i + 1}"
             )
@@ -388,7 +387,7 @@ def window_sweep(
     Starved contexts propagate as ``None`` values of S.
     """
     if len(w_values) == 0:
-        raise PipelineError("window sweep needs at least one width")
+        raise ValueError("window sweep needs at least one width")
     # Every width is checked before the first is paired.
     policies = [CoincidencePolicy(window_ns=w, strategy=strategy) for w in w_values]
     # The time order of the two streams does not depend on the width.

@@ -15,9 +15,12 @@ Two families are simulated:
   no-signalling checks.
 
 * Event-ready runs: heralded preparation with retry, uniform setting
-  choices, singlet readout at a configured visibility, and independent
-  readout-flip noise per station. Every heralded trial yields a valid
-  readout, so the record count equals the trial count exactly.
+  choices, readout by the given singlet model (its angles and visibility),
+  and independent readout-flip noise per station. Every heralded trial
+  yields a valid readout, so the record count equals the trial count exactly.
+
+Both simulators take their model as an argument, built by the caller; no
+model is constructed here.
 
 Setting choices at the two stations come from separate random streams, and
 are independent of each other and of all model draws. Generation is chunked
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .core import MAX_ITEMS, AngleAssignment, ordered_map
+from .core import MAX_ITEMS, ordered_map
 from .couplings import CouplingModel, QuantumSingletModel, sample_batch
 from .pipeline import PairedRawData, RawEventStream
 
@@ -112,18 +115,18 @@ class SourceProtocolConfig:
 
 @dataclass(frozen=True)
 class EventReadyConfig:
-    """Event-ready run parameters: heralding, visibility, readout fidelities."""
+    """Event-ready run parameters: trial count, heralding, readout fidelities."""
 
+    n_trials: int
     herald_prob: float
-    visibility: float = 1.0
     fidelity_a: float = 1.0
     fidelity_b: float = 1.0
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n_trials <= MAX_ITEMS:
+            raise ValueError(f"n_trials must be in [1, {MAX_ITEMS}], got {self.n_trials}")
         if not (0.0 < self.herald_prob <= 1.0):
             raise ValueError(f"herald_prob must be in (0, 1], got {self.herald_prob}")
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         for name, f in (("fidelity_a", self.fidelity_a), ("fidelity_b", self.fidelity_b)):
             if not (0.5 <= f <= 1.0):
                 raise ValueError(f"{name} must be in [0.5, 1], got {f}")
@@ -139,25 +142,17 @@ class SourceRun:
     metadata: dict = field(default_factory=dict)
 
 
-def run_event_ready(
-    cfg: EventReadyConfig,
-    angles: AngleAssignment,
-    n_trials: int,
-    seed: int,
-) -> PairedRawData:
-    """Simulate ``n_trials`` heralded trials, as paired rows with counts in ``meta``.
+def run_event_ready(cfg: EventReadyConfig, model: QuantumSingletModel, seed: int) -> PairedRawData:
+    """Simulate ``cfg.n_trials`` heralded trials, as paired rows with counts in ``meta``.
 
     Per trial: the herald retries until success (attempt counts go to
     metadata), both settings are drawn uniformly and independently, the
-    singlet model at the configured visibility produces (a, b), and each
-    outcome is flipped independently with probability 1 - fidelity. All
-    records are ready=True and the record count equals ``n_trials``.
+    singlet ``model`` produces (a, b), and each outcome is flipped
+    independently with probability 1 - fidelity. All records are ready=True
+    and the record count equals ``cfg.n_trials``.
 
     Per-chunk draw order: herald attempts, x, y, model draws, flip draws.
     """
-    if not 1 <= n_trials <= MAX_ITEMS:
-        raise ValueError(f"n_trials must be in [1, {MAX_ITEMS}], got {n_trials}")
-    model = QuantumSingletModel(angles=angles, visibility=cfg.visibility)
 
     def make_chunk(start: int, stop: int, index: int):
         m = stop - start
@@ -177,9 +172,9 @@ def run_event_ready(
         b = np.where(flip_b, -b, b).astype(np.int8)
         return attempts.sum(keepdims=True), x, y, a, b
 
-    attempts, x, y, a, b = map(np.concatenate, _run_chunks(n_trials, make_chunk))
+    attempts, x, y, a, b = map(np.concatenate, _run_chunks(cfg.n_trials, make_chunk))
     metadata = {
-        "n_trials": int(n_trials),
+        "n_trials": int(cfg.n_trials),
         # Python ints: the chunk sums fit int64, their total need not.
         "herald_attempts": sum(attempts.tolist()),
         "seed": int(seed),
@@ -249,9 +244,7 @@ def run_source_experiment(
     # Each column's chunks are popped as they are joined, so no chunk outlives its join.
     columns = _run_chunks(n_emit, make_chunk)
     del emit_times
-    truth = PairedRawData(
-        *(np.concatenate(columns.pop(0)) for _ in "xyab"), meta={"source": "emission-truth"}
-    )
+    truth = PairedRawData(*(np.concatenate(columns.pop(0)) for _ in "xyab"))
 
     streams = {}
     dark_counts = {}

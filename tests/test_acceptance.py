@@ -162,8 +162,8 @@ def test_criterion_5_no_signalling_anomaly_reproduction():
 def test_criterion_6_event_ready_calibration():
     results = []
     for target, tol in ((2.0747, 0.02), (2.578, 0.05)):
-        cfg = EventReadyConfig(herald_prob=1.0, visibility=target / TSIRELSON)
-        run = run_event_ready(cfg, CANONICAL_ANGLES, 1_000_000, seed=606)
+        model = QuantumSingletModel(CANONICAL_ANGLES, visibility=target / TSIRELSON)
+        run = run_event_ready(EventReadyConfig(1_000_000, herald_prob=1.0), model, seed=606)
         s = chsh(estimate(ContextTable.from_arrays(run.x, run.y, run.a, run.b)))
         assert abs(abs(s) - target) < tol
         results.append(f"|S| = {abs(s):.4f} (target {target} +/- {tol})")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from belllab import io as bio
-from belllab.cli import _PROTOCOLS, build_model, main
+from belllab.cli import _BUILDERS, _PROTOCOLS, build_model, main
 from belllab.core import CANONICAL_ANGLES, AngleAssignment, SettingPair
 from belllab.couplings import QuantumSingletModel, pearle_model, rejection_curve
 from belllab.pipeline import RawEventStream
@@ -384,8 +384,8 @@ WINDOWS_CSV_SHA256 = {
 }
 #: sha256 of windows.json from the same sweeps.
 WINDOWS_JSON_SHA256 = {
-    "greedy": "77981a7015a850990aa12138eeca6d983b622858f649b03abd036a51d64d6508",
-    "lattice": "b14a1c8515ae8fa97bbc654019fb4410652c2c408fb53871aba5bab12c695c96",
+    "greedy": "6d7336200a11c40a26a61df3274db13395b12fa8e37391d8a2753de1517bc1de",
+    "lattice": "e4aed9501b2cf55b49a5fdc18a79175f4e2edbbba246418365a96db500051d59",
 }
 #: Theta sweeps of the singlet, exact and Monte-Carlo.
 THETA_SWEEPS = {
@@ -396,11 +396,11 @@ THETA_SWEEPS = {
 THETA_SWEEP_SHA256 = {
     "exact": {
         "sweep.csv": "c29f6f26de19246538aef918b6c180d3ad6bcbbb93a394a3767a47533ce1348f",
-        "sweep.json": "b681effa7ab39579985d9b3a4aeeafe111591e6214ac4a9c09c0314d694ec0b2",
+        "sweep.json": "a5900ea07c281bf9647e143fb2c97b011db570d9aad438352bdd54f9192930ac",
     },
     "monte_carlo": {
         "sweep.csv": "e696fbcb2b72373a78492c78cfcb36b660c864213c71a102818183e1e1a7dd41",
-        "sweep.json": "03486ea8ceddc10e88459bf6d08ebcb9e571abc76d9796c16b07df48f62d1d9e",
+        "sweep.json": "096b0509953c0f289de1af4f760fe2820f6907d859985afa7ef7f209986ec866",
     },
 }
 
@@ -488,6 +488,19 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         for name, digest in THETA_SWEEP_SHA256[case].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["theta", "window"])
+    def test_documents_carry_versions_and_command(self, tmp_path, pearle_streams, kind):
+        if kind == "theta":
+            sweep = {"model": {"family": "quantum_singlet"}, "thetas": [0.0, 1.0]}
+        else:
+            sweep = {"windows_ns": [4, 15]}
+            sweep.update((key, str(pearle_streams / f"{key}.csv")) for key in ("timetags_a", "timetags_b"))
+        cfg = write_config(tmp_path / "c.json", {"seed": 11, "sweep": {"kind": kind, **sweep}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / ("sweep.json" if kind == "theta" else "windows.json")).read_text())
+        assert set(doc) == {"schema_version", "belllab_version", "command", "seed", "points"}
+        assert doc["command"] == "sweep" and doc["seed"] == 11 and len(doc["points"]) == 2
 
     @pytest.mark.parametrize("kind", ["theta", "window"])
     def test_bytes_independent_of_worker_count(self, tmp_path, monkeypatch, pearle_streams, kind):
@@ -650,6 +663,22 @@ MALFORMED = {
         "simulate",
         lambda tmp: event_ready_config(10, herald_prob=0),
         "protocol: herald_prob",
+    ),
+    # An event-ready section feeds EventReadyConfig and the singlet; each checks its own fields.
+    "event_ready_visibility_above_one": (
+        "simulate",
+        lambda tmp: event_ready_config(10, visibility=1.5),
+        "protocol: visibility must be in [0, 1], got 1.5",
+    ),
+    "event_ready_missing_angles": (
+        "simulate",
+        lambda tmp: {"seed": 1, "protocol": {"kind": "event_ready", "n_trials": 10, "herald_prob": 1.0}},
+        "protocol.angles: missing required field",
+    ),
+    "event_ready_boolean_n_trials": (
+        "simulate",
+        lambda tmp: event_ready_config(True),
+        "protocol.n_trials: must be an integer",
     ),
     "herald_prob_tiny": (
         "simulate",
@@ -1057,12 +1086,16 @@ class TestConstructorDefaults:
     @pytest.mark.parametrize(
         "kind, spec, expected",
         [
-            ("event_ready", {"herald_prob": 0.5}, EventReadyConfig(0.5)),
+            ("event_ready", {"n_trials": 10, "herald_prob": 0.5}, EventReadyConfig(10, 0.5)),
             ("source", {"pair_rate": 10.0, "duration": 1.0}, SourceProtocolConfig(10.0, 1.0)),
         ],
     )
     def test_protocol(self, kind, spec, expected):
         assert _PROTOCOLS[kind]({"kind": kind, **spec}, "protocol") == expected
+
+    def test_event_ready_singlet(self):
+        spec = {"kind": "event_ready", "n_trials": 10, "herald_prob": 0.5, "angles": CANONICAL_ANGLES_JSON}
+        assert _BUILDERS["quantum_singlet"](spec, "protocol") == QuantumSingletModel(CANONICAL_ANGLES)
 
     @pytest.mark.parametrize(
         "family, expected",

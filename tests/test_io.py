@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from belllab import io as bio
 from belllab.analysis import nosignalling_test
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, ContextTable, estimate
+from belllab.couplings import QuantumSingletModel
 from belllab.errors import ConfigError
 from belllab.pipeline import PairedRawData, RawEventStream
 from belllab.protocol import EventReadyConfig, run_event_ready
@@ -22,7 +23,7 @@ INT64 = np.iinfo(np.int64)
 
 
 def test_trials_round_trip(tmp_path):
-    run = run_event_ready(EventReadyConfig(herald_prob=0.9), CANONICAL_ANGLES, 300, seed=1)
+    run = run_event_ready(EventReadyConfig(300, herald_prob=0.9), QuantumSingletModel(CANONICAL_ANGLES), seed=1)
     path = tmp_path / "trials.csv"
     bio.write_trials_csv(path, run, seed=1)
     back = bio.read_trials_csv(path)
@@ -178,7 +179,7 @@ def test_blank_body_reads_as_zero_rows(tmp_path):
 
 
 def test_header_kind_mismatch_rejected(tmp_path):
-    run = run_event_ready(EventReadyConfig(herald_prob=1.0), CANONICAL_ANGLES, 5, seed=1)
+    run = run_event_ready(EventReadyConfig(5, herald_prob=1.0), QuantumSingletModel(CANONICAL_ANGLES), seed=1)
     path = tmp_path / "trials.csv"
     bio.write_trials_csv(path, run, seed=1)
     with pytest.raises(ConfigError, match="kind"):

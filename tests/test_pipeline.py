@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from belllab import pipeline
 from belllab.core import CANONICAL_ANGLES, CONTEXTS, ContextTable, SettingPair, chsh, estimate
 from belllab.couplings import QuantumSingletModel, pearle_model
-from belllab.errors import PipelineError
 from belllab.pipeline import (
     CoincidencePolicy,
     PairedRawData,
@@ -98,7 +97,7 @@ class TestLattice:
 
     def test_unsorted_input_rejected_with_diagnostic(self):
         message = "stream B is not time-sorted: data row 2 has time 5, before 10 in data row 1"
-        with pytest.raises(PipelineError, match=message):
+        with pytest.raises(ValueError, match=message):
             RawEventStream(station="B", times=np.array([10, 5], dtype=np.int64),
                            settings=np.zeros(2, dtype=np.int8), outcomes=np.ones(2, dtype=np.int8))
 
@@ -529,7 +528,7 @@ class TestWindowSweep:
     def test_empty_width_list_rejected(self):
         a = make_stream("A", [])
         b = make_stream("B", [])
-        with pytest.raises(PipelineError):
+        with pytest.raises(ValueError):
             window_sweep(a, b, [])
 
     def test_bad_width_rejected_before_any_pairing(self, monkeypatch):
@@ -537,7 +536,7 @@ class TestWindowSweep:
         monkeypatch.setattr(pipeline, "match_coincidences", lambda *args: calls.append(args))
         a = make_stream("A", [(5, 0, 1)])
         b = make_stream("B", [(6, 0, -1)])
-        with pytest.raises(PipelineError, match="window width"):
+        with pytest.raises(ValueError, match="window width"):
             window_sweep(a, b, [15, 0])
         assert calls == []
 
@@ -546,7 +545,7 @@ class TestWindowSweep:
         # 2.9 would bin by t // 2.9 while the audit records 2.
         a = make_stream("A", [(5, 0, 1)])
         b = make_stream("B", [(6, 0, -1)])
-        with pytest.raises(PipelineError, match="window width must be an integer"):
+        with pytest.raises(ValueError, match="window width must be an integer"):
             window_sweep(a, b, [width])
 
     def test_numpy_integer_width_stored_as_int(self):

@@ -21,12 +21,13 @@ from belllab.protocol import (
 from belllab.rng import stream
 
 SQRT2 = math.sqrt(2)
+SINGLET = QuantumSingletModel(CANONICAL_ANGLES)
 
 
 class TestEventReady:
     def test_record_count_and_ready_flag(self):
-        cfg = EventReadyConfig(herald_prob=0.5)
-        run = run_event_ready(cfg, CANONICAL_ANGLES, 1000, seed=1)
+        cfg = EventReadyConfig(1000, herald_prob=0.5)
+        run = run_event_ready(cfg, SINGLET, seed=1)
         assert len(run) == 1000
         assert np.isin(run.a, (-1, 1)).all() and np.isin(run.b, (-1, 1)).all()
 
@@ -34,24 +35,24 @@ class TestEventReady:
         # geometric() saturates at INT64_MAX; a chunk sum of such draws wraps negative.
         for p in (1e-300, 1e-15):
             with pytest.raises(ValueError, match="herald_prob"):
-                run_event_ready(EventReadyConfig(herald_prob=p), CANONICAL_ANGLES, CHUNK, seed=1)
+                run_event_ready(EventReadyConfig(CHUNK, herald_prob=p), SINGLET, seed=1)
 
     def test_herald_attempts_total_beyond_int64_stays_exact(self, monkeypatch):
         # Each chunk sum fits int64, but their total need not.
         monkeypatch.setattr(protocol, "CHUNK", 1)
-        run = run_event_ready(EventReadyConfig(herald_prob=1e-17), CANONICAL_ANGLES, 200, seed=4)
+        run = run_event_ready(EventReadyConfig(200, herald_prob=1e-17), SINGLET, seed=4)
         expected = sum(int(stream(4, "event-ready", i).geometric(1e-17, size=1)[0]) for i in range(200))
         assert run.meta["herald_attempts"] == expected > 2**63
 
     def test_perfect_case_anticorrelates(self):
         angles = AngleAssignment(alice=(0.2, 0.2), bob=(0.2, 0.2))  # theta = 0 everywhere
-        run = run_event_ready(EventReadyConfig(herald_prob=1.0), angles, 500, seed=2)
+        run = run_event_ready(EventReadyConfig(500, herald_prob=1.0), QuantumSingletModel(angles), seed=2)
         assert (run.a == -run.b).all()
 
     def test_herald_attempts_counted(self):
-        run = run_event_ready(EventReadyConfig(herald_prob=1.0), CANONICAL_ANGLES, 400, seed=3)
+        run = run_event_ready(EventReadyConfig(400, herald_prob=1.0), SINGLET, seed=3)
         assert run.meta["herald_attempts"] == 400
-        run = run_event_ready(EventReadyConfig(herald_prob=0.25), CANONICAL_ANGLES, 10_000, seed=3)
+        run = run_event_ready(EventReadyConfig(10_000, herald_prob=0.25), SINGLET, seed=3)
         attempts = run.meta["herald_attempts"]
         # Mean attempts per trial is 1/p = 4; sd of the total ~ sqrt(n*12).
         assert attempts == pytest.approx(40_000, abs=5 * math.sqrt(10_000 * 12))
@@ -60,9 +61,9 @@ class TestEventReady:
         # Oracle: readout flips compose analytically to
         # E = -(2 Fa - 1)(2 Fb - 1) V cos(theta).
         fa, fb, v = 0.9, 0.8, 0.85
-        cfg = EventReadyConfig(herald_prob=1.0, visibility=v, fidelity_a=fa, fidelity_b=fb)
         n = 1_000_000
-        run = run_event_ready(cfg, CANONICAL_ANGLES, n, seed=11)
+        cfg = EventReadyConfig(n, herald_prob=1.0, fidelity_a=fa, fidelity_b=fb)
+        run = run_event_ready(cfg, QuantumSingletModel(CANONICAL_ANGLES, visibility=v), seed=11)
         summary = estimate(ContextTable.from_arrays(run.x, run.y, run.a, run.b))
         for s in CONTEXTS:
             expected = -(2 * fa - 1) * (2 * fb - 1) * v * math.cos(CANONICAL_ANGLES.theta(s))
@@ -73,8 +74,8 @@ class TestEventReady:
     def test_zurich_calibration_value(self):
         # V chosen as S_target / (2 sqrt 2) reproduces the reported S.
         target = 2.0747
-        cfg = EventReadyConfig(herald_prob=1.0, visibility=target / (2 * SQRT2))
-        run = run_event_ready(cfg, CANONICAL_ANGLES, 1_000_000, seed=5)
+        model = QuantumSingletModel(CANONICAL_ANGLES, visibility=target / (2 * SQRT2))
+        run = run_event_ready(EventReadyConfig(1_000_000, herald_prob=1.0), model, seed=5)
         s = chsh(estimate(ContextTable.from_arrays(run.x, run.y, run.a, run.b)))
         assert abs(s) == pytest.approx(target, abs=0.02)
 
@@ -83,36 +84,36 @@ class TestEventReady:
         # (2 Fa - 1)(2 Fb - 1) relative to the unit-fidelity calibration.
         target = 2.0747
         fa, fb = 0.9905, 0.9760
-        cfg = EventReadyConfig(
-            herald_prob=1.0, visibility=target / (2 * SQRT2), fidelity_a=fa, fidelity_b=fb
-        )
-        run = run_event_ready(cfg, CANONICAL_ANGLES, 1_000_000, seed=15)
+        cfg = EventReadyConfig(1_000_000, herald_prob=1.0, fidelity_a=fa, fidelity_b=fb)
+        model = QuantumSingletModel(CANONICAL_ANGLES, visibility=target / (2 * SQRT2))
+        run = run_event_ready(cfg, model, seed=15)
         s = chsh(estimate(ContextTable.from_arrays(run.x, run.y, run.a, run.b)))
         assert abs(s) == pytest.approx(target * (2 * fa - 1) * (2 * fb - 1), abs=0.02)
 
     def test_reproducible_and_chunk_spanning(self):
         n = CHUNK + 1234  # force a partial second chunk
-        cfg = EventReadyConfig(herald_prob=0.7, visibility=0.9)
-        r1 = run_event_ready(cfg, CANONICAL_ANGLES, n, seed=9)
-        r2 = run_event_ready(cfg, CANONICAL_ANGLES, n, seed=9)
+        cfg = EventReadyConfig(n, herald_prob=0.7)
+        model = QuantumSingletModel(CANONICAL_ANGLES, visibility=0.9)
+        r1 = run_event_ready(cfg, model, seed=9)
+        r2 = run_event_ready(cfg, model, seed=9)
         for name in ("x", "y", "a", "b"):
             assert (getattr(r1, name) == getattr(r2, name)).all()
-        r3 = run_event_ready(cfg, CANONICAL_ANGLES, n, seed=10)
+        r3 = run_event_ready(cfg, model, seed=10)
         assert not (r1.a == r3.a).all()
 
     def test_worker_count_does_not_change_output(self, monkeypatch):
         n = 3 * CHUNK + 17
-        cfg = EventReadyConfig(herald_prob=0.9)
+        cfg = EventReadyConfig(n, herald_prob=0.9)
         monkeypatch.setenv("BELLLAB_THREADS", "1")
-        r1 = run_event_ready(cfg, CANONICAL_ANGLES, n, seed=4)
+        r1 = run_event_ready(cfg, SINGLET, seed=4)
         monkeypatch.setenv("BELLLAB_THREADS", "4")
-        r2 = run_event_ready(cfg, CANONICAL_ANGLES, n, seed=4)
+        r2 = run_event_ready(cfg, SINGLET, seed=4)
         for name in ("x", "y", "a", "b"):
             assert (getattr(r1, name) == getattr(r2, name)).all()
         assert r1.meta == r2.meta
 
     def test_setting_choices_independent_and_uniform(self):
-        run = run_event_ready(EventReadyConfig(herald_prob=1.0), CANONICAL_ANGLES, 100_000, seed=6)
+        run = run_event_ready(EventReadyConfig(100_000, herald_prob=1.0), SINGLET, seed=6)
         n = len(run)
         for s in CONTEXTS:
             count = int(((run.x == s.x) & (run.y == s.y)).sum())
@@ -122,11 +123,17 @@ class TestEventReady:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EventReadyConfig(herald_prob=0.0)
+            EventReadyConfig(1, herald_prob=0.0)
         with pytest.raises(ValueError):
-            EventReadyConfig(herald_prob=0.5, fidelity_a=0.4)
+            EventReadyConfig(1, herald_prob=0.5, fidelity_a=0.4)
         with pytest.raises(ValueError):
-            run_event_ready(EventReadyConfig(herald_prob=0.5), CANONICAL_ANGLES, 0, seed=1)
+            EventReadyConfig(n_trials=0, herald_prob=0.5)
+
+    @pytest.mark.parametrize("n_trials", [0, protocol.MAX_ITEMS + 1])
+    def test_trial_count_checked_by_the_config(self, n_trials):
+        # The config owns the size cap, as SourceProtocolConfig owns pair_rate * duration.
+        with pytest.raises(ValueError, match=rf"n_trials must be in \[1, {protocol.MAX_ITEMS}\], got {n_trials}$"):
+            EventReadyConfig(n_trials=n_trials, herald_prob=1.0)
 
 
 def _reference_run(cfg, model, seed):

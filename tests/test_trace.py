@@ -1,10 +1,12 @@
-"""The benchmark's in-process tracer on a tiny simulate -> windowed analyze chain.
+"""The benchmark's in-process tracer on tiny simulate -> analyze chains.
 
 ``perfbench/inproc.py`` rebinds the layer functions by name and reads the
 metadata of their results, so a renamed function or meta key would leave its
-per-layer metrics silently at zero. This runs it traced, as the benchmark does.
-The report's tests run inside ``analysis.report``, so their spans must be
-recorded there, under the ``analysis`` names the per-layer metrics read.
+per-layer metrics silently at zero, and it replays each protocol call with the
+arguments it recorded. This runs it traced, as the benchmark does, on a source
+chain with a windowed analysis and on an event-ready chain. The report's tests
+run inside ``analysis.report``, so their spans must be recorded there, under
+the ``analysis`` names the per-layer metrics read.
 """
 
 import json
@@ -16,12 +18,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_traced_chain_records_every_layer(tmp_path):
-    sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
-    sim["protocol"]["duration"] = 0.01
-    inputs = {name: str(tmp_path / f"{name}.csv") for name in ("timetags_a", "timetags_b")}
-    inputs["window"] = {"width_ns": 15, "strategy": "lattice"}
-    configs = {"simulate": sim, "analyze": {"seed": sim["seed"], "inputs": inputs}}
+def _traced(tmp_path, configs: dict) -> dict:
+    """The tracer's result document for one traced phase per command of ``configs``."""
     phases = []
     for command, cfg in configs.items():
         config = tmp_path / f"{command}.json"
@@ -40,6 +38,15 @@ def test_traced_chain_records_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result.read_text())
     assert [(p["phase"], p["rc"]) for p in doc["phases"]] == [("simulate", 0), ("analyze", 0)]
+    return doc
+
+
+def test_traced_chain_records_every_layer(tmp_path):
+    sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
+    sim["protocol"]["duration"] = 0.01
+    inputs = {name: str(tmp_path / f"{name}.csv") for name in ("timetags_a", "timetags_b")}
+    inputs["window"] = {"width_ns": 15, "strategy": "lattice"}
+    doc = _traced(tmp_path, {"simulate": sim, "analyze": {"seed": sim["seed"], "inputs": inputs}})
     spans = doc["spans"]
     # perfbench pins protocol.events and replays the run at one thread by this name.
     (source,) = [s for s in spans if s["name"] == "protocol.run_source_experiment"]
@@ -55,3 +62,17 @@ def test_traced_chain_records_every_layer(tmp_path):
     (report,) = [s for s in spans if s["name"] == "analysis.report"]
     inside = {s["name"] for s in spans if s["parent"] == report["id"]}
     assert {"core.estimate", "analysis.lhv_pvalue", "analysis.nosignalling_test"} <= inside
+
+
+def test_traced_event_ready_chain(tmp_path):
+    sim = json.loads((REPO / "configs" / "tsirelson_event_ready.json").read_text())
+    sim["protocol"]["n_trials"] = 2000
+    inputs = {"trials": str(tmp_path / "trials.csv")}
+    doc = _traced(tmp_path, {"simulate": sim, "analyze": {"seed": sim["seed"], "inputs": inputs}})
+    spans = doc["spans"]
+    # perfbench pins protocol.events on this workload and replays the run at one thread.
+    (run,) = [s for s in spans if s["name"] == "protocol.run_event_ready"]
+    assert run["events"] == 2000
+    assert "protocol.run_event_ready" in doc["single_thread_s"]
+    names = {s["name"] for s in spans}
+    assert {"io.write_trials_csv", "io.read_trials_csv"} <= names
