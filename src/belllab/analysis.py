@@ -18,7 +18,9 @@ Five operations:
   given context distributions, with a witness when feasible and a
   separating linear functional when not. The solver is a self-contained
   phase-1 simplex; the problem is 16 equations in 16 unknowns, far too
-  small to warrant an external solver.
+  small to warrant an external solver. The four context distributions are
+  one (2, 2, 2, 2) array indexed [x, y, a, b] with outcomes (+1, -1), as
+  ``pairwise_tables`` returns them.
 * ``theta_sweep`` - exact or Monte-Carlo correlation curves over a grid of
   relative analyzer angles.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,20 +151,11 @@ class NoSignallingReport:
     final_block_p: float | None
 
 
-def _plus_counts(table: ContextTable, party: str, local: int, remote: int) -> tuple[int, int]:
-    """(+1 count, total) for one party/context; totals include zero outcomes."""
-    if party == "alice":
-        s = SettingPair(local, remote)
-        block = table.counts[s.x, s.y]
-        return int(block[0, :].sum()), int(block.sum())
-    s = SettingPair(remote, local)
-    block = table.counts[s.x, s.y]
-    return int(block[:, 0].sum()), int(block.sum())
-
-
 def _compare(table: ContextTable, party: str, local: int) -> MarginalComparison:
-    k1, n1 = _plus_counts(table, party, local, remote=0)
-    k2, n2 = _plus_counts(table, party, local, remote=1)
+    # Indexed [local setting, remote setting, local outcome, remote outcome]; totals include zeros.
+    counts = table.counts if party == "alice" else table.counts.transpose(1, 0, 3, 2)
+    k1, k2 = counts[local, :, 0].sum(axis=1).tolist()
+    n1, n2 = counts[local].sum(axis=(1, 2)).tolist()
     p1, p2 = (k1 / n1 if n1 else None), (k2 / n2 if n2 else None)
     delta = se = z = p = None
     if n1 and n2:
@@ -203,17 +196,11 @@ def nosignalling_test(raw: ContextTable, final: ContextTable) -> NoSignallingRep
     formula reduces to the standard conditional marginal. Starved cells
     yield ``None`` markers for that comparison.
     """
-    blocks = {}
-    for name, table in (("raw", raw), ("final", final)):
-        blocks[name] = tuple(
-            _compare(table, party, local) for party in ("alice", "bob") for local in (0, 1)
-        )
-    return NoSignallingReport(
-        raw=blocks["raw"],
-        final=blocks["final"],
-        raw_block_p=_block_p(blocks["raw"]),
-        final_block_p=_block_p(blocks["final"]),
+    raw_block, final_block = (
+        tuple(_compare(table, party, local) for party in ("alice", "bob") for local in (0, 1))
+        for table in (raw, final)
     )
+    return NoSignallingReport(raw_block, final_block, _block_p(raw_block), _block_p(final_block))
 
 
 @dataclass(frozen=True)
@@ -343,59 +330,54 @@ _CHSH_SIGNS = _STRATEGIES[:, ::-1][_STRATEGIES.prod(axis=1) < 0]
 _CHSH_FUNCTIONALS = _CHSH_SIGNS.reshape(8, 2, 2, 1, 1) * np.outer(_OUTCOME, _OUTCOME)
 
 
-def _tables_vector(p_xy: Mapping[SettingPair, np.ndarray]) -> np.ndarray:
-    vec = np.zeros(16)
-    for ci, s in enumerate(CONTEXTS):
-        t = np.asarray(p_xy[s], dtype=np.float64)
-        if t.shape != (2, 2):
-            raise AnalysisError(f"context {s.key()}: table must be 2x2 over (+1, -1) outcomes")
+def _checked_tables(p: np.ndarray) -> np.ndarray:
+    """``p`` as a float array of four context tables, each a probability law."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (2, 2, 2, 2):
+        raise AnalysisError(f"tables must have shape (2, 2, 2, 2), got {p.shape}")
+    for s in CONTEXTS:
+        t = p[s.x, s.y]
         if not np.isfinite(t).all() or (t < -1e-12).any():
             raise AnalysisError(f"context {s.key()}: table entries must be probabilities")
         if abs(float(t.sum()) - 1.0) > 1e-9:
             raise AnalysisError(f"context {s.key()}: table must sum to 1, got {float(t.sum())!r}")
-        vec[ci * 4 : ci * 4 + 4] = t.ravel()
-    return vec
+    return p
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, list[int], np.ndarray]:
+def _phase1_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimize the artificial-variable sum for A q = b, q >= 0 (b >= 0).
 
-    Bland's rule throughout (no cycling). Returns the optimal objective,
-    the final basis (column indices into [A | I]), and the final tableau.
+    Bland's rule throughout (no cycling). Returns the optimal objective and
+    the final basis (column indices into [A | I]).
     """
     n_rows, n_cols = a.shape
     tableau = np.hstack([a, np.eye(n_rows), b.reshape(-1, 1)])
-    basis = list(range(n_cols, n_cols + n_rows))
+    basis = np.arange(n_cols, n_cols + n_rows)
     cost = np.concatenate([np.zeros(n_cols), np.ones(n_rows)])
     for _ in range(10_000):
-        reduced = cost.copy()
-        for i, var in enumerate(basis):
-            if cost[var] != 0.0:
-                reduced -= cost[var] * tableau[i, :-1]
-        entering = -1
-        for j in range(n_cols + n_rows):
-            if reduced[j] < -1e-11:
-                entering = j
-                break
-        if entering < 0:
+        # The cost minus each artificial basic row, subtracted in row order.
+        reduced = np.subtract.reduce(np.vstack([cost, tableau[basis >= n_cols, :-1]]))
+        candidates = np.flatnonzero(reduced < -1e-11)
+        if candidates.size == 0:
             break
-        col = tableau[:, entering]
-        ratios = [
-            (tableau[i, -1] / col[i], basis[i], i) for i in range(n_rows) if col[i] > 1e-11
-        ]
-        if not ratios:
+        entering = candidates[0]
+        rows = np.flatnonzero(tableau[:, entering] > 1e-11)
+        if rows.size == 0:
             raise AssertionError("phase-1 objective is bounded; no pivot row found")
-        _, _, row = min(ratios)
+        ratios = tableau[rows, -1] / tableau[rows, entering]
+        # The least ratio, ties to the lower basic column, then to the lower row.
+        row = rows[np.lexsort((rows, basis[rows], ratios))[0]]
         pivot = tableau[row, entering]
         tableau[row] /= pivot
-        for i in range(n_rows):
-            if i != row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[row]
+        others = np.flatnonzero(tableau[:, entering])
+        others = others[others != row]
+        tableau[others] -= tableau[others, entering, None] * tableau[row]
         basis[row] = entering
     else:
         raise AssertionError("phase-1 simplex did not terminate")
-    objective = float(sum(tableau[i, -1] for i, var in enumerate(basis) if var >= n_cols))
-    return objective, basis, tableau
+    # A Python sum over numpy scalars, in row order.
+    objective = float(sum(tableau[basis >= n_cols, -1]))
+    return objective, basis
 
 
 @dataclass(frozen=True)
@@ -441,15 +423,15 @@ class FeasibilityResult:
         }
 
 
-def chsh_combinations(p_xy: Mapping[SettingPair, np.ndarray]) -> list[float]:
-    """The 8 CHSH-type sign combinations of the pairwise expectations."""
-    e = [float(_OUTCOME @ np.asarray(p_xy[s], dtype=np.float64) @ _OUTCOME) for s in CONTEXTS]
+def chsh_combinations(p: np.ndarray) -> list[float]:
+    """The 8 CHSH-type sign combinations of the pairwise expectations of tables ``p[x, y, a, b]``."""
+    e = (_OUTCOME @ np.asarray(p, dtype=np.float64) @ _OUTCOME).ravel().tolist()
     # Python's left-to-right sum, whose floats feasibility.json prints.
     return [sum(sign * value for sign, value in zip(signs, e)) for signs in _CHSH_SIGNS.tolist()]
 
 
-def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityResult:
-    """Decide whether one joint strategy distribution reproduces all four tables.
+def coupling_feasibility(p: np.ndarray) -> FeasibilityResult:
+    """Decide whether one joint strategy distribution reproduces all four tables ``p[x, y, a, b]``.
 
     Searches for weights q >= 0 over the 16 deterministic assignments
     (a0, a1, b0, b1) whose induced pairwise distributions equal the inputs.
@@ -460,8 +442,8 @@ def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityR
     phase-1 dual vector (which also separates marginal inconsistencies that
     no CHSH combination can see).
     """
-    vec = _tables_vector(p_xy)
-    objective, basis, _ = _phase1_simplex(_STRATEGY_MATRIX, vec)
+    vec = _checked_tables(p).ravel()
+    objective, basis = _phase1_simplex(_STRATEGY_MATRIX, vec)
     if objective <= LP_TOL:
         weights = np.zeros(_COLUMNS.shape[1])
         weights[basis] = np.linalg.solve(_COLUMNS[:, basis], vec)
@@ -477,7 +459,7 @@ def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityR
             certificate=None,
         )
 
-    combos = chsh_combinations(p_xy)
+    combos = chsh_combinations(p)
     max_violation = max(abs(c) for c in combos)
     best = int(np.argmax(combos))
     if combos[best] > 2.0 + LP_TOL:
@@ -486,7 +468,7 @@ def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityR
         # Infeasibility without a CHSH violation (inconsistent marginals):
         # use the phase-1 dual vector, re-derived from the original columns.
         # The phase-1 cost of each basic column: 1 for an artificial one.
-        cost = (np.array(basis) >= 16).astype(np.float64)
+        cost = (basis >= 16).astype(np.float64)
         y = np.linalg.solve(_COLUMNS[:, basis].T, cost)
         coeff, kind = (y / np.abs(y).max()).reshape(2, 2, 2, 2), "dual"
     # The functional on the input, and its largest value on a strategy.
@@ -505,24 +487,24 @@ def coupling_feasibility(p_xy: Mapping[SettingPair, np.ndarray]) -> FeasibilityR
     )
 
 
-def pairwise_tables(model: CouplingModel) -> dict[SettingPair, np.ndarray]:
-    """Per-context 2x2 outcome tables implied by a model's exact moments.
+def pairwise_tables(model: CouplingModel) -> np.ndarray:
+    """The outcome tables implied by a model's exact moments, indexed [x, y, a, b].
 
-    For post-selection models this is the conditional law given both
+    Outcomes are in the order (+1, -1), the input of ``coupling_feasibility``.
+    For post-selection models each table is the conditional law given both
     outcomes nonzero; starved contexts raise.
     """
-    tables = {}
+    tables = np.empty((2, 2, 2, 2))
     for s in CONTEXTS:
         m = model.exact_expectation(s)
         if m.e_ab is None:
             raise AnalysisError(f"context {s.key()} starves; no conditional table exists")
-        t = (
+        tables[s.x, s.y] = (
             1.0
             + _OUTCOME[:, None] * m.e_a
             + _OUTCOME[None, :] * m.e_b
             + np.outer(_OUTCOME, _OUTCOME) * m.e_ab
         ) / 4.0
-        tables[s] = t
     return tables
 
 

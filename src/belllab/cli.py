@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import io as bio
 from .analysis import chsh_combinations, coupling_feasibility, report, theta_sweep
-from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair
+from .core import CONTEXTS, MAX_ITEMS, AngleAssignment
 from .couplings import (
     ContextualModel,
     CouplingModel,
@@ -180,17 +180,12 @@ def _array(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarray:
     return array
 
 
-def _context_arrays(obj: dict, key: str, path: str, default=_MISSING) -> dict[SettingPair, np.ndarray]:
-    """A map of context keys "00".."11" to numeric arrays."""
+def _context_stack(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarray:
+    """The arrays of context keys "00".."11" in ``key``, stacked on leading (2, 2) context axes."""
     spec = _get(obj, key, path, default)
     if not isinstance(spec, dict):
         raise ConfigError(_join(path, key), 'must map context keys "00".."11" to arrays')
-    return {s: _array(spec, s.key(), _join(path, key)) for s in CONTEXTS}
-
-
-def _context_stack(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarray:
-    """The four context arrays of ``key``, stacked on leading (2, 2) context axes."""
-    tables = list(_context_arrays(obj, key, path, default).values())
+    tables = [_array(spec, s.key(), _join(path, key)) for s in CONTEXTS]
     shapes = [t.shape for t in tables]
     if len(set(shapes)) > 1:
         raise ConfigError(_join(path, key), f"the four context arrays must have one shape, got {shapes}")
@@ -325,16 +320,17 @@ def cmd_simulate(args) -> int:
         with _section("protocol"):
             run = run_event_ready(protocol, model, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
-        names, counts = ["trials.csv"], dict(run.meta)
+        names = ["trials.csv"]
     else:
         model = build_model(_get(cfg, "model", ""), "model")
         run = run_source_experiment(protocol, model, seed)
         bio.write_timetags_csv(out / "timetags_a.csv", run.stream_a, seed)
         bio.write_timetags_csv(out / "timetags_b.csv", run.stream_b, seed)
         bio.write_pairs_csv(out / "raw_pairs.csv", run.truth, seed)
-        names, counts = ["timetags_a.csv", "timetags_b.csv", "raw_pairs.csv"], dict(run.metadata)
+        names = ["timetags_a.csv", "timetags_b.csv", "raw_pairs.csv"]
     for name in names:
         print(f"wrote {out / name}")
+    counts = dict(run.meta)
     warnings = counts.pop("warnings", [])
     meta = _document("simulate", seed, config=cfg, counts=counts, warnings=warnings)
     _write(out / "metadata.json", bio.dump_json(meta))
@@ -444,7 +440,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_feasibility(args) -> int:
     cfg, seed, out = _setup(args, seed_default=0)
-    tables = _context_arrays(cfg, "contexts", "")
+    tables = _context_stack(cfg, "contexts", "")
     with _section("contexts"):
         result = coupling_feasibility(tables)
     doc = _document(

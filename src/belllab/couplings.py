@@ -402,19 +402,13 @@ def statistical_dependence(model: ContextualModel | PostSelectionModel) -> float
     |S| beyond 2.)
     """
     if isinstance(model, ContextualModel):
-        tables = [model.instrument_weights[s.x, s.y] for s in CONTEXTS]
+        laws = model.instrument_weights
     elif isinstance(model, PostSelectionModel):
-        tables = [
-            np.outer(model.alice_instrument[s.x], model.bob_instrument[s.y])
-            for s in CONTEXTS
-        ]
+        laws = model.alice_instrument[:, None, :, None] * model.bob_instrument[None, :, None, :]
     else:
         raise TypeError("statistical dependence is defined for instrument-variable models")
-    worst = 0.0
-    for i in range(len(tables)):
-        for j in range(i + 1, len(tables)):
-            worst = max(worst, 0.5 * float(np.abs(tables[i] - tables[j]).sum()))
-    return worst
+    tables = laws.reshape(4, *laws.shape[2:])
+    return max(0.5 * float(np.abs(p - q).sum()) for p, q in itertools.combinations(tables, 2))
 
 
 def rejection_curve(kind: str, *, max_reject: float = 0.8, exponent: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:

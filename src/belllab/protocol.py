@@ -36,7 +36,7 @@ experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +123,8 @@ class EventReadyConfig:
     fidelity_b: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.n_trials, bool) or not isinstance(self.n_trials, (int, np.integer)):
+            raise ValueError(f"n_trials must be an integer, got {self.n_trials!r}")
         if not 1 <= self.n_trials <= MAX_ITEMS:
             raise ValueError(f"n_trials must be in [1, {MAX_ITEMS}], got {self.n_trials}")
         if not (0.0 < self.herald_prob <= 1.0):
@@ -139,14 +141,14 @@ class SourceRun:
     stream_a: RawEventStream
     stream_b: RawEventStream
     truth: PairedRawData
-    metadata: dict = field(default_factory=dict)
+    meta: dict
 
 
 def run_event_ready(cfg: EventReadyConfig, model: QuantumSingletModel, seed: int) -> PairedRawData:
     """Simulate ``cfg.n_trials`` heralded trials, as paired rows with counts in ``meta``.
 
     Per trial: the herald retries until success (attempt counts go to
-    metadata), both settings are drawn uniformly and independently, the
+    ``meta``), both settings are drawn uniformly and independently, the
     singlet ``model`` produces (a, b), and each outcome is flipped
     independently with probability 1 - fidelity. All records are ready=True
     and the record count equals ``cfg.n_trials``.
@@ -173,13 +175,13 @@ def run_event_ready(cfg: EventReadyConfig, model: QuantumSingletModel, seed: int
         return attempts.sum(keepdims=True), x, y, a, b
 
     attempts, x, y, a, b = map(np.concatenate, _run_chunks(cfg.n_trials, make_chunk))
-    metadata = {
+    meta = {
         "n_trials": int(cfg.n_trials),
         # Python ints: the chunk sums fit int64, their total need not.
         "herald_attempts": sum(attempts.tolist()),
         "seed": int(seed),
     }
-    return PairedRawData(x, y, a, b, meta=metadata)
+    return PairedRawData(x, y, a, b, meta=meta)
 
 
 def _emission_events(
@@ -268,7 +270,7 @@ def run_source_experiment(
         streams[station] = RawEventStream(station, times, settings, outcomes)
         del times, settings, outcomes  # the stream holds copies; free these before B's join
 
-    metadata = {
+    meta = {
         "n_emissions": int(n_emit),
         "dark_a": dark_counts["A"],
         "dark_b": dark_counts["B"],
@@ -277,6 +279,4 @@ def run_source_experiment(
         "seed": int(seed),
         "warnings": warnings,
     }
-    return SourceRun(
-        stream_a=streams["A"], stream_b=streams["B"], truth=truth, metadata=metadata
-    )
+    return SourceRun(stream_a=streams["A"], stream_b=streams["B"], truth=truth, meta=meta)

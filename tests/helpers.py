@@ -285,8 +285,8 @@ def rotation_invariant_contextual(
     )
 
 
-def random_nosignalling_tables(rng: np.random.Generator, denom: int = 16) -> dict:
-    """Random no-signalling context tables on a rational grid.
+def random_nosignalling_tables(rng: np.random.Generator, denom: int = 16) -> np.ndarray:
+    """Random no-signalling context tables on a rational grid, indexed [x, y, a, b].
 
     Marginals depend on the local setting only; correlations are free.
     Rejection-samples until every cell probability is nonnegative.
@@ -295,7 +295,7 @@ def random_nosignalling_tables(rng: np.random.Generator, denom: int = 16) -> dic
         ea = rng.integers(-denom, denom + 1, size=2) / denom
         eb = rng.integers(-denom, denom + 1, size=2) / denom
         eab = rng.integers(-denom, denom + 1, size=(2, 2)) / denom
-        tables = {}
+        tables = np.zeros((2, 2, 2, 2))
         ok = True
         for s in CONTEXTS:
             t = np.zeros((2, 2))
@@ -305,20 +305,20 @@ def random_nosignalling_tables(rng: np.random.Generator, denom: int = 16) -> dic
             if (t < 0).any():
                 ok = False
                 break
-            tables[s] = t
+            tables[s.x, s.y] = t
         if ok:
             return tables
 
 
-def tables_from_expectations(e_a, e_b, e_ab) -> dict:
-    """Context tables from per-setting marginals and per-context correlations."""
-    tables = {}
+def tables_from_expectations(e_a, e_b, e_ab) -> np.ndarray:
+    """Context tables, indexed [x, y, a, b], from per-setting marginals and per-context correlations."""
+    tables = np.zeros((2, 2, 2, 2))
     for s in CONTEXTS:
         t = np.zeros((2, 2))
         for ai, a in enumerate((1, -1)):
             for bi, b in enumerate((1, -1)):
                 t[ai, bi] = (1 + a * e_a[s] + b * e_b[s] + a * b * e_ab[s]) / 4
-        tables[s] = t
+        tables[s.x, s.y] = t
     return tables
 
 
@@ -338,3 +338,45 @@ def two_sided_by_relabelling(table: ContextTable) -> HypothesisReport:
     return HypothesisReport(
         s_hat=rep.s_hat, n=rep.n, p_value=min(1.0, 2.0 * rep.p_value), method="hoeffding-two-sided"
     )
+
+
+def reference_phase1_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, list[int], np.ndarray]:
+    """The phase-1 simplex as first written, cell by cell: the reference for ``analysis``.
+
+    Minimize the artificial-variable sum for A q = b, q >= 0 (b >= 0).
+    Bland's rule throughout (no cycling). Returns the optimal objective,
+    the final basis (column indices into [A | I]), and the final tableau.
+    """
+    n_rows, n_cols = a.shape
+    tableau = np.hstack([a, np.eye(n_rows), b.reshape(-1, 1)])
+    basis = list(range(n_cols, n_cols + n_rows))
+    cost = np.concatenate([np.zeros(n_cols), np.ones(n_rows)])
+    for _ in range(10_000):
+        reduced = cost.copy()
+        for i, var in enumerate(basis):
+            if cost[var] != 0.0:
+                reduced -= cost[var] * tableau[i, :-1]
+        entering = -1
+        for j in range(n_cols + n_rows):
+            if reduced[j] < -1e-11:
+                entering = j
+                break
+        if entering < 0:
+            break
+        col = tableau[:, entering]
+        ratios = [
+            (tableau[i, -1] / col[i], basis[i], i) for i in range(n_rows) if col[i] > 1e-11
+        ]
+        if not ratios:
+            raise AssertionError("phase-1 objective is bounded; no pivot row found")
+        _, _, row = min(ratios)
+        pivot = tableau[row, entering]
+        tableau[row] /= pivot
+        for i in range(n_rows):
+            if i != row and tableau[i, entering] != 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[row]
+        basis[row] = entering
+    else:
+        raise AssertionError("phase-1 simplex did not terminate")
+    objective = float(sum(tableau[i, -1] for i, var in enumerate(basis) if var >= n_cols))
+    return objective, basis, tableau

@@ -26,9 +26,11 @@ from belllab.couplings import (
     sample_batch,
 )
 from belllab.analysis import (
+    _STRATEGY_MATRIX,
     AnalysisError,
     _chi2_tail_3,
     _normal_tail,
+    _phase1_simplex,
     chsh_combinations,
     coupling_feasibility,
     lhv_pvalue,
@@ -44,6 +46,7 @@ from helpers import (
     random_deterministic_model,
     random_nosignalling_tables,
     random_stochastic_model,
+    reference_phase1_simplex,
     tables_from_expectations,
     two_sided_by_relabelling,
 )
@@ -398,9 +401,55 @@ class TestTails:
         assert np.max(np.abs(ours - oracle) / oracle) < 1e-13
 
 
+#: Context tables [x, y, a, b] on the boundary of the local polytope or beyond it.
+EDGE_TABLES = {
+    "pr_box": np.array([np.eye(2), np.eye(2), np.eye(2), 1.0 - np.eye(2)]).reshape(2, 2, 2, 2) / 2,
+    "perfect": np.tile(np.eye(2) / 2, (2, 2, 1, 1)),
+    "anti": np.tile((1.0 - np.eye(2)) / 2, (2, 2, 1, 1)),
+}
+
+
+def simplex_input(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) for the phase-1 simplex: the feasibility LP of tables of ``kind``, or a 0/1 system."""
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        # Integer right-hand sides tie many ratios, beyond those of the strategy matrix.
+        a = rng.integers(0, 2, size=(16, 64)).astype(np.float64)
+        return a, a @ rng.integers(0, 3, size=64).astype(np.float64)
+    if kind == "nosignalling":
+        p = random_nosignalling_tables(rng)
+    elif kind == "dirichlet":  # signals
+        p = rng.dirichlet(np.ones(4), size=(2, 2))
+    elif kind == "sparse":
+        p = rng.dirichlet(np.full(4, 0.1), size=(2, 2))
+    elif kind == "grid":  # multiples of 1/k, exact zeros among them
+        g = rng.integers(0, 4, size=(2, 2, 4)).astype(np.float64)
+        g[g.sum(axis=-1) == 0] = 1.0
+        p = g / g.sum(axis=-1, keepdims=True)
+    else:
+        p = EDGE_TABLES[kind]
+    return _STRATEGY_MATRIX, p.ravel()
+
+
 class TestFeasibility:
+    @given(
+        st.sampled_from(["nosignalling", "dirichlet", "sparse", "grid", "binary"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("pr_box", 0)
+    @example("perfect", 0)
+    @example("anti", 0)
+    @settings(max_examples=600)
+    def test_simplex_pivots_as_the_reference(self, kind, seed):
+        # The array simplex takes every pivot of the cell-by-cell one, ties included.
+        a, b = simplex_input(kind, seed)
+        objective, basis = _phase1_simplex(a, b)
+        expected, expected_basis, _ = reference_phase1_simplex(a, b)
+        assert objective.hex() == expected.hex()
+        assert basis.tolist() == expected_basis
+
     def test_uniform_product_tables_feasible(self):
-        tables = {s: np.full((2, 2), 0.25) for s in CONTEXTS}
+        tables = np.full((2, 2, 2, 2), 0.25)
         result = coupling_feasibility(tables)
         assert result.feasible
         assert result.margin_error < 1e-9
@@ -469,16 +518,16 @@ class TestFeasibility:
                 a = (a0, a1)[s.x]
                 b = (b0, b1)[s.y]
                 got[0 if a == 1 else 1, 0 if b == 1 else 1] += w
-            np.testing.assert_allclose(got, tables[s], atol=1e-9)
+            np.testing.assert_allclose(got, tables[s.x, s.y], atol=1e-9)
 
     def test_exact_boundary_tables_are_feasible(self):
         # A CHSH combination equal to 2 exactly sits on the local polytope
         # boundary and must not be misclassified by the tolerance.
-        perfect = {s: np.array([[0.5, 0.0], [0.0, 0.5]]) for s in CONTEXTS}
+        perfect = np.tile([[0.5, 0.0], [0.0, 0.5]], (2, 2, 1, 1))
         assert max(chsh_combinations(perfect)) == 2.0
         result = coupling_feasibility(perfect)
         assert result.feasible and result.margin_error < 1e-12
-        anti = {s: np.array([[0.0, 0.5], [0.5, 0.0]]) for s in CONTEXTS}
+        anti = np.tile([[0.0, 0.5], [0.5, 0.0]], (2, 2, 1, 1))
         assert coupling_feasibility(anti).feasible
 
     def test_algebraic_extreme_has_maximal_slack(self):
@@ -517,11 +566,11 @@ class TestFeasibility:
                         assert functional[s.x, s.y, ai, bi] == signs[ci] * a * b
 
     def test_malformed_tables_rejected(self):
-        tables = {s: np.full((2, 2), 0.25) for s in CONTEXTS}
-        tables[SettingPair(0, 0)] = np.array([[0.5, 0.5], [0.5, 0.5]])
+        tables = np.full((2, 2, 2, 2), 0.25)
+        tables[0, 0] = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(AnalysisError, match="sum to 1"):
             coupling_feasibility(tables)
-        tables[SettingPair(0, 0)] = np.array([[1.5, -0.5], [0.0, 0.0]])
+        tables[0, 0] = np.array([[1.5, -0.5], [0.0, 0.0]])
         with pytest.raises(AnalysisError):
             coupling_feasibility(tables)
 
@@ -605,10 +654,10 @@ class TestPairwiseTables:
         tables = pairwise_tables(QuantumSingletModel(angles=CANONICAL_ANGLES))
         e = -SQRT2 / 2
         expected = np.array([[1 + e, 1 - e], [1 - e, 1 + e]]) / 4
-        np.testing.assert_allclose(tables[SettingPair(0, 0)], expected, atol=1e-12)
+        np.testing.assert_allclose(tables[0, 0], expected, atol=1e-12)
 
     def test_tables_are_distributions(self):
         tables = pairwise_tables(pearle_model(CANONICAL_ANGLES))
         for s in CONTEXTS:
-            assert tables[s].sum() == pytest.approx(1.0)
-            assert (tables[s] >= -1e-12).all()
+            assert tables[s.x, s.y].sum() == pytest.approx(1.0)
+            assert (tables[s.x, s.y] >= -1e-12).all()

@@ -812,6 +812,26 @@ MALFORMED = {
         lambda tmp: {"contexts": {k: [[10**400, 0], [0, 0]] for k in ("00", "01", "10", "11")}},
         "contexts.00: must be a numeric array",
     ),
+    "feasibility_context_shapes_differ": (
+        "feasibility",
+        lambda tmp: {"contexts": {**FEASIBILITY_CASES["local"], "10": [[0.2, 0.1, 0.1]] * 3}},
+        "contexts: the four context arrays must have one shape",
+    ),
+    "feasibility_contexts_not_2x2": (
+        "feasibility",
+        lambda tmp: {"contexts": {k: [[0.2, 0.1, 0.1]] * 3 for k in ("00", "01", "10", "11")}},
+        "contexts: tables must have shape (2, 2, 2, 2)",
+    ),
+    "feasibility_negative_cell": (
+        "feasibility",
+        lambda tmp: {"contexts": {**FEASIBILITY_CASES["local"], "00": [[1.25, -0.25], [0, 0]]}},
+        "contexts: context 00: table entries must be probabilities",
+    ),
+    "feasibility_context_sums_to_two": (
+        "feasibility",
+        lambda tmp: {"contexts": {**FEASIBILITY_CASES["local"], "01": [[0.5, 0.5], [0.5, 0.5]]}},
+        "contexts: context 01: table must sum to 1, got 2.0",
+    ),
     "contextual_instrument_shapes_differ": (
         "simulate",
         lambda tmp: source_config(

@@ -135,6 +135,12 @@ class TestEventReady:
         with pytest.raises(ValueError, match=rf"n_trials must be in \[1, {protocol.MAX_ITEMS}\], got {n_trials}$"):
             EventReadyConfig(n_trials=n_trials, herald_prob=1.0)
 
+    @pytest.mark.parametrize("n_trials", [1000.0, True])
+    def test_trial_count_must_be_an_integer(self, n_trials):
+        # A float count fails only later, in the run; a bool count reads as 1 trial.
+        with pytest.raises(ValueError, match=rf"^n_trials must be an integer, got {n_trials!r}$"):
+            EventReadyConfig(n_trials=n_trials, herald_prob=1.0)
+
 
 def _reference_run(cfg, model, seed):
     """Truth columns and both stations' events, rebuilt one emission at a time.
@@ -190,8 +196,8 @@ def _assert_matches_reference(out, truth, events):
         assert stream_.times.tolist() == [r[0] for r in rows]
         assert stream_.settings.tolist() == [r[3] for r in rows]
         assert stream_.outcomes.tolist() == [r[4] for r in rows]
-    assert out.metadata["dark_a"] == sum(r[1] for r in events["A"])
-    assert out.metadata["dark_b"] == sum(r[1] for r in events["B"])
+    assert out.meta["dark_a"] == sum(r[1] for r in events["A"])
+    assert out.meta["dark_b"] == sum(r[1] for r in events["B"])
     # The truth record keeps every emission's raw outcomes, zeros included.
     assert [out.truth.x.tolist(), out.truth.y.tolist(), out.truth.a.tolist(), out.truth.b.tolist()] == truth
 
@@ -203,7 +209,7 @@ class TestSourceExperiment:
         out = run_source_experiment(cfg, model, seed=7)
         assert len(out.stream_a) == 1000 and len(out.stream_b) == 1000
         assert (out.stream_a.times == out.stream_b.times).all()
-        assert out.metadata["n_emissions"] == 1000
+        assert out.meta["n_emissions"] == 1000
         assert len(out.truth) == 1000
         assert int(((out.truth.x < 0) | (out.truth.y < 0)).sum()) == 0
 
@@ -211,13 +217,13 @@ class TestSourceExperiment:
         cfg = SourceProtocolConfig(pair_rate=0.0, duration=1.0, dark_rate=500.0)
         model = QuantumSingletModel(angles=CANONICAL_ANGLES)
         out = run_source_experiment(cfg, model, seed=8)
-        assert out.metadata["n_emissions"] == 0
+        assert out.meta["n_emissions"] == 0
         assert len(out.truth) == 0
-        assert out.metadata["warnings"]
-        assert len(out.stream_a) == out.metadata["dark_a"]
-        assert len(out.stream_b) == out.metadata["dark_b"]
+        assert out.meta["warnings"]
+        assert len(out.stream_a) == out.meta["dark_a"]
+        assert len(out.stream_b) == out.meta["dark_b"]
         # Poisson sanity at desk scale.
-        for n in (out.metadata["dark_a"], out.metadata["dark_b"]):
+        for n in (out.meta["dark_a"], out.meta["dark_b"]):
             assert n == pytest.approx(500, abs=5 * math.sqrt(500))
         # Dark outcomes are fair coins.
         mean = float(out.stream_a.outcomes.astype(float).mean())
@@ -251,7 +257,7 @@ class TestSourceExperiment:
             for threads in ("1", "2"):
                 monkeypatch.setenv("BELLLAB_THREADS", threads)
                 out = run_source_experiment(cfg, model, seed=13)
-                assert out.metadata["n_emissions"] == n
+                assert out.meta["n_emissions"] == n
                 _assert_matches_reference(out, truth, events)
 
     def test_reproducible_across_worker_counts(self, monkeypatch):
@@ -280,7 +286,7 @@ class TestSourceExperiment:
         cfg = SourceProtocolConfig(pair_rate=0.1, duration=1.0, jitter_sd=2.0, dark_rate=300.0)
         model = QuantumSingletModel(angles=CANONICAL_ANGLES)
         out = run_source_experiment(cfg, model, seed=1)
-        assert out.metadata["warnings"] and out.metadata["n_emissions"] == 0
+        assert out.meta["warnings"] and out.meta["n_emissions"] == 0
         _assert_matches_reference(out, *_reference_run(cfg, model, seed=1))
 
 
