@@ -331,7 +331,7 @@ _CHSH_FUNCTIONALS = _CHSH_SIGNS.reshape(8, 2, 2, 1, 1) * np.outer(_OUTCOME, _OUT
 
 
 def _checked_tables(p: np.ndarray) -> np.ndarray:
-    """``p`` as a float array of four context tables, each a probability law."""
+    """``p`` as a float array of four context tables, each a law; entries in [-1e-12, 0) read as 0."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (2, 2, 2, 2):
         raise AnalysisError(f"tables must have shape (2, 2, 2, 2), got {p.shape}")
@@ -341,7 +341,7 @@ def _checked_tables(p: np.ndarray) -> np.ndarray:
             raise AnalysisError(f"context {s.key()}: table entries must be probabilities")
         if abs(float(t.sum()) - 1.0) > 1e-9:
             raise AnalysisError(f"context {s.key()}: table must sum to 1, got {float(t.sum())!r}")
-    return p
+    return np.where(p < 0.0, 0.0, p)
 
 
 def _phase1_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:

@@ -19,7 +19,6 @@ import dataclasses
 import inspect
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -40,7 +39,7 @@ from .couplings import (
     pearle_model,
     rejection_curve,
 )
-from .errors import ConfigError
+from .errors import ConfigError, section
 from .pipeline import window_sweep
 from .protocol import (
     EventReadyConfig,
@@ -62,7 +61,7 @@ _MISSING = inspect.Parameter.empty  # the default of a required field, as of a r
 # parameter of its constructor, of the same name and with the same default.
 # The readers below, called as ``read(obj, key, path, default)``, check JSON
 # *types* and build field paths. The *range* of each value is checked once, by
-# the constructor it feeds; ``_section`` re-raises that constructor's
+# the constructor it feeds; ``errors.section`` re-raises that constructor's
 # ValueError as a ConfigError on the section path.
 
 
@@ -82,16 +81,6 @@ def load_config(path: Path) -> dict:
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-@contextmanager
-def _section(path: str):
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from e
 
 
 def _get(obj: dict, key: str, path: str, default=_MISSING):
@@ -202,7 +191,7 @@ def _fields(build: Callable, read=_array, **readers) -> Callable[[dict, str], ob
     params = inspect.signature(build).parameters.values()
 
     def built(obj: dict, path: str):
-        with _section(path):
+        with section(path):
             return build(**{p.name: readers.get(p.name, read)(obj, p.name, path, p.default) for p in params})
 
     return built
@@ -317,7 +306,7 @@ def cmd_simulate(args) -> int:
     if kind == "event_ready":
         # The singlet's angles and visibility are fields of the protocol section.
         model = _BUILDERS["quantum_singlet"](proto, "protocol")
-        with _section("protocol"):
+        with section("protocol"):
             run = run_event_ready(protocol, model, seed)
         bio.write_trials_csv(out / "trials.csv", run, seed)
         names = ["trials.csv"]
@@ -356,7 +345,7 @@ def cmd_analyze(args) -> int:
         wspec = _get(inputs, "window", "inputs")
         width = _integer(wspec, "width_ns", "inputs.window")
         strategy = _get(wspec, "strategy", "inputs.window", default=_default(window_sweep, "strategy"))
-        with _section("inputs.window"):
+        with section("inputs.window"):
             (point,) = window_sweep(stream_a, stream_b, [width], strategy=strategy)
         final_table = point.table
         window = {"c_by_context": {s.key(): point.summary[s].c for s in CONTEXTS}, "pairing": point.meta}
@@ -406,7 +395,7 @@ def cmd_sweep(args) -> int:
         _choice(mspec, "family", "sweep.model", THETA_FAMILIES)
         thetas = _thetas(spec)
         n_per_point = _integer(spec, "n_per_point", "sweep", default=_default(theta_sweep, "n_trials"))
-        with _section("sweep"):
+        with section("sweep"):
             points = theta_sweep(
                 # theta is the relative angle at the (0, 0) context
                 lambda theta: build_model(
@@ -426,7 +415,7 @@ def cmd_sweep(args) -> int:
         ):
             raise ConfigError("sweep.windows_ns", f"must be an array of integers, got {windows!r}")
         strategy = _get(spec, "strategy", "sweep", default=_default(window_sweep, "strategy"))
-        with _section("sweep"):
+        with section("sweep"):
             points = window_sweep(stream_a, stream_b, windows, strategy=strategy)
         name, text, rows = "windows", bio.window_sweep_csv(points, seed), [p.to_json() for p in points]
         counts = {"points": len(points), "strategy": strategy}
@@ -441,7 +430,7 @@ def cmd_sweep(args) -> int:
 def cmd_feasibility(args) -> int:
     cfg, seed, out = _setup(args, seed_default=0)
     tables = _context_stack(cfg, "contexts", "")
-    with _section("contexts"):
+    with section("contexts"):
         result = coupling_feasibility(tables)
     doc = _document(
         "feasibility", seed, chsh_combinations=chsh_combinations(tables), **result.to_json()

@@ -129,41 +129,30 @@ CANONICAL_ANGLES = AngleAssignment(
 )
 
 
+@dataclass(frozen=True, eq=False)
 class ContextTable:
     """Outcome counts n(a, b) for each of the four contexts.
 
-    Backed by an int64 array of shape (2, 2, 3, 3) indexed ``[x, y, a, b]``,
-    with the outcomes of ``a`` and ``b`` in the order (+1, -1, 0). Instances
-    are immutable.
+    ``counts`` is a read-only int64 copy of shape (2, 2, 3, 3) indexed
+    ``[x, y, a, b]``, with the outcomes of ``a`` and ``b`` in the order
+    (+1, -1, 0). Two tables are equal when their counts are.
     """
 
-    __slots__ = ("_counts",)
+    counts: np.ndarray
 
-    def __init__(self, counts: np.ndarray):
-        counts = np.asarray(counts, dtype=np.int64)
+    def __post_init__(self) -> None:
+        counts = np.array(self.counts, dtype=np.int64)
         if counts.shape != (2, 2, 3, 3):
             raise ValueError(f"counts must have shape (2, 2, 3, 3), got {counts.shape}")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        counts = counts.copy()
         counts.setflags(write=False)
-        self._counts = counts
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
-
-    def n_total(self, s: SettingPair) -> int:
-        return int(self._counts[s.x, s.y].sum())
+        object.__setattr__(self, "counts", counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContextTable):
             return NotImplemented
-        return bool(np.array_equal(self._counts, other._counts))
-
-    def __repr__(self) -> str:
-        totals = {s.key(): self.n_total(s) for s in CONTEXTS}
-        return f"ContextTable(N={totals})"
+        return bool(np.array_equal(self.counts, other.counts))
 
     @classmethod
     def from_arrays(
@@ -213,9 +202,6 @@ class CorrelationSummary:
 
     def __getitem__(self, s: SettingPair) -> ContextEstimate:
         return self._contexts[s]
-
-    def __iter__(self) -> Iterator[SettingPair]:
-        return iter(CONTEXTS)
 
 
 def estimate(table: ContextTable) -> CorrelationSummary:

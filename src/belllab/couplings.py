@@ -14,12 +14,13 @@ Families:
   finite hidden value; bounded by |S| <= 2.
 * ``StochasticLHVModel`` - conditionally independent +/-1 outcomes given the
   hidden value; same bound.
-* ``ContextualModel`` - adds instrument variables whose joint distribution
-  depends on the context; outcomes stay locally generated but statistical
-  independence fails, so |S| may exceed 2.
-* ``PostSelectionModel`` - responses may be 0 ("no detection") and reported
-  expectations condition on both outcomes being nonzero, normalized by the
-  retained fraction C; post-selected |S| is bounded only by 4.
+* ``ContextualModel`` - adds instrument variables drawn by context, the label
+  ``2 * x + y`` of ``_draw_by``; outcomes stay locally generated but
+  statistical independence fails, so |S| may exceed 2.
+* ``PostSelectionModel`` - instrument values drawn by each station's own
+  setting; responses may be 0 ("no detection") and reported expectations
+  condition on both outcomes being nonzero, normalized by the retained
+  fraction C; post-selected |S| is bounded only by 4.
 
 All hidden-variable sets are finite and explicitly tabulated. No contextual
 instance shipped here reproduces the full singlet law without post-selection;
@@ -124,6 +125,23 @@ def _draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.unravel_index(support[np.searchsorted(cum, u, side="right")], law.shape)
 
 
+def _draw_by(laws: np.ndarray, labels: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One draw per uniform in ``u`` from ``laws[labels[i]]``, as an index array per axis of a law.
+
+    The rows of each label are drawn together by one ``_draw``, in label order.
+    """
+    out = np.empty((laws.ndim - 1, len(u)), dtype=np.int64)
+    for label, law in enumerate(laws):
+        rows = np.flatnonzero(labels == label)
+        out[:, rows] = _draw(law, u[rows])
+    return tuple(out)
+
+
+def _independent_moments(w: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> ExactMoments:
+    """Moments of outcomes independent given the hidden value: ``w`` its law, ``ea``, ``eb`` their means."""
+    return ExactMoments(e_ab=float(w @ (ea * eb)), e_a=float(w @ ea), e_b=float(w @ eb), c=1.0)
+
+
 @dataclass(frozen=True)
 class QuantumSingletModel:
     """Visibility-degraded singlet: joint law p(a, b) = (1 - V*a*b*cos theta)/4."""
@@ -178,10 +196,7 @@ class DeterministicLHVModel:
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         a = self.alice[s.x].astype(np.float64)
         b = self.bob[s.y].astype(np.float64)
-        w = self.weights
-        return ExactMoments(
-            e_ab=float(w @ (a * b)), e_a=float(w @ a), e_b=float(w @ b), c=1.0
-        )
+        return _independent_moments(self.weights, a, b)
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -212,10 +227,7 @@ class StochasticLHVModel:
     def exact_expectation(self, s: SettingPair) -> ExactMoments:
         ea = 2.0 * self.alice_plus[s.x] - 1.0
         eb = 2.0 * self.bob_plus[s.y] - 1.0
-        w = self.weights
-        return ExactMoments(
-            e_ab=float(w @ (ea * eb)), e_a=float(w @ ea), e_b=float(w @ eb), c=1.0
-        )
+        return _independent_moments(self.weights, ea, eb)
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -276,11 +288,9 @@ class ContextualModel:
         u_src = rng.random(n)
         u_ins = rng.random(n)
         k1, k2 = _draw(self.source_weights, u_src)
-        mu_x = np.empty(n, dtype=np.int64)
-        mu_y = np.empty(n, dtype=np.int64)
-        for s in CONTEXTS:
-            rows = np.flatnonzero((x == s.x) & (y == s.y))
-            mu_x[rows], mu_y[rows] = _draw(self.instrument_weights[s.x, s.y], u_ins[rows])
+        # The label is the context, 2 * x + y, its position in CONTEXTS: both settings pick the law.
+        laws = self.instrument_weights.reshape(4, *self.instrument_weights.shape[2:])
+        mu_x, mu_y = _draw_by(laws, 2 * x + y, u_ins)
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 
@@ -340,13 +350,9 @@ class PostSelectionModel:
         u_a = rng.random(n)
         u_b = rng.random(n)
         k1, k2 = _draw(self.source_weights, u_src)
-        mu_x = np.empty(n, dtype=np.int64)
-        mu_y = np.empty(n, dtype=np.int64)
-        for lbl in (0, 1):
-            rows = np.flatnonzero(x == lbl)
-            (mu_x[rows],) = _draw(self.alice_instrument[lbl], u_a[rows])
-            rows = np.flatnonzero(y == lbl)
-            (mu_y[rows],) = _draw(self.bob_instrument[lbl], u_b[rows])
+        # The label is the station's own setting: neither law sees the other setting.
+        (mu_x,) = _draw_by(self.alice_instrument, x, u_a)
+        (mu_y,) = _draw_by(self.bob_instrument, y, u_b)
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from .analysis import SweepPoint
 from .core import CONTEXTS, ContextTable, CorrelationSummary, ordered_map, row_blocks
-from .errors import ConfigError
+from .errors import ConfigError, section
 from .pipeline import PairedRawData, RawEventStream, WindowPoint
 
 SCHEMA_VERSION = 1
@@ -158,13 +158,11 @@ def _read_int_csv(path: Path, kind: str, columns: Sequence[str]) -> tuple[dict, 
     # np.loadtxt would pick a decompressor from the suffix.
     if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
         raise ConfigError(name, f"CSV inputs are read as plain text; rename this {path.suffix} file")
-    try:
-        with path.open(encoding="utf-8") as f:
-            first, names = f.readline(), f.readline()
-            # loadtxt warns on a body with no data; such a body holds zero rows.
-            has_rows = any(line.strip() for line in iter(f.readline, ""))
-    except UnicodeDecodeError as e:
-        raise ConfigError(name, str(e)) from e
+    # A UnicodeDecodeError is a ValueError, so it names the file.
+    with section(name), path.open(encoding="utf-8") as f:
+        first, names = f.readline(), f.readline()
+        # loadtxt warns on a body with no data; such a body holds zero rows.
+        has_rows = any(line.strip() for line in iter(f.readline, ""))
     if not first:
         raise ConfigError(name, "empty file")
     header = _parse_header(first, name)
@@ -227,10 +225,8 @@ def read_timetags_csv(path: Path) -> RawEventStream:
     station = header.get("station")
     if station not in ("A", "B"):
         raise ConfigError(str(path), "header must carry station=A or station=B")
-    try:
+    with section(str(path)):
         return RawEventStream(station=station, times=times, settings=settings, outcomes=outcomes)
-    except ValueError as e:
-        raise ConfigError(str(path), str(e)) from e
 
 
 def write_pairs_csv(path: Path, pairs: PairedRawData, seed: int) -> None:
@@ -239,10 +235,8 @@ def write_pairs_csv(path: Path, pairs: PairedRawData, seed: int) -> None:
 
 def read_pairs_csv(path: Path) -> PairedRawData:
     _, columns = _read_int_csv(path, "pairs", ("x", "y", "a", "b"))
-    try:
+    with section(str(path)):
         return PairedRawData(*columns)
-    except ValueError as e:
-        raise ConfigError(str(path), str(e)) from e
 
 
 def _cell(value: float | None) -> str:
@@ -284,7 +278,7 @@ def summary_csv(summary: CorrelationSummary, seed: int) -> str:
 
 def _encode(obj: object) -> object:
     """The JSON form of a value ``json`` cannot write itself; nested values come back here."""
-    if isinstance(obj, ContextTable):
+    if isinstance(obj, ContextTable):  # a dataclass too, written by context before the branch below
         return {s.key(): obj.counts[s.x, s.y] for s in CONTEXTS}
     if isinstance(obj, CorrelationSummary):
         return {s.key(): obj[s] for s in CONTEXTS}

@@ -20,6 +20,7 @@ from belllab.couplings import (
     DeterministicLHVModel,
     PostSelectionModel,
     StochasticLHVModel,
+    _draw,
 )
 from belllab.pipeline import UNKNOWN_SETTING, PairedRawData, RawEventStream
 
@@ -162,6 +163,46 @@ def full_cumulative_draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ..
     cum = np.cumsum(np.clip(law.ravel(), 0.0, None))
     cum /= cum[-1]
     return np.unravel_index(np.searchsorted(cum, u, side="right"), law.shape)
+
+
+# The instrument draws as the two instrument-variable samplers first wrote
+# them, one loop over the contexts or over the setting labels: the references
+# for ``couplings._draw_by``.
+
+
+def contextual_batch_by_context(
+    model: ContextualModel, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ContextualModel.sample_batch`` with a ``_draw`` of the instrument pair per context."""
+    n = len(x)
+    u_src = rng.random(n)
+    u_ins = rng.random(n)
+    k1, k2 = _draw(model.source_weights, u_src)
+    mu_x = np.empty(n, dtype=np.int64)
+    mu_y = np.empty(n, dtype=np.int64)
+    for s in CONTEXTS:
+        rows = np.flatnonzero((x == s.x) & (y == s.y))
+        mu_x[rows], mu_y[rows] = _draw(model.instrument_weights[s.x, s.y], u_ins[rows])
+    return model.alice[x, k1, mu_x], model.bob[y, k2, mu_y]
+
+
+def postselection_batch_by_setting(
+    model: PostSelectionModel, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``PostSelectionModel.sample_batch`` with a ``_draw`` per station and setting label."""
+    n = len(x)
+    u_src = rng.random(n)
+    u_a = rng.random(n)
+    u_b = rng.random(n)
+    k1, k2 = _draw(model.source_weights, u_src)
+    mu_x = np.empty(n, dtype=np.int64)
+    mu_y = np.empty(n, dtype=np.int64)
+    for lbl in (0, 1):
+        rows = np.flatnonzero(x == lbl)
+        (mu_x[rows],) = _draw(model.alice_instrument[lbl], u_a[rows])
+        rows = np.flatnonzero(y == lbl)
+        (mu_y[rows],) = _draw(model.bob_instrument[lbl], u_b[rows])
+    return model.alice[x, k1, mu_x], model.bob[y, k2, mu_y]
 
 
 def random_deterministic_model(rng: np.random.Generator, n_hidden: int = 6) -> DeterministicLHVModel:

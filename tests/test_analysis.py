@@ -565,6 +565,24 @@ class TestFeasibility:
                     for bi, b in enumerate(outcome):
                         assert functional[s.x, s.y, ai, bi] == signs[ci] * a * b
 
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_local_tables_with_entries_at_the_negative_tolerance_are_feasible(self, k, seed):
+        # A mixture of k strategies, with mass t <= 1e-12 moved from zero
+        # entries onto another entry of the same context, zero or not.
+        rng = np.random.default_rng(seed)
+        q = np.zeros(16)
+        q[rng.choice(16, size=k, replace=False)] = rng.dirichlet(np.ones(k))
+        tables = (_STRATEGY_MATRIX @ q).reshape(4, 4)
+        for t in tables:
+            zeros = np.flatnonzero(t == 0.0)
+            for i in rng.choice(zeros, size=rng.integers(0, len(zeros) + 1), replace=False):
+                moved = 1e-12 * (1.0 - rng.random())  # in (0, 1e-12]
+                t[i] -= moved
+                t[rng.choice(np.delete(np.arange(4), i))] += moved
+        result = coupling_feasibility(tables.reshape(2, 2, 2, 2))
+        assert result.feasible and result.margin_error < 1e-9
+
     def test_malformed_tables_rejected(self):
         tables = np.full((2, 2, 2, 2), 0.25)
         tables[0, 0] = np.array([[0.5, 0.5], [0.5, 0.5]])

@@ -610,6 +610,7 @@ PEARLE_EXPONENT_0 = {
 LATTICE_15 = {"width_ns": 15}
 BAD_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n5,257,1\n"
 BAD_PAIRS = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n0,0,255,1\n"
+PAIRS_SETTING_2 = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n2,0,1,1\n"
 BAD_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,0,1,1\n"
 FLOAT_TRIALS = "# belllab schema_version=1 kind=trials seed=1\ntrial_id,x,y,a,b,ready\n0,0,0,1.0,1,1\n"
 UNSORTED_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n10,0,1\n5,0,1\n"
@@ -690,6 +691,12 @@ MALFORMED = {
         lambda tmp: source_config(PEARLE_MAX_REJECT_1),
         "model.rejection: max_reject",
     ),
+    # The curve's section sits inside the model's, and its path is the innermost one.
+    "max_reject_one_inner_path_only": (
+        "simulate",
+        lambda tmp: source_config(PEARLE_MAX_REJECT_1),
+        "error: model.rejection: max_reject must be in [0, 1), got 1.0",
+    ),
     "exponent_zero": ("simulate", lambda tmp: source_config(PEARLE_EXPONENT_0), "model.rejection: exponent"),
     "duration_zero": ("simulate", lambda tmp: source_config(duration=0), "protocol: duration"),
     "huge_integer_rate": (
@@ -751,6 +758,18 @@ MALFORMED = {
         "analyze",
         lambda tmp: stream_inputs(tmp, LATTICE_15, raw_pairs=BAD_PAIRS),
         "raw_pairs.csv: outcomes",
+    ),
+    # A reader's constructor error names the file.
+    "pairs_setting_2": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, LATTICE_15, raw_pairs=PAIRS_SETTING_2),
+        "raw_pairs.csv: settings must be in (-1, 0, 1)",
+    ),
+    # An input that cannot be opened exits 2 with the OSError's own message.
+    "trials_file_missing": (
+        "analyze",
+        lambda tmp: {"seed": 1, "inputs": {"trials": str(tmp / "missing.csv")}},
+        "error: [Errno 2] No such file or directory",
     ),
     "lhv_table_narrowed": ("simulate", lambda tmp: source_config(LHV_NARROWED), "model: alice responses"),
     "contextual_table_narrowed": (
@@ -1032,6 +1051,13 @@ class TestFeasibilityCommand:
             {"contexts": {k: [[0.7, 0.25], [0.25, 0.25]] for k in ("00", "01", "10", "11")}},
         )
         assert main(["feasibility", "--config", cfg]) == 2
+
+    def test_entry_at_the_negative_tolerance_is_feasible(self, tmp_path, capsys):
+        # The table check accepts -1e-12, which the simplex reads as 0.
+        contexts = {k: [[0.5, 0.0], [0.0, 0.5]] for k in ("01", "10", "11")}
+        cfg = write_config(tmp_path / "f.json", {"contexts": {"00": [[0.5, -1e-12], [1e-12, 0.5]], **contexts}})
+        assert main(["feasibility", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
 class TestModelConfigs:

@@ -123,7 +123,7 @@ class TestTally:
         table = table_of([])
         assert table.counts.sum() == 0
         for s in CONTEXTS:
-            assert table.n_total(s) == 0
+            assert table.counts[s.x, s.y].sum() == 0
 
     def test_single_cell_fold(self):
         table = table_of([(0, 0, 1, -1)] * 3)

@@ -1,6 +1,7 @@
 """Coupling families: exact laws, samplers, bounds, and presets."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -36,7 +37,9 @@ from belllab.rng import stream
 from helpers import (
     brute_force_contextual,
     brute_force_postselection,
+    contextual_batch_by_context,
     full_cumulative_draw,
+    postselection_batch_by_setting,
     random_contextual_model,
     random_deterministic_model,
     random_postselection_model,
@@ -601,6 +604,40 @@ def test_draw_over_the_support_matches_the_full_cumulative(ndim, single, seed):
     u = np.concatenate([rng.random(64), partial, np.nextafter(partial, 0.0), ends])
     got, want = _draw(law, u), full_cumulative_draw(law, u)
     assert len(got) == ndim
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@given(
+    st.sampled_from(["contextual", "postselection"]),
+    st.sampled_from(["mixed", "context_missing", "one_setting", "one_row", "empty"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200)
+def test_instrument_draw_by_label_matches_the_loops(family, batch, seed):
+    """The instrument families draw as their per-context and per-setting loops did."""
+    rng = np.random.default_rng(seed)
+    n1, n2, mx, my = (int(k) for k in rng.integers([1, 1, 2, 2], [4, 4, 5, 5]))
+    if family == "contextual":
+        model = random_contextual_model(rng, n1, n2, mx, my)
+        reference = contextual_batch_by_context
+        # Four distinct laws: a draw from another context's law changes the indices.
+        laws = model.instrument_weights.reshape(4, -1)
+        assert all(not np.array_equal(p, q) for p, q in itertools.combinations(laws, 2))
+    else:
+        model = random_postselection_model(rng, n1, n2, mx, my)
+        reference = postselection_batch_by_setting
+        for law in (model.alice_instrument, model.bob_instrument):
+            assert not np.array_equal(law[0], law[1])
+    n = {"one_row": 1, "empty": 0}.get(batch, int(rng.integers(40, 400)))
+    x, y = rng.integers(0, 2, size=(2, n)).astype(np.int8)
+    if batch == "context_missing":
+        s = CONTEXTS[rng.integers(4)]
+        x, y = (v[(x != s.x) | (y != s.y)] for v in (x, y))
+    elif batch == "one_setting":
+        x[:] = rng.integers(2)
+    got = sample_batch(model, x, y, np.random.default_rng(seed + 1))
+    want = reference(model, x, y, np.random.default_rng(seed + 1))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 

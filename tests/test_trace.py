@@ -4,9 +4,11 @@
 metadata of their results, so a renamed function or meta key would leave its
 per-layer metrics silently at zero, and it replays each protocol call with the
 arguments it recorded. This runs it traced, as the benchmark does, on a source
-chain with a windowed analysis and on an event-ready chain. The report's tests
-run inside ``analysis.report``, so their spans must be recorded there, under
-the ``analysis`` names the per-layer metrics read.
+chain with a windowed analysis, on an event-ready chain and on a window sweep
+with each pairing strategy. The report's tests run inside ``analysis.report``,
+so their spans must be recorded there, under the ``analysis`` names the
+per-layer metrics read; each width of a sweep must record its pairing,
+post-selection and tally.
 """
 
 import json
@@ -15,11 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
 def _traced(tmp_path, configs: dict) -> dict:
-    """The tracer's result document for one traced phase per command of ``configs``."""
+    """The tracer's result document for one traced phase per command of ``configs``, in order."""
     phases = []
     for command, cfg in configs.items():
         config = tmp_path / f"{command}.json"
@@ -37,7 +41,7 @@ def _traced(tmp_path, configs: dict) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(result.read_text())
-    assert [(p["phase"], p["rc"]) for p in doc["phases"]] == [("simulate", 0), ("analyze", 0)]
+    assert [(p["phase"], p["rc"]) for p in doc["phases"]] == [(command, 0) for command in configs]
     return doc
 
 
@@ -76,3 +80,28 @@ def test_traced_event_ready_chain(tmp_path):
     assert "protocol.run_event_ready" in doc["single_thread_s"]
     names = {s["name"] for s in spans}
     assert {"io.write_trials_csv", "io.read_trials_csv"} <= names
+
+
+@pytest.mark.parametrize("strategy", ["lattice", "greedy"])
+def test_traced_window_sweep_records_each_width(tmp_path, strategy):
+    sim = json.loads((REPO / "configs" / "pearle_anomaly_source.json").read_text())
+    sim["protocol"]["duration"] = 0.01
+    streams = {name: str(tmp_path / f"{name}.csv") for name in ("timetags_a", "timetags_b")}
+    sweep = {"kind": "window", **streams, "strategy": strategy, "windows_ns": [8, 30]}
+    doc = _traced(tmp_path, {"simulate": sim, "sweep": {"seed": sim["seed"], "sweep": sweep}})
+    (root,) = [s for s in doc["spans"] if s["name"] == "pipeline.window_sweep"]
+    # Spans are numbered on entry, so a parent comes before its children.
+    below, inside = {root["id"]}, []
+    for span in doc["spans"]:
+        if span["parent"] in below:
+            below.add(span["id"])
+            inside.append(span)
+    # Each width's spans start at its pairing.
+    starts = [i for i, s in enumerate(inside) if s["name"].startswith("pipeline.match_")]
+    assert len(starts) == 2
+    for lo, hi in zip(starts, starts[1:] + [len(inside)]):
+        match, width = inside[lo], inside[lo:hi]
+        assert match["name"] == f"pipeline.match_{strategy}" and match["matched"] > 0
+        (post,) = [s for s in width if s["name"] == "pipeline.postselect"]
+        assert 0 < post["retained"] <= post["input_rows"]
+        assert "core.from_arrays" in {s["name"] for s in width}
