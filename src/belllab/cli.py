@@ -181,12 +181,21 @@ def _context_stack(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarr
     return np.stack(tables).reshape((2, 2) + shapes[0])
 
 
+def _only(obj, path: str, keys) -> None:
+    """Reject the first key of the object at ``path`` that is not in ``keys``: no reader reads it."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            raise ConfigError(_join(path, key), "unknown field")
+
+
 def _fields(build: Callable, read=_array, **readers) -> Callable[[dict, str], object]:
     """A reader of ``build(**fields)`` from the object at ``path``, one field per parameter.
 
     Parameters are read in declaration order, each by ``read`` unless
     ``readers`` names it, with the parameter's own default; the call's
-    ValueError names ``path``.
+    ValueError names ``path``. The reader's ``keys`` are the config keys it
+    reads: a parameter's name, or the ``key`` of a reader that reads another.
+    The caller that owns the section rejects every other key (``_only``).
     """
     params = inspect.signature(build).parameters.values()
 
@@ -194,6 +203,7 @@ def _fields(build: Callable, read=_array, **readers) -> Callable[[dict, str], ob
         with section(path):
             return build(**{p.name: readers.get(p.name, read)(obj, p.name, path, p.default) for p in params})
 
+    built.keys = tuple(getattr(readers.get(p.name), "key", p.name) for p in params)
     return built
 
 
@@ -208,7 +218,10 @@ def _nested(build: Callable, read, **readers):
 
     def read_nested(obj: dict, key: str, path: str, default=_MISSING):
         value = _get(obj, key, path, default)
-        return value if value is default else fields(value, _join(path, key))
+        if value is default:
+            return value
+        _only(value, _join(path, key), fields.keys)
+        return fields(value, _join(path, key))
 
     return read_nested
 
@@ -222,8 +235,10 @@ def _delay(group: str, station: str):
 
     def read(obj: dict, key: str, path: str, default=_MISSING) -> tuple[float, float]:
         spec = _get(obj, group, path, default=None)
+        _only(spec, _join(path, group), ("alice", "bob"))
         return _pair({} if spec is None else spec, station, _join(path, group), default)
 
+    read.key = group
     return read
 
 
@@ -259,7 +274,9 @@ THETA_FAMILIES = ("quantum_singlet", "pearle")
 
 def build_model(spec: dict, path: str) -> CouplingModel:
     """Construct a coupling model from its JSON description."""
-    return _BUILDERS[_choice(spec, "family", path, MODEL_FAMILIES)](spec, path)
+    build = _BUILDERS[_choice(spec, "family", path, MODEL_FAMILIES)]
+    _only(spec, path, ("family", *build.keys))
+    return build(spec, path)
 
 
 def _setup(args, *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:
@@ -301,6 +318,10 @@ def cmd_simulate(args) -> int:
     cfg, seed, out = _setup(args)
     proto = _get(cfg, "protocol", "")
     kind = _choice(proto, "kind", "protocol", tuple(_PROTOCOLS))
+    keys = ("kind", *_PROTOCOLS[kind].keys)
+    if kind == "event_ready":
+        keys += _BUILDERS["quantum_singlet"].keys
+    _only(proto, "protocol", keys)
     protocol = _PROTOCOLS[kind](proto, "protocol")
 
     if kind == "event_ready":

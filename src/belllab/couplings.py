@@ -25,6 +25,14 @@ Families:
 All hidden-variable sets are finite and explicitly tabulated. No contextual
 instance shipped here reproduces the full singlet law without post-selection;
 none is known to us and we do not attempt a construction.
+
+A tabulated value is drawn by inverse CDF: ``_draw`` and ``_draw_by`` return,
+per uniform u, the first entry of the law's cumulative above u. They find it
+through a guide table of four buckets per entry (Chen & Asau 1974), starting
+one bucket below u's own to cover the rounding of the bucket edges, and fall
+back to a binary search for a law whose entries crowd a few buckets, or a
+batch shorter than the table. Both give the same index, so every stream a
+model draws is the one a search over the whole cumulative gives.
 """
 
 from __future__ import annotations
@@ -109,6 +117,69 @@ def _responses(name: str, values, shape: tuple[int, ...], allowed: tuple[int, ..
     return table
 
 
+#: Guide-table buckets per entry of the widest cumulative a table serves.
+_GUIDE_BUCKETS = 4
+
+#: A guide table whose widest three-bucket window holds more entries than this
+#: is not built; the draw falls back to a binary search. Eight steps cost about
+#: what a binary search over four entries does.
+_GUIDE_STEPS = 8
+
+
+def _support(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of ``law``'s positive entries and their normalized cumulative."""
+    flat = law.ravel()
+    support = np.flatnonzero(flat > 0.0)
+    cum = np.cumsum(flat[support])
+    cum /= cum[-1]
+    return support, cum
+
+
+def _guided_search(cum: np.ndarray, u: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray | None:
+    """``searchsorted(cum[labels[i]], u[i], side="right")`` per uniform, as a flat index into ``cum``.
+
+    ``cum`` holds one sorted cumulative per row, ending at 1.0 and padded
+    with +inf; ``labels`` is None for one row. A guide table (Chen & Asau
+    1974; Devroye 1986, III.2.4) of K = _GUIDE_BUCKETS * width buckets holds
+    ``g[k] = searchsorted(row, k / K, side="right")``. Each uniform starts at
+    ``g[b - 1]``, b = floor(u * K), and steps up once per entry not above u,
+    as often as the widest window ``g[b + 2] - g[b - 1]`` holds entries. The
+    bucket of margin on each side covers the rounding of ``u * K`` and
+    ``k / K``: the start is never past the answer, the answer never past the
+    window, and a step stops at the first entry above u, so the result is the
+    search's. Returns None, for a binary search instead, when K exceeds
+    ``len(u)`` (so the table never outgrows the batch) or the widest window
+    holds more than _GUIDE_STEPS entries, as a skewed law's does.
+    """
+    rows, width = cum.shape
+    k = _GUIDE_BUCKETS * width
+    if k > len(u):
+        return None
+    edges = np.arange(k + 1) / k
+    guide = np.stack([np.searchsorted(row, edges, side="right") for row in cum])
+    bucket = np.arange(k)
+    start = guide[:, np.maximum(bucket - 1, 0)]
+    steps = int((guide[:, np.minimum(bucket + 2, k)] - start).max())
+    if steps > _GUIDE_STEPS:
+        return None
+    start += np.arange(rows)[:, None] * width
+    start = start.T.ravel()  # [bucket * rows + row]
+    # In place throughout: the draw holds one index, one float and one flag per uniform.
+    idx = np.empty(len(u), dtype=np.intp)
+    np.multiply(u, k, out=idx, casting="unsafe")
+    if labels is not None:
+        idx *= rows
+        idx += labels
+    np.take(start, idx, out=idx, mode="clip")
+    flat = cum.ravel()
+    at = np.empty(len(u))
+    up = np.empty(len(u), dtype=bool)
+    for _ in range(steps):
+        np.take(flat, idx, out=at, mode="clip")
+        idx += np.less_equal(at, u, out=up)
+    return idx
+
+
 def _draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """One draw from ``law`` per uniform in ``u``, as an index array per axis of ``law``.
 
@@ -117,19 +188,34 @@ def _draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     whole cumulative would: adding 0.0 leaves a float partial sum unchanged,
     and a right-side search lands only where the cumulative steps up, which
     is on a positive entry. Entries in [-WEIGHT_EPS, 0] carry no weight.
+    The search goes through a guide table (``_guided_search``), or is a
+    binary search where that falls back; both give the same index.
     """
-    flat = law.ravel()
-    support = np.flatnonzero(flat > 0.0)
-    cum = np.cumsum(flat[support])
-    cum /= cum[-1]
-    return np.unravel_index(support[np.searchsorted(cum, u, side="right")], law.shape)
+    support, cum = _support(law)
+    idx = _guided_search(cum[None], u)
+    if idx is None:
+        idx = np.searchsorted(cum, u, side="right")
+    return np.unravel_index(np.take(support, idx, out=idx, mode="clip"), law.shape)
 
 
 def _draw_by(laws: np.ndarray, labels: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """One draw per uniform in ``u`` from ``laws[labels[i]]``, as an index array per axis of a law.
 
-    The rows of each label are drawn together by one ``_draw``, in label order.
+    Every row is drawn in one pass through one guide table per label, on a
+    common bucket count set by the widest support. Where ``_guided_search``
+    falls back, the rows of each label are drawn together by one ``_draw``, in
+    label order. Either way a row gets the index ``_draw`` gives it.
     """
+    parts = [_support(law) for law in laws]
+    width = max(len(support) for support, _ in parts)
+    supports = np.zeros((len(laws), width), dtype=np.intp)
+    cum = np.full((len(laws), width), np.inf)
+    for label, (support, c) in enumerate(parts):
+        supports[label, : len(support)] = support
+        cum[label, : len(c)] = c
+    idx = _guided_search(cum, u, labels)
+    if idx is not None:
+        return np.unravel_index(np.take(supports, idx, out=idx, mode="clip"), laws.shape[1:])
     out = np.empty((laws.ndim - 1, len(u)), dtype=np.int64)
     for label, law in enumerate(laws):
         rows = np.flatnonzero(labels == label)

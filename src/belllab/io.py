@@ -99,15 +99,15 @@ def _cells(values: np.ndarray, sep: str) -> np.ndarray:
     Returns a ``(width + 2, rows)`` uint8 matrix holding ``-``, the digits
     right-aligned and ``sep``; a sign or leading digit a value does not use is 0.
     """
-    v = np.asarray(values, dtype=np.int64)
-    # abs() wraps INT64_MIN onto itself; as uint64 that is its magnitude, 2**63.
-    mag = np.abs(v).view(np.uint64)
+    # abs() wraps a column's most negative value onto itself; as unsigned that
+    # is its magnitude (2**63 for int64). Each column keeps its own width.
+    mag = np.abs(values).view(f"u{values.itemsize}")
     top = int(mag.max())
     width = len(str(top))
-    if top < 2**32:
+    if values.itemsize == 8 and top < 2**32:
         mag = mag.astype(np.uint32)  # the same digits from cheaper divisions
-    chars = np.empty((width + 2, len(v)), dtype=np.uint8)
-    np.multiply(v < 0, ord("-"), out=chars[0], casting="unsafe")
+    chars = np.empty((width + 2, len(values)), dtype=np.uint8)
+    np.multiply(values < 0, ord("-"), out=chars[0], casting="unsafe")
     for j in range(width, 0, -1):
         # A digit is used when the value reaches its place; the units digit always is.
         offset = ord("0") if j == width else (mag != 0).view(np.uint8) * ord("0")

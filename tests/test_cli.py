@@ -1,15 +1,20 @@
 """End-to-end CLI behavior: formats, determinism, exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from belllab import io as bio
 from belllab.cli import _BUILDERS, _PROTOCOLS, build_model, main
@@ -936,7 +941,90 @@ MALFORMED = {
         lambda tmp: {"seed": 1, "inputs": {"trials": text_file(tmp / "trials.csv", BAD_TRIALS)}},
         "trials.csv: data row 1",
     ),
+    # Every key of a section is read or rejected: a misspelt field once took its default.
+    "unknown_model_field": (
+        "simulate",
+        lambda tmp: source_config({"family": "quantum_singlet", "angles": CANONICAL_ANGLES_JSON, "visiblity": 0.5}),
+        "error: model.visiblity: unknown field",
+    ),
+    "unknown_source_protocol_field": (
+        "simulate",
+        lambda tmp: source_config(jiter_sd=5.0),
+        "error: protocol.jiter_sd: unknown field",
+    ),
+    # A delay is read from its group, never by the constructor's parameter name.
+    "source_protocol_parameter_name": (
+        "simulate",
+        lambda tmp: source_config(setting_delay_a=[1.0, 2.0]),
+        "error: protocol.setting_delay_a: unknown field",
+    ),
+    "unknown_setting_delay_station": (
+        "simulate",
+        lambda tmp: source_config(setting_delay={"alcie": [1.0, 2.0]}),
+        "error: protocol.setting_delay.alcie: unknown field",
+    ),
+    "unknown_outcome_delay_station": (
+        "simulate",
+        lambda tmp: source_config(outcome_delay={"bob": [0.0, 8.0], "carol": [0.0, 1.0]}),
+        "error: protocol.outcome_delay.carol: unknown field",
+    ),
+    # An event-ready section holds the fields of EventReadyConfig and of the singlet, and no others.
+    "unknown_event_ready_field": (
+        "simulate",
+        lambda tmp: event_ready_config(10, jitter_sd=1.0),
+        "error: protocol.jitter_sd: unknown field",
+    ),
+    "unknown_angles_field": (
+        "simulate",
+        lambda tmp: event_ready_config(10, angles={**CANONICAL_ANGLES_JSON, "charlie": [0.0, 0.0]}),
+        "error: protocol.angles.charlie: unknown field",
+    ),
+    "unknown_rejection_field": (
+        "simulate",
+        lambda tmp: source_config(
+            {"family": "pearle", "angles": CANONICAL_ANGLES_JSON, "rejection": {"kind": "power", "exponnent": 2.0}}
+        ),
+        "error: model.rejection.exponnent: unknown field",
+    ),
+    "unknown_theta_sweep_model_field": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {"kind": "theta", "model": {"family": "quantum_singlet", "visiblity": 0.5}, "thetas": [0.0]},
+        },
+        "error: sweep.model.visiblity: unknown field",
+    ),
 }
+
+
+def sectioned_configs():
+    """(command, config, path) for every section read through ``cli._fields``: a fresh valid
+    config each, in which ``path`` names the object that section reads."""
+    pearle = {
+        "family": "pearle",
+        "angles": CANONICAL_ANGLES_JSON,
+        "bins": 8,
+        "threshold_bins": 2,
+        "rejection": {"kind": "linear"},
+    }
+    source = source_config(pearle, setting_delay={"alice": [0.0, 1.0]}, outcome_delay={"bob": [0.0, 1.0]})
+    theta = {"seed": 1, "sweep": {"kind": "theta", "model": {"family": "quantum_singlet"}, "thetas": [0.0]}}
+    paths = ("model", "model.angles", "model.rejection", "protocol", "protocol.setting_delay", "protocol.outcome_delay")
+    cases = (
+        [("simulate", source, path) for path in paths]
+        + [("simulate", event_ready_config(10), path) for path in ("protocol", "protocol.angles")]
+        + [("sweep", theta, "sweep.model")]
+    )
+    # Deep copies: a test adds a key, and the shared angles must not keep it.
+    return [(command, json.loads(json.dumps(config)), path) for command, config, path in cases]
+
+
+#: Every key a section read through ``cli._fields`` reads, in any of those sections.
+READ_KEYS = {
+    "family", "kind", "angles", "alice", "bob", "visibility", "bins", "threshold_bins", "rejection",
+    "max_reject", "exponent", "pair_rate", "duration", "jitter_sd", "dark_rate", "setting_delay",
+    "outcome_delay", "n_trials", "herald_prob", "fidelity_a", "fidelity_b",
+}  # fmt: skip
 
 
 class TestMalformedConfigs:
@@ -946,6 +1034,24 @@ class TestMalformedConfigs:
         cfg = write_config(tmp_path / "c.json", build(tmp_path))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert expected in capsys.readouterr().err
+
+    @given(
+        st.integers(0, len(sectioned_configs()) - 1),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=100)
+    def test_one_extra_key_exits_two_naming_it(self, index, key):
+        assume(key not in READ_KEYS)
+        command, config, path = sectioned_configs()[index]
+        section = config
+        for part in path.split("."):
+            section = section[part]
+        section[key] = 1.0
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            cfg = write_config(Path(tmp) / "c.json", config)
+            assert main([command, "--config", cfg, "--out", str(Path(tmp) / "out")]) == 2
+        assert err.getvalue() == f"error: {path}.{key}: unknown field\n"
 
     @pytest.mark.parametrize("command", ["sweep", "feasibility"])
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from belllab.cli import build_model
@@ -20,8 +20,12 @@ from belllab.couplings import (
     PostSelectionModel,
     QuantumSingletModel,
     StochasticLHVModel,
+    _GUIDE_BUCKETS,
     _draw,
+    _draw_by,
+    _guided_search,
     _law,
+    _support,
     deterministic_strategies,
     disjoint_support_model,
     exact_chsh,
@@ -571,16 +575,31 @@ def test_raw_marginals_do_not_signal(family, seed):
                 assert abs(k1 - k2) / n <= 5 * math.sqrt(2 * p * (1 - p) / n)
 
 
-@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
-@settings(max_examples=200)
-def test_draw_over_the_support_matches_the_full_cumulative(ndim, single, seed):
-    """``_draw`` returns the oracle's indices, zero runs and tiny negatives included."""
+@given(
+    st.integers(1, 4),
+    st.sampled_from(["spread", "point_mass", "one_entry", "skewed"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+def test_draw_over_the_support_matches_the_full_cumulative(ndim, kind, short, seed):
+    """``_draw`` returns the oracle's indices, zero runs and tiny negatives included.
+
+    The uniforms include every guide-table bucket edge k/K and the floats on
+    each side of it. A skewed law, and a batch shorter than K, take the binary
+    search instead; both paths must give the oracle's indices.
+    """
     rng = np.random.default_rng(seed)
-    shape = tuple(int(k) for k in rng.integers(1, 6, size=ndim))
+    shape = {
+        "one_entry": (1,) * ndim,
+        "skewed": (1,) * (ndim - 1) + (200,),
+    }.get(kind, tuple(int(k) for k in rng.integers(1, 6, size=ndim)))
     n = math.prod(shape)
     flat = np.zeros(n)
-    if single:
+    if kind in ("point_mass", "one_entry"):
         flat[rng.integers(n)] = 1.0
+    elif kind == "skewed":
+        flat[:] = rng.dirichlet(np.full(n, 0.1))
     else:
         flat[:] = rng.random(n) + 0.01
         # Runs of zeros at the start, in the middle and at the end.
@@ -600,36 +619,80 @@ def test_draw_over_the_support_matches_the_full_cumulative(ndim, single, seed):
     partial = np.cumsum(np.clip(law.ravel(), 0.0, None))
     partial /= partial[-1]
     partial = partial[partial < 1.0]
+    # The bucket edges of the guide table, and the floats on each side of them.
+    k = _GUIDE_BUCKETS * int((law > 0.0).sum())
+    edges = np.arange(k) / k
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     ends = [0.0, np.nextafter(1.0, 0.0)]
-    u = np.concatenate([rng.random(64), partial, np.nextafter(partial, 0.0), ends])
+    u = np.concatenate([rng.random(64), partial, np.nextafter(partial, 0.0), edges, ends])
+    if short:
+        u = rng.choice(u, size=k - 1, replace=False)
+    guided = _guided_search(_support(law)[1][None], u)
+    if short or kind == "skewed":
+        assert guided is None
+    elif kind != "spread":
+        assert guided is not None
     got, want = _draw(law, u), full_cumulative_draw(law, u)
     assert len(got) == ndim
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def reshaped_laws(laws, kind, rng):
+    """A copy of ``laws``, one per label on the leading axis: as given, with ``label`` zero
+    entries in the law of each label (unequal supports), or with one label's law a point mass."""
+    laws = laws.copy()
+    flat = laws.reshape(len(laws), -1)
+    if kind == "unequal_support":
+        for label, row in enumerate(flat):
+            row[rng.choice(row.size, size=min(label, row.size - 1), replace=False)] = 0.0
+            row /= row.sum()
+    elif kind == "point_mass":
+        label = rng.integers(len(flat))
+        flat[label] = 0.0
+        flat[label, rng.integers(flat.shape[1])] = 1.0
+    return laws
+
+
 @given(
     st.sampled_from(["contextual", "postselection"]),
     st.sampled_from(["mixed", "context_missing", "one_setting", "one_row", "empty"]),
+    st.sampled_from(["distinct", "unequal_support", "point_mass", "pearle"]),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=200)
-def test_instrument_draw_by_label_matches_the_loops(family, batch, seed):
-    """The instrument families draw as their per-context and per-setting loops did."""
+@settings(max_examples=300)
+def test_instrument_draw_by_label_matches_the_loops(family, batch, laws, seed):
+    """The instrument families draw as their per-context and per-setting loops did.
+
+    The laws of the labels may differ in support size, one may be a point
+    mass, and the Pearle preset's two 64-entry laws are drawn on batches on
+    both sides of its guide table's 256 buckets.
+    """
     rng = np.random.default_rng(seed)
     n1, n2, mx, my = (int(k) for k in rng.integers([1, 1, 2, 2], [4, 4, 5, 5]))
-    if family == "contextual":
+    if laws == "pearle":
+        model = pearle_model(CANONICAL_ANGLES, bins=32)
+        reference = postselection_batch_by_setting
+    elif family == "contextual":
         model = random_contextual_model(rng, n1, n2, mx, my)
+        stacked = reshaped_laws(model.instrument_weights.reshape(4, mx, my), laws, rng)
+        model = dataclasses.replace(model, instrument_weights=stacked.reshape(2, 2, mx, my))
         reference = contextual_batch_by_context
         # Four distinct laws: a draw from another context's law changes the indices.
-        laws = model.instrument_weights.reshape(4, -1)
-        assert all(not np.array_equal(p, q) for p, q in itertools.combinations(laws, 2))
+        stacked = model.instrument_weights.reshape(4, -1)
+        assert all(not np.array_equal(p, q) for p, q in itertools.combinations(stacked, 2))
     else:
         model = random_postselection_model(rng, n1, n2, mx, my)
+        alice, bob = (reshaped_laws(law, laws, rng) for law in (model.alice_instrument, model.bob_instrument))
+        try:
+            model = dataclasses.replace(model, alice_instrument=alice, bob_instrument=bob)
+        except ValueError:  # the zeroed entries starve every context
+            assume(False)
         reference = postselection_batch_by_setting
         for law in (model.alice_instrument, model.bob_instrument):
             assert not np.array_equal(law[0], law[1])
-    n = {"one_row": 1, "empty": 0}.get(batch, int(rng.integers(40, 400)))
+    most = 1000 if laws == "pearle" else 400
+    n = {"one_row": 1, "empty": 0}.get(batch, int(rng.integers(40, most)))
     x, y = rng.integers(0, 2, size=(2, n)).astype(np.int8)
     if batch == "context_missing":
         s = CONTEXTS[rng.integers(4)]
@@ -653,6 +716,24 @@ def test_pearle_draw_makes_no_law_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < law.nbytes / 2, (peak, law.nbytes)
+
+
+def test_pearle_instrument_draw_by_label_holds_under_20_bytes_per_uniform():
+    """A draw from the Pearle instrument laws by setting label works in place.
+
+    It holds an index, a float and a flag per uniform, and the index array it
+    returns; one mask, gather and scatter per label would hold more.
+    """
+    laws = pearle_model(CANONICAL_ANGLES).alice_instrument
+    u = stream(1, "sampling").random(2**16)
+    labels = (stream(2, "sampling").random(len(u)) < 0.5).astype(np.int8)
+    tracemalloc.start()
+    try:
+        _draw_by(laws, labels, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(u), f"{peak / len(u):.1f} B per uniform"
 
 
 #: The four tabulated families and the classes ``build_model`` makes of them.

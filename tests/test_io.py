@@ -91,6 +91,16 @@ def test_int_csv_matches_savetxt(tmp_path_factory, rows, block_rows):
     assert path.read_bytes() == savetxt_int_csv("# header", columns)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_int_csv_formats_each_integer_width_to_its_extremes(tmp_path, dtype):
+    # Each column is formatted in its own width, where abs() wraps the minimum onto itself.
+    info = np.iinfo(dtype)
+    column = np.array([info.min, info.min + 1, -10, -1, 0, 9, 10, info.max], dtype=dtype)
+    columns = {"code": column, "wide": column.astype(np.int64)}
+    bio._int_csv(tmp_path / "rows.csv", "# header", columns)
+    assert (tmp_path / "rows.csv").read_bytes() == savetxt_int_csv("# header", columns)
+
+
 def test_int_csv_crosses_block_rows(tmp_path):
     # The first block fits uint32, the second does not, and the last block is short.
     n = bio.BLOCK_ROWS + 3
