@@ -42,12 +42,11 @@ from .core import (
     MAX_ITEMS,
     ContextTable,
     CorrelationSummary,
-    SettingPair,
     chsh,
     estimate,
     ordered_map,
 )
-from .couplings import CouplingModel, deterministic_strategies, sample_batch
+from .couplings import CouplingModel, _kept, deterministic_strategies, sample_batch
 from .errors import AnalysisError
 
 __all__ = [
@@ -488,23 +487,15 @@ def coupling_feasibility(p: np.ndarray) -> FeasibilityResult:
 
 
 def pairwise_tables(model: CouplingModel) -> np.ndarray:
-    """The outcome tables implied by a model's exact moments, indexed [x, y, a, b].
+    """A model's exact law given both outcomes nonzero, indexed [x, y, a, b].
 
     Outcomes are in the order (+1, -1), the input of ``coupling_feasibility``.
-    For post-selection models each table is the conditional law given both
-    outcomes nonzero; starved contexts raise.
+    Starved contexts raise.
     """
-    tables = np.empty((2, 2, 2, 2))
+    tables, kept = _kept(model.law())
     for s in CONTEXTS:
-        m = model.exact_expectation(s)
-        if m.e_ab is None:
+        if kept[s.x, s.y] <= 0.0:
             raise AnalysisError(f"context {s.key()} starves; no conditional table exists")
-        tables[s.x, s.y] = (
-            1.0
-            + _OUTCOME[:, None] * m.e_a
-            + _OUTCOME[None, :] * m.e_b
-            + np.outer(_OUTCOME, _OUTCOME) * m.e_ab
-        ) / 4.0
     return tables
 
 
@@ -531,8 +522,8 @@ def theta_sweep(
     """Correlation curve E(theta) over an angle grid, at the (0, 0) context.
 
     ``model_factory(theta)`` must build the model whose relative angle at
-    the (0, 0) context is theta. With ``n_trials`` unset the exact expectation is
-    used (stderr 0, n 0); otherwise each point is estimated from n_trials
+    the (0, 0) context is theta. With ``n_trials`` unset E is read from the
+    model's exact law (stderr 0, n 0); otherwise each point is estimated from n_trials
     Monte-Carlo draws on the stream (seed, "sweep", point index), with E
     conditioned on nonzero pairs and n reporting the pairs used. The points
     run through ``ordered_map``, so ``model_factory`` may be called from
@@ -542,14 +533,14 @@ def theta_sweep(
         raise AnalysisError("theta sweep needs a non-empty grid")
     if n_trials is not None and (not 1 <= n_trials <= MAX_ITEMS or seed is None):
         raise AnalysisError(f"Monte-Carlo sweeps need 1 <= n_trials <= {MAX_ITEMS} and a seed")
-    context = SettingPair(0, 0)
 
     def point(item: tuple[int, float]) -> SweepPoint:
         idx, theta = item[0], float(item[1])
         model = model_factory(theta)
         if n_trials is None:
-            m = model.exact_expectation(context)
-            return SweepPoint(theta=theta, e_ab=m.e_ab, stderr=0.0, n=0)
+            block, kept = _kept(model.law())
+            e = float(_OUTCOME @ block[0, 0] @ _OUTCOME) if kept[0, 0] > 0.0 else None
+            return SweepPoint(theta=theta, e_ab=e, stderr=0.0, n=0)
         g = _rng.stream(seed, "sweep", idx)
         # int8 settings pass ``codes`` without a round trip.
         x = y = np.zeros(n_trials, dtype=np.int8)

@@ -174,6 +174,7 @@ def _context_stack(obj: dict, key: str, path: str, default=_MISSING) -> np.ndarr
     spec = _get(obj, key, path, default)
     if not isinstance(spec, dict):
         raise ConfigError(_join(path, key), 'must map context keys "00".."11" to arrays')
+    _only(spec, _join(path, key), [s.key() for s in CONTEXTS])
     tables = [_array(spec, s.key(), _join(path, key)) for s in CONTEXTS]
     shapes = [t.shape for t in tables]
     if len(set(shapes)) > 1:
@@ -279,12 +280,14 @@ def build_model(spec: dict, path: str) -> CouplingModel:
     return build(spec, path)
 
 
-def _setup(args, *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:
+def _setup(args, keys: tuple[str, ...], *, seed_default=_MISSING) -> tuple[dict, int, Path | None]:
     """Load the config, resolve the seed (``--seed`` wins) and make the output directory.
 
-    The returned config carries the resolved seed, as echoed into metadata.
+    The config may hold ``seed`` and the command's own ``keys``, and no other
+    key. The returned config carries the resolved seed, as echoed into metadata.
     """
     cfg = load_config(Path(args.config))
+    _only(cfg, "", ("seed", *keys))
     seed = args.seed if args.seed is not None else _integer(cfg, "seed", "", default=seed_default)
     if seed < 0:
         raise ConfigError("seed", f"must be a non-negative integer, got {seed}")
@@ -315,12 +318,13 @@ def _document(command: str, seed: int, **fields) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg, seed, out = _setup(args)
+    cfg, seed, out = _setup(args, ("protocol", "model"))
     proto = _get(cfg, "protocol", "")
     kind = _choice(proto, "kind", "protocol", tuple(_PROTOCOLS))
     keys = ("kind", *_PROTOCOLS[kind].keys)
     if kind == "event_ready":
         keys += _BUILDERS["quantum_singlet"].keys
+        _only(cfg, "", ("seed", "protocol"))  # the singlet is read from the protocol section
     _only(proto, "protocol", keys)
     protocol = _PROTOCOLS[kind](proto, "protocol")
 
@@ -348,7 +352,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg, seed, out = _setup(args)
+    cfg, seed, out = _setup(args, ("inputs",))
     inputs = _get(cfg, "inputs", "")
     if not isinstance(inputs, dict):
         raise ConfigError("inputs", "must be an object")
@@ -356,16 +360,19 @@ def cmd_analyze(args) -> int:
     window = None
 
     if "trials" in inputs:
+        _only(inputs, "inputs", ("trials",))
         # The reader keeps ready trials only, and those have nonzero outcomes:
         # post-selection leaves the table as it is.
         trials = bio.read_trials_csv(_path(inputs, "trials", "inputs"))
         raw_table = final_table = trials.to_context_table()
     elif "timetags_a" in inputs or "timetags_b" in inputs:
         # A windowed analysis is one width of the window sweep.
-        stream_a, stream_b = _streams(inputs, "inputs")
+        _only(inputs, "inputs", ("timetags_a", "timetags_b", "window", "raw_pairs"))
         wspec = _get(inputs, "window", "inputs")
+        _only(wspec, "inputs.window", ("width_ns", "strategy"))
         width = _integer(wspec, "width_ns", "inputs.window")
         strategy = _get(wspec, "strategy", "inputs.window", default=_default(window_sweep, "strategy"))
+        stream_a, stream_b = _streams(inputs, "inputs")
         with section("inputs.window"):
             (point,) = window_sweep(stream_a, stream_b, [width], strategy=strategy)
         final_table = point.table
@@ -396,6 +403,7 @@ def cmd_analyze(args) -> int:
 def _thetas(spec: dict) -> list[float]:
     grid = _get(spec, "thetas", "sweep")
     if isinstance(grid, dict):
+        _only(grid, "sweep.thetas", ("start", "stop", "count"))
         count = _integer(grid, "count", "sweep.thetas")
         if not 1 <= count <= MAX_ITEMS:
             raise ConfigError("sweep.thetas.count", f"must be in [1, {MAX_ITEMS}], got {count}")
@@ -407,13 +415,16 @@ def _thetas(spec: dict) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    cfg, seed, out = _setup(args)
+    cfg, seed, out = _setup(args, ("sweep",))
     spec = _get(cfg, "sweep", "")
     kind = _choice(spec, "kind", "sweep", ("theta", "window"))
 
     if kind == "theta":
+        _only(spec, "sweep", ("kind", "model", "thetas", "n_per_point"))
         mspec = _get(spec, "model", "sweep")
         _choice(mspec, "family", "sweep.model", THETA_FAMILIES)
+        if "angles" in mspec:
+            raise ConfigError("sweep.model.angles", "must be absent: the sweep sets each point's angles")
         thetas = _thetas(spec)
         n_per_point = _integer(spec, "n_per_point", "sweep", default=_default(theta_sweep, "n_trials"))
         with section("sweep"):
@@ -429,6 +440,7 @@ def cmd_sweep(args) -> int:
         name, text, rows = "sweep", bio.theta_sweep_csv(points, seed), points
         counts = {"points": len(points), "n_per_point": n_per_point}
     else:
+        _only(spec, "sweep", ("kind", "timetags_a", "timetags_b", "windows_ns", "strategy"))
         stream_a, stream_b = _streams(spec, "sweep")
         windows = _get(spec, "windows_ns", "sweep")
         if not isinstance(windows, list) or any(
@@ -449,7 +461,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    cfg, seed, out = _setup(args, seed_default=0)
+    cfg, seed, out = _setup(args, ("contexts",), seed_default=0)
     tables = _context_stack(cfg, "contexts", "")
     with section("contexts"):
         result = coupling_feasibility(tables)

@@ -233,13 +233,8 @@ def estimate(table: ContextTable) -> CorrelationSummary:
     return CorrelationSummary(out)
 
 
-def chsh(summary: CorrelationSummary | Mapping[SettingPair, object]) -> float | None:
-    """CHSH combination S = E00 + E01 + E10 - E11.
-
-    ``summary`` gives each context's moments as an object with an ``e_ab``: a
-    CorrelationSummary, or a dict of exact moments. Returns ``None`` if any
-    context's pairwise expectation is undefined.
-    """
+def chsh(summary: CorrelationSummary) -> float | None:
+    """CHSH combination S = E00 + E01 + E10 - E11; ``None`` if any context's E_ab is undefined."""
     total = 0.0
     for s in CONTEXTS:
         e = summary[s].e_ab

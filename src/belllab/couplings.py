@@ -1,10 +1,12 @@
 """The five coupling-model families and their exact/sampled laws.
 
-Each family answers two questions for a context (x, y): what are the exact
-moments (pairwise expectation, marginals, retained fraction), and how do I
-draw one trial? Exact values come from closed forms or finite sums over the
-tabulated hidden values; samplers are vectorized and consume a fixed sequence
-of uniform draws per batch so that runs are reproducible.
+Each family answers two questions: what is its exact law, and how do I draw
+one trial? ``law()`` is a read-only float (2, 2, 3, 3) array indexed
+[x, y, a, b], outcomes (+1, -1, 0), the layout of ``ContextTable.counts``: a
+closed form for the singlet, a sum over the tabulated hidden values of each
+station's response law P(outcome | label, hidden value) for the others. Every
+exact value is read from it. Samplers are vectorized and consume a fixed
+sequence of uniform draws per batch so that runs are reproducible.
 
 Families:
 
@@ -44,10 +46,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import CONTEXTS, MAX_ITEMS, AngleAssignment, SettingPair, chsh, codes
+from .core import CHSH_SIGNS, CONTEXTS, MAX_ITEMS, AngleAssignment, codes
 
 __all__ = [
-    "ExactMoments",
     "QuantumSingletModel",
     "DeterministicLHVModel",
     "StochasticLHVModel",
@@ -70,15 +71,8 @@ WEIGHT_EPS = 1e-15
 #: Probability tables must sum to 1 within this tolerance.
 NORM_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class ExactMoments:
-    """Exact per-context moments. Expectations are ``None`` iff ``c == 0``."""
-
-    e_ab: float | None
-    e_a: float | None
-    e_b: float | None
-    c: float
+#: The outcomes in the order of a law's last two axes, the first two of them as floats.
+_OUTCOMES, _SIGN = np.array([1, -1, 0]), np.array([1.0, -1.0])
 
 
 def _law(name: str, values, ndim: int, lead: tuple[int, ...] = ()) -> np.ndarray:
@@ -223,9 +217,34 @@ def _draw_by(laws: np.ndarray, labels: np.ndarray, u: np.ndarray) -> tuple[np.nd
     return tuple(out)
 
 
-def _independent_moments(w: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> ExactMoments:
-    """Moments of outcomes independent given the hidden value: ``w`` its law, ``ea``, ``eb`` their means."""
-    return ExactMoments(e_ab=float(w @ (ea * eb)), e_a=float(w @ ea), e_b=float(w @ eb), c=1.0)
+def _one_hot(responses: np.ndarray) -> np.ndarray:
+    """The response law of deterministic ``responses``: a float one-hot over ``_OUTCOMES`` on a new last axis."""
+    return (responses[..., None] == _OUTCOMES).astype(np.float64)
+
+
+def _pair_law(alice: np.ndarray, bob: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """The law of independent responses ``alice[x, k1, a]``, ``bob[y, k2, b]`` to ``source[k1, k2]``.
+
+    A 1-d ``source[k]`` is one hidden value both stations read. Each cell is
+    one pairwise sum over k1: a BLAS product's running sum over the 720 Pearle
+    values was off by up to ten times more.
+    """
+    left = alice.transpose(0, 2, 1).reshape(6, -1)  # [(x, a), k1]
+    right = bob.transpose(0, 2, 1).reshape(6, -1)  # [(y, b), k2]
+    right = right * source if source.ndim == 1 else right @ source.T  # [(y, b), k1]
+    joint = np.ascontiguousarray(left[:, None, :] * right[None, :, :]).sum(axis=-1)
+    return _law("law", joint.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3), 4, (2, 2))
+
+
+def _kept(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per context, the +/-1 block [a, b] of ``law`` given both outcomes nonzero, and its mass C.
+
+    A C at or below WEIGHT_EPS reads as 0: the context starves, and its block is not normalized.
+    """
+    block = law[:, :, :2, :2]
+    kept = block.sum(axis=(2, 3))
+    kept[kept <= WEIGHT_EPS] = 0.0
+    return block / np.where(kept > 0.0, kept, 1.0)[..., None, None], kept
 
 
 @dataclass(frozen=True)
@@ -239,13 +258,11 @@ class QuantumSingletModel:
         if not (0.0 <= self.visibility <= 1.0):
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
 
-    def exact_expectation(self, s: SettingPair) -> ExactMoments:
-        return ExactMoments(
-            e_ab=-self.visibility * math.cos(self.angles.theta(s)),
-            e_a=0.0,
-            e_b=0.0,
-            c=1.0,
-        )
+    def law(self) -> np.ndarray:
+        cos = np.array([[math.cos(a - b) for b in self.angles.bob] for a in self.angles.alice])
+        law = np.zeros((2, 2, 3, 3))
+        law[:, :, :2, :2] = (1.0 - self.visibility * cos[:, :, None, None] * np.outer(_SIGN, _SIGN)) / 4.0
+        return _law("law", law, 4, (2, 2))
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -279,10 +296,8 @@ class DeterministicLHVModel:
         for name in ("alice", "bob"):
             object.__setattr__(self, name, _responses(name, getattr(self, name), shape, (-1, 1)))
 
-    def exact_expectation(self, s: SettingPair) -> ExactMoments:
-        a = self.alice[s.x].astype(np.float64)
-        b = self.bob[s.y].astype(np.float64)
-        return _independent_moments(self.weights, a, b)
+    def law(self) -> np.ndarray:
+        return _pair_law(_one_hot(self.alice), _one_hot(self.bob), self.weights)
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -310,10 +325,9 @@ class StochasticLHVModel:
         for name in ("alice_plus", "bob_plus"):
             object.__setattr__(self, name, _law(name, getattr(self, name), 2, lead))
 
-    def exact_expectation(self, s: SettingPair) -> ExactMoments:
-        ea = 2.0 * self.alice_plus[s.x] - 1.0
-        eb = 2.0 * self.bob_plus[s.y] - 1.0
-        return _independent_moments(self.weights, ea, eb)
+    def law(self) -> np.ndarray:
+        alice, bob = (np.stack([p, 1.0 - p, np.zeros_like(p)], axis=-1) for p in (self.alice_plus, self.bob_plus))
+        return _pair_law(alice, bob, self.weights)
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -354,15 +368,10 @@ class ContextualModel:
         object.__setattr__(self, "alice", _responses("alice", self.alice, (2, n1, mx), (-1, 1)))
         object.__setattr__(self, "bob", _responses("bob", self.bob, (2, n2, my), (-1, 1)))
 
-    def exact_expectation(self, s: SettingPair) -> ExactMoments:
-        w = self.source_weights
-        p = self.instrument_weights[s.x, s.y]
-        a = self.alice[s.x].astype(np.float64)  # (n1, mx)
-        b = self.bob[s.y].astype(np.float64)  # (n2, my)
-        e_ab = float(np.einsum("lm,uv,lu,mv->", w, p, a, b))
-        e_a = float(np.einsum("lm,uv,lu->", w, p, a))
-        e_b = float(np.einsum("lm,uv,mv->", w, p, b))
-        return ExactMoments(e_ab=e_ab, e_a=e_a, e_b=e_b, c=1.0)
+    def law(self) -> np.ndarray:
+        # The instrument law is the context's own, so the stations do not factor.
+        w, p, a, b = self.source_weights, self.instrument_weights, _one_hot(self.alice), _one_hot(self.bob)
+        return _law("law", np.einsum("lm,xyuv,xlua,ymvb->xyab", w, p, a, b, optimize=True), 4, (2, 2))
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -404,28 +413,17 @@ class PostSelectionModel:
         mx, my = self.alice_instrument.shape[1], self.bob_instrument.shape[1]
         object.__setattr__(self, "alice", _responses("alice", self.alice, (2, n1, mx), (-1, 0, 1)))
         object.__setattr__(self, "bob", _responses("bob", self.bob, (2, n2, my), (-1, 0, 1)))
-        if all(self.exact_expectation(s).c <= 0.0 for s in CONTEXTS):
+        if not _kept(self.law())[1].any():
             raise ValueError("all contexts starve: no context retains any pairs")
 
-    def exact_expectation(self, s: SettingPair) -> ExactMoments:
-        # Per source value: signed response sum and keep probability, with
-        # the instrument value integrated out.
-        pa = self.alice_instrument[s.x]
-        pb = self.bob_instrument[s.y]
-        a = self.alice[s.x].astype(np.float64)
-        b = self.bob[s.y].astype(np.float64)
-        signed_a = a @ pa
-        signed_b = b @ pb
-        keep_a = (a != 0).astype(np.float64) @ pa
-        keep_b = (b != 0).astype(np.float64) @ pb
-        w = self.source_weights
-        c = float(np.einsum("lm,l,m->", w, keep_a, keep_b))
-        if c <= WEIGHT_EPS:
-            return ExactMoments(e_ab=None, e_a=None, e_b=None, c=0.0)
-        e_ab = float(np.einsum("lm,l,m->", w, signed_a, signed_b)) / c
-        e_a = float(np.einsum("lm,l,m->", w, signed_a, keep_b)) / c
-        e_b = float(np.einsum("lm,l,m->", w, keep_a, signed_b)) / c
-        return ExactMoments(e_ab=e_ab, e_a=e_a, e_b=e_b, c=c)
+    def law(self) -> np.ndarray:
+        # Each station's response law averages its responses over its own instrument
+        # law, an outcome at a time: a one-hot of the Pearle tables cost more than the product.
+        alice, bob = (
+            np.stack([np.einsum("xkm,xm->xk", r == v, p) for v in _OUTCOMES], axis=-1)
+            for r, p in ((self.alice, self.alice_instrument), (self.bob, self.bob_instrument))
+        )
+        return _pair_law(alice, bob, self.source_weights)
 
     def sample_batch(
         self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
@@ -452,8 +450,10 @@ CouplingModel = Union[
 
 
 def exact_chsh(model: CouplingModel) -> float | None:
-    """CHSH combination of the exact pairwise expectations (None if starved)."""
-    return chsh({s: model.exact_expectation(s) for s in CONTEXTS})
+    """CHSH combination of the exact pairwise expectations (None if a context starves)."""
+    block, kept = _kept(model.law())
+    e = _SIGN @ block @ _SIGN  # [x, y]
+    return sum(CHSH_SIGNS[s] * float(e[s.x, s.y]) for s in CONTEXTS) if kept.all() else None
 
 
 def sample_batch(

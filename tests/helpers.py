@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,9 +18,11 @@ import numpy as np
 from belllab.analysis import HypothesisReport, lhv_pvalue
 from belllab.core import CONTEXTS, AngleAssignment, ContextTable, SettingPair, chsh, estimate
 from belllab.couplings import (
+    WEIGHT_EPS,
     ContextualModel,
     DeterministicLHVModel,
     PostSelectionModel,
+    QuantumSingletModel,
     StochasticLHVModel,
     _draw,
 )
@@ -249,6 +253,81 @@ def random_postselection_model(
         alice=rng.choice([-1, 0, 1], size=(2, n1, mx)),
         bob=rng.choice([-1, 0, 1], size=(2, n2, my)),
     )
+
+
+@dataclass(frozen=True)
+class Moments:
+    """One context's moments: E_ab, E_a, E_b given both outcomes nonzero (None iff C == 0) and C."""
+
+    e_ab: float | None
+    e_a: float | None
+    e_b: float | None
+    c: float
+
+
+def _independent_moments(w: np.ndarray, ea: np.ndarray, eb: np.ndarray) -> Moments:
+    """Moments of outcomes independent given the hidden value: ``w`` its law, ``ea``, ``eb`` their means."""
+    return Moments(e_ab=float(w @ (ea * eb)), e_a=float(w @ ea), e_b=float(w @ eb), c=1.0)
+
+
+def reference_moments(model, s: SettingPair) -> Moments:
+    """The exact moments of ``model`` at context ``s``, by each family's own closed form.
+
+    These are the formulas the families first computed their moments with, one
+    per family, before every exact value was read from ``law()``: the oracle
+    for the laws.
+    """
+    if isinstance(model, QuantumSingletModel):
+        return Moments(e_ab=-model.visibility * math.cos(model.angles.theta(s)), e_a=0.0, e_b=0.0, c=1.0)
+    if isinstance(model, DeterministicLHVModel):
+        a = model.alice[s.x].astype(np.float64)
+        b = model.bob[s.y].astype(np.float64)
+        return _independent_moments(model.weights, a, b)
+    if isinstance(model, StochasticLHVModel):
+        ea = 2.0 * model.alice_plus[s.x] - 1.0
+        eb = 2.0 * model.bob_plus[s.y] - 1.0
+        return _independent_moments(model.weights, ea, eb)
+    if isinstance(model, ContextualModel):
+        w = model.source_weights
+        p = model.instrument_weights[s.x, s.y]
+        a = model.alice[s.x].astype(np.float64)  # (n1, mx)
+        b = model.bob[s.y].astype(np.float64)  # (n2, my)
+        e_ab = float(np.einsum("lm,uv,lu,mv->", w, p, a, b))
+        e_a = float(np.einsum("lm,uv,lu->", w, p, a))
+        e_b = float(np.einsum("lm,uv,mv->", w, p, b))
+        return Moments(e_ab=e_ab, e_a=e_a, e_b=e_b, c=1.0)
+    # Per source value: signed response sum and keep probability, with
+    # the instrument value integrated out.
+    pa = model.alice_instrument[s.x]
+    pb = model.bob_instrument[s.y]
+    a = model.alice[s.x].astype(np.float64)
+    b = model.bob[s.y].astype(np.float64)
+    signed_a = a @ pa
+    signed_b = b @ pb
+    keep_a = (a != 0).astype(np.float64) @ pa
+    keep_b = (b != 0).astype(np.float64) @ pb
+    w = model.source_weights
+    c = float(np.einsum("lm,l,m->", w, keep_a, keep_b))
+    if c <= WEIGHT_EPS:
+        return Moments(e_ab=None, e_a=None, e_b=None, c=0.0)
+    e_ab = float(np.einsum("lm,l,m->", w, signed_a, signed_b)) / c
+    e_a = float(np.einsum("lm,l,m->", w, signed_a, keep_b)) / c
+    e_b = float(np.einsum("lm,l,m->", w, keep_a, signed_b)) / c
+    return Moments(e_ab=e_ab, e_a=e_a, e_b=e_b, c=c)
+
+
+def law_moments(law: np.ndarray, s: SettingPair) -> Moments:
+    """The moments of context ``s`` read from a (2, 2, 3, 3) law, outcomes (+1, -1, 0).
+
+    C is the mass of the +/-1 block; at or below WEIGHT_EPS the context starves.
+    """
+    block = law[s.x, s.y, :2, :2]
+    c = float(block.sum())
+    if c <= WEIGHT_EPS:
+        return Moments(e_ab=None, e_a=None, e_b=None, c=0.0)
+    sign = np.array([1.0, -1.0])
+    e_ab = float(sign @ block @ sign) / c
+    return Moments(e_ab=e_ab, e_a=float(sign @ block.sum(axis=1)) / c, e_b=float(block.sum(axis=0) @ sign) / c, c=c)
 
 
 def brute_force_contextual(model: ContextualModel, s: SettingPair) -> tuple[float, float, float]:

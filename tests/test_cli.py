@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from belllab import io as bio
 from belllab.cli import _BUILDERS, _PROTOCOLS, build_model, main
-from belllab.core import CANONICAL_ANGLES, AngleAssignment, SettingPair
-from belllab.couplings import QuantumSingletModel, pearle_model, rejection_curve
+from belllab.core import CANONICAL_ANGLES, AngleAssignment
+from belllab.couplings import QuantumSingletModel, _kept, pearle_model, rejection_curve
 from belllab.pipeline import RawEventStream
 from belllab.protocol import EventReadyConfig, SourceProtocolConfig
 
@@ -400,8 +400,8 @@ THETA_SWEEPS = {
 #: sha256 of sweep.csv and sweep.json from sweep, per theta sweep.
 THETA_SWEEP_SHA256 = {
     "exact": {
-        "sweep.csv": "c29f6f26de19246538aef918b6c180d3ad6bcbbb93a394a3767a47533ce1348f",
-        "sweep.json": "a5900ea07c281bf9647e143fb2c97b011db570d9aad438352bdd54f9192930ac",
+        "sweep.csv": "efdd6222d7f0d30b261d95e420ec5986bc5ff2db4a4b630645ce46aa4784c184",
+        "sweep.json": "b696c7d84cbb3b89fb3a16afc807b290924dfe31f78d4d05d4cf9c666f43dede",
     },
     "monte_carlo": {
         "sweep.csv": "e696fbcb2b72373a78492c78cfcb36b660c864213c71a102818183e1e1a7dd41",
@@ -994,12 +994,97 @@ MALFORMED = {
         },
         "error: sweep.model.visiblity: unknown field",
     ),
+    # The sections the commands read by hand hold their own keys and no others.
+    "unknown_top_level_field": (
+        "simulate",
+        lambda tmp: {**source_config(), "modle": {"family": "disjoint_support"}},
+        "error: modle: unknown field",
+    ),
+    # An event-ready run reads its singlet from the protocol section.
+    "event_ready_with_model": (
+        "simulate",
+        lambda tmp: {**event_ready_config(10), "model": {"family": "disjoint_support"}},
+        "error: model: unknown field",
+    ),
+    "feasibility_fifth_context": (
+        "feasibility",
+        lambda tmp: {"contexts": {key: [[0.25, 0.25], [0.25, 0.25]] for key in ("00", "01", "10", "11", "12")}},
+        "error: contexts.12: unknown field",
+    ),
+    "analyze_with_protocol": (
+        "analyze",
+        lambda tmp: {**trials_inputs(tmp / "t.csv", ""), "protocol": {"kind": "source"}},
+        "error: protocol: unknown field",
+    ),
+    "sweep_with_inputs": (
+        "sweep",
+        lambda tmp: {**window_sweep_config(tmp, [5]), "inputs": {}},
+        "error: inputs: unknown field",
+    ),
+    "feasibility_with_sweep": (
+        "feasibility",
+        lambda tmp: {**json.loads((REPO / "configs" / "feasibility_singlet.json").read_text()), "sweep": {}},
+        "error: sweep: unknown field",
+    ),
+    "trials_with_window": (
+        "analyze",
+        lambda tmp: {"seed": 1, "inputs": {"trials": str(tmp / "t.csv"), "window": {"width_ns": 15}}},
+        "error: inputs.window: unknown field",
+    ),
+    "trials_with_timetags": (
+        "analyze",
+        lambda tmp: {"seed": 1, "inputs": {"trials": str(tmp / "t.csv"), "timetags_a": str(tmp / "a.csv")}},
+        "error: inputs.timetags_a: unknown field",
+    ),
+    # A misspelt strategy once paired by lattice and exited 0.
+    "window_strategy_misspelt": (
+        "analyze",
+        lambda tmp: stream_inputs(tmp, {"width_ns": 15, "stratgy": "greedy"}),
+        "error: inputs.window.stratgy: unknown field",
+    ),
+    "theta_sweep_with_windows": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {"kind": "theta", "model": {"family": "quantum_singlet"}, "thetas": [0.0], "windows_ns": [5]},
+        },
+        "error: sweep.windows_ns: unknown field",
+    ),
+    "window_sweep_with_n_per_point": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {"kind": "window", "timetags_a": "a.csv", "timetags_b": "b.csv", "windows_ns": [5], "n_per_point": 10},
+        },
+        "error: sweep.n_per_point: unknown field",
+    ),
+    "thetas_object_with_step": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {
+                "kind": "theta",
+                "model": {"family": "quantum_singlet"},
+                "thetas": {"start": 0.0, "stop": 1.0, "count": 3, "step": 0.5},
+            },
+        },
+        "error: sweep.thetas.step: unknown field",
+    ),
+    "theta_sweep_model_angles": (
+        "sweep",
+        lambda tmp: {
+            "seed": 1,
+            "sweep": {"kind": "theta", "model": {"family": "quantum_singlet", "angles": CANONICAL_ANGLES_JSON}, "thetas": [0.0]},
+        },
+        "error: sweep.model.angles: must be absent",
+    ),
 }
 
 
 def sectioned_configs():
-    """(command, config, path) for every section read through ``cli._fields``: a fresh valid
-    config each, in which ``path`` names the object that section reads."""
+    """(command, config, path) for every config section: a fresh valid config each, in which
+    ``path`` names the object that section reads ("" for the top level). No input file
+    exists, and none is opened: every section's keys are checked before any file is read."""
     pearle = {
         "family": "pearle",
         "angles": CANONICAL_ANGLES_JSON,
@@ -1009,21 +1094,33 @@ def sectioned_configs():
     }
     source = source_config(pearle, setting_delay={"alice": [0.0, 1.0]}, outcome_delay={"bob": [0.0, 1.0]})
     theta = {"seed": 1, "sweep": {"kind": "theta", "model": {"family": "quantum_singlet"}, "thetas": [0.0]}}
-    paths = ("model", "model.angles", "model.rejection", "protocol", "protocol.setting_delay", "protocol.outcome_delay")
+    grid = {"seed": 1, "sweep": {**theta["sweep"], "thetas": {"start": 0.0, "stop": 1.0, "count": 2}}}
+    files = {"timetags_a": "a.csv", "timetags_b": "b.csv"}
+    windowed = {"seed": 1, "inputs": {**files, "raw_pairs": "p.csv", "window": {"width_ns": 15, "strategy": "lattice"}}}
+    trials = {"seed": 1, "inputs": {"trials": "t.csv"}}
+    window = {"seed": 1, "sweep": {"kind": "window", **files, "windows_ns": [5], "strategy": "greedy"}}
+    feasibility = json.loads((REPO / "configs" / "feasibility_singlet.json").read_text())
+    paths = ("", "model", "model.angles", "model.rejection", "protocol", "protocol.setting_delay", "protocol.outcome_delay")
     cases = (
         [("simulate", source, path) for path in paths]
         + [("simulate", event_ready_config(10), path) for path in ("protocol", "protocol.angles")]
-        + [("sweep", theta, "sweep.model")]
+        + [("analyze", windowed, path) for path in ("", "inputs", "inputs.window")]
+        + [("analyze", trials, "inputs")]
+        + [("sweep", theta, path) for path in ("", "sweep", "sweep.model")]
+        + [("sweep", grid, "sweep.thetas"), ("sweep", window, "sweep")]
+        + [("feasibility", feasibility, path) for path in ("", "contexts")]
     )
     # Deep copies: a test adds a key, and the shared angles must not keep it.
     return [(command, json.loads(json.dumps(config)), path) for command, config, path in cases]
 
 
-#: Every key a section read through ``cli._fields`` reads, in any of those sections.
+#: Every key a config section reads, in any section.
 READ_KEYS = {
     "family", "kind", "angles", "alice", "bob", "visibility", "bins", "threshold_bins", "rejection",
     "max_reject", "exponent", "pair_rate", "duration", "jitter_sd", "dark_rate", "setting_delay",
-    "outcome_delay", "n_trials", "herald_prob", "fidelity_a", "fidelity_b",
+    "outcome_delay", "n_trials", "herald_prob", "fidelity_a", "fidelity_b", "seed", "protocol", "model",
+    "inputs", "sweep", "contexts", "trials", "timetags_a", "timetags_b", "raw_pairs", "window", "width_ns",
+    "strategy", "thetas", "n_per_point", "windows_ns", "start", "stop", "count", "00", "01", "10", "11",
 }  # fmt: skip
 
 
@@ -1044,14 +1141,14 @@ class TestMalformedConfigs:
         assume(key not in READ_KEYS)
         command, config, path = sectioned_configs()[index]
         section = config
-        for part in path.split("."):
+        for part in path.split(".") if path else ():
             section = section[part]
         section[key] = 1.0
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
             cfg = write_config(Path(tmp) / "c.json", config)
             assert main([command, "--config", cfg, "--out", str(Path(tmp) / "out")]) == 2
-        assert err.getvalue() == f"error: {path}.{key}: unknown field\n"
+        assert err.getvalue() == f"error: {f'{path}.' if path else ''}{key}: unknown field\n"
 
     @pytest.mark.parametrize("command", ["sweep", "feasibility"])
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
@@ -1081,17 +1178,19 @@ class TestMalformedConfigs:
                 bins=90,
                 threshold_bins=8,
             )
-            assert row.split(",")[1] == repr(direct.exact_expectation(SettingPair(0, 0)).e_ab)
+            # E at the (0, 0) context, read from the law as the exact sweep reads it.
+            block, _ = _kept(direct.law())
+            sign = np.array([1.0, -1.0])
+            assert row.split(",")[1] == repr(float(sign @ block[0, 0] @ sign))
 
-    def test_theta_sweep_replaces_malformed_spec_angles(self, tmp_path):
-        model = {"family": "pearle", "bins": 90, "threshold_bins": 8}
-        sweeps = []
-        for name, spec in (("plain", model), ("malformed", {**model, "angles": {"alice": "north"}})):
-            sweep = {"kind": "theta", "model": spec, "thetas": [0.0, 0.7]}
+    def test_theta_sweep_rejects_spec_angles(self, tmp_path, capsys):
+        # The sweep sets each point's angles, so angles in the model object would be overwritten.
+        for name, angles in (("canonical", CANONICAL_ANGLES_JSON), ("malformed", {"alice": "north"})):
+            model = {"family": "pearle", "bins": 90, "threshold_bins": 8, "angles": angles}
+            sweep = {"kind": "theta", "model": model, "thetas": [0.0, 0.7]}
             cfg = write_config(tmp_path / f"{name}.json", {"seed": 1, "sweep": sweep})
-            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-            sweeps.append((tmp_path / name / "sweep.csv").read_bytes())
-        assert sweeps[0] == sweeps[1]
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / name)]) == 2
+            assert capsys.readouterr().err == "error: sweep.model.angles: must be absent: the sweep sets each point's angles\n"
 
 
 #: Feasibility inputs: tables of a local model (a witness), a PR box (a CHSH
@@ -1293,3 +1392,37 @@ class TestConsoleScript:
             main([command, "--config", cfg, "--out", str(tmp_path), "--format", "json"])
         assert exit_info.value.code == 2
         assert "--format" in capsys.readouterr().err
+
+
+#: The simulate config that writes the directory a shipped analyze or window-sweep config reads.
+SHIPPED_SOURCES = {"out/pearle": "pearle_anomaly_source.json", "out/lg": "larsson_gill_source.json"}
+#: The command that reads a config, by the section it holds.
+COMMAND_OF = {"protocol": "simulate", "inputs": "analyze", "sweep": "sweep", "contexts": "feasibility"}
+
+
+def shipped(name: str) -> dict:
+    """Shipped config ``name`` at a smoke size: 2000 trials, 5000 emissions, 1000 draws per sweep point."""
+    config = json.loads((REPO / "configs" / name).read_text())
+    proto, sweep = config.get("protocol", {}), config.get("sweep", {})
+    if proto.get("kind") == "event_ready":
+        proto["n_trials"] = 2000
+    if proto.get("kind") == "source":
+        proto["duration"] = 5000 / proto["pair_rate"]
+    if "n_per_point" in sweep:
+        sweep["n_per_point"] = 1000
+    return config
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in (REPO / "configs").glob("*.json")))
+def test_shipped_config_runs(tmp_path, monkeypatch, name):
+    """Every shipped config runs through its command; one that reads time tags runs on the
+    simulate output it names, written where it names it (paths are relative to the repo root)."""
+    config = shipped(name)
+    monkeypatch.chdir(tmp_path)
+    files = config.get("inputs", config.get("sweep", {}))
+    if "timetags_a" in files:
+        out = Path(files["timetags_a"]).parent.as_posix()
+        source = write_config(tmp_path / "source.json", shipped(SHIPPED_SOURCES[out]))
+        assert main(["simulate", "--config", source, "--out", out]) == 0
+    (command,) = (COMMAND_OF[key] for key in config if key in COMMAND_OF)
+    assert main([command, "--config", write_config(tmp_path / name, config), "--out", "run"]) == 0

@@ -12,8 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from belllab.cli import build_model
-from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, SettingPair
+from belllab.core import CANONICAL_ANGLES, CONTEXTS, AngleAssignment, ContextTable, SettingPair
 from belllab.couplings import (
+    NORM_TOL,
     WEIGHT_EPS,
     ContextualModel,
     DeterministicLHVModel,
@@ -43,17 +44,21 @@ from helpers import (
     brute_force_postselection,
     contextual_batch_by_context,
     full_cumulative_draw,
+    law_moments,
     postselection_batch_by_setting,
     random_contextual_model,
     random_deterministic_model,
     random_postselection_model,
     random_stochastic_model,
     raw_moments,
+    reference_moments,
     rotation_invariant_contextual,
 )
 
 SQRT2 = math.sqrt(2)
 C00 = SettingPair(0, 0)
+#: The outcomes in the order of a law's last two axes.
+OUTCOMES = np.array([1.0, -1.0, 0.0])
 
 
 def angles_with_theta(theta):
@@ -63,11 +68,11 @@ def angles_with_theta(theta):
 class TestQuantumSinglet:
     def test_aligned_settings_anticorrelate(self):
         m = QuantumSingletModel(angles=angles_with_theta(0.0))
-        assert m.exact_expectation(C00).e_ab == -1.0
+        assert law_moments(m.law(), C00).e_ab == -1.0
 
     def test_orthogonal_settings_uncorrelated(self):
         m = QuantumSingletModel(angles=angles_with_theta(math.pi / 2))
-        assert m.exact_expectation(C00).e_ab == pytest.approx(0.0, abs=1e-15)
+        assert law_moments(m.law(), C00).e_ab == pytest.approx(0.0, abs=1e-15)
 
     def test_canonical_chsh_value(self):
         s = exact_chsh(QuantumSingletModel(angles=CANONICAL_ANGLES))
@@ -75,12 +80,12 @@ class TestQuantumSinglet:
 
     def test_visibility_scales_linearly(self):
         m = QuantumSingletModel(angles=angles_with_theta(0.3), visibility=0.5)
-        assert m.exact_expectation(C00).e_ab == pytest.approx(-0.5 * math.cos(0.3))
+        assert law_moments(m.law(), C00).e_ab == pytest.approx(-0.5 * math.cos(0.3))
 
     def test_marginals_unbiased_and_lossless(self):
         m = QuantumSingletModel(angles=CANONICAL_ANGLES, visibility=0.7)
         for s in CONTEXTS:
-            e = m.exact_expectation(s)
+            e = law_moments(m.law(), s)
             assert e.e_a == 0.0 and e.e_b == 0.0 and e.c == 1.0
 
     def test_sampler_joint_distribution(self):
@@ -132,7 +137,7 @@ class TestDeterministicModel:
             bob=np.array([[-1], [-1]]),
         )
         for s in CONTEXTS:
-            assert m.exact_expectation(s).e_ab == -1.0
+            assert law_moments(m.law(), s).e_ab == -1.0
         assert exact_chsh(m) == -2.0
 
     def test_sampler_is_table_lookup(self):
@@ -181,7 +186,7 @@ class TestStochasticModel:
         )
         # Hand computation: E_ab = sum w * (2pa-1)(2pb-1).
         expected = 0.25 * (1.0 * -1.0) + 0.75 * (-1.0 * 1.0)
-        assert m.exact_expectation(C00).e_ab == pytest.approx(expected)
+        assert law_moments(m.law(), C00).e_ab == pytest.approx(expected)
 
     def test_random_models_respect_local_bound(self):
         rng = np.random.default_rng(43)
@@ -192,7 +197,7 @@ class TestStochasticModel:
     def test_sampler_converges_to_exact(self):
         rng = np.random.default_rng(2)
         m = random_stochastic_model(rng, n_hidden=3)
-        exact = m.exact_expectation(C00).e_ab
+        exact = law_moments(m.law(), C00).e_ab
         n = 200_000
         a, b = sample_batch(m, np.zeros(n, dtype=int), np.zeros(n, dtype=int), stream(8, "sampling", 0))
         est = float((a * b).mean())
@@ -207,11 +212,13 @@ class TestContextualModel:
             m = random_contextual_model(rng)
             for s in CONTEXTS:
                 e_ab, e_a, e_b = brute_force_contextual(m, s)
-                got = m.exact_expectation(s)
+                law = m.law()
+                got = law_moments(law, s)
                 assert got.e_ab == pytest.approx(e_ab, abs=1e-12)
                 assert got.e_a == pytest.approx(e_a, abs=1e-12)
                 assert got.e_b == pytest.approx(e_b, abs=1e-12)
-                assert got.c == 1.0
+                # C = 1: no mass on a 0 outcome.
+                assert not law[s.x, s.y, 2].any() and not law[s.x, s.y, :, 2].any()
 
     def test_two_point_instance_by_hand(self):
         # Two source values (perfectly correlated), one instrument value each:
@@ -221,7 +228,7 @@ class TestContextualModel:
         alice = np.array([[[1], [-1]], [[1], [1]]])  # [x][k1][mu]
         bob = np.array([[[1], [1]], [[-1], [1]]])
         m = ContextualModel(source_weights=src, instrument_weights=iw, alice=alice, bob=bob)
-        e = m.exact_expectation(SettingPair(0, 1))
+        e = law_moments(m.law(), SettingPair(0, 1))
         # E = 0.5 * A_0(k=0) B_1(k=0) + 0.5 * A_0(k=1) B_1(k=1) = 0.5*(1*-1) + 0.5*(-1*1)
         assert e.e_ab == pytest.approx(-1.0)
 
@@ -246,7 +253,7 @@ class TestContextualModel:
         rng = np.random.default_rng(4)
         m = random_contextual_model(rng)
         s = SettingPair(1, 1)
-        exact = m.exact_expectation(s).e_ab
+        exact = law_moments(m.law(), s).e_ab
         n = 200_000
         a, b = sample_batch(m, np.full(n, 1), np.full(n, 1), stream(12, "sampling", 0))
         sigma = math.sqrt((1 - exact**2) / n)
@@ -261,7 +268,7 @@ class TestPostSelectionModel:
             m = random_postselection_model(rng)
             for s in CONTEXTS:
                 e_ab, e_a, e_b, c = brute_force_postselection(m, s)
-                got = m.exact_expectation(s)
+                got = law_moments(m.law(), s)
                 assert got.c == pytest.approx(c, abs=1e-12)
                 if e_ab is None:
                     assert got.e_ab is None
@@ -293,9 +300,9 @@ class TestPostSelectionModel:
             alice=np.array([[[1]], [[0]]]),  # setting 1 never detects
             bob=np.array([[[1]], [[1]]]),
         )
-        starved = m.exact_expectation(SettingPair(1, 0))
+        starved = law_moments(m.law(), SettingPair(1, 0))
         assert starved.e_ab is None and starved.c == 0.0
-        fine = m.exact_expectation(SettingPair(0, 0))
+        fine = law_moments(m.law(), SettingPair(0, 0))
         assert fine.e_ab == 1.0 and fine.c == 1.0
 
     def test_all_starved_model_rejected(self):
@@ -312,7 +319,7 @@ class TestPostSelectionModel:
         rng = np.random.default_rng(6)
         m = random_postselection_model(rng, n1=3, n2=2)
         s = SettingPair(0, 1)
-        exact = m.exact_expectation(s)
+        exact = law_moments(m.law(), s)
         n = 300_000
         a, b = sample_batch(m, np.full(n, s.x), np.full(n, s.y), stream(21, "sampling", 0))
         prod = (a.astype(float) * b.astype(float))
@@ -409,7 +416,7 @@ class TestPresets:
         m = disjoint_support_model()
         assert exact_chsh(m) == 4.0
         for s in CONTEXTS:
-            e = m.exact_expectation(s)
+            e = law_moments(m.law(), s)
             assert e.c == pytest.approx(0.25)
             assert abs(e.e_ab) == 1.0
 
@@ -426,7 +433,7 @@ class TestPresets:
         assert abs(s) > 2.0
         assert statistical_dependence(m) == 0.0
         for ctx in CONTEXTS:
-            e = m.exact_expectation(ctx)
+            e = law_moments(m.law(), ctx)
             assert 0.0 < e.c < 1.0
 
     def test_pearle_rejection_strength_monotone(self):
@@ -440,7 +447,7 @@ class TestPresets:
         m = pearle_model(CANONICAL_ANGLES, rejection_curve("linear", max_reject=0.0))
         assert abs(exact_chsh(m)) == pytest.approx(2.0, abs=0.02)
         for ctx in CONTEXTS:
-            assert m.exact_expectation(ctx).c == pytest.approx(1.0)
+            assert law_moments(m.law(), ctx).c == pytest.approx(1.0)
 
     def test_pearle_rejects_nan_rejection(self):
         # NaN passes a check for entries below 0 or above 1, and no threshold
@@ -479,7 +486,7 @@ class TestMomentBounds:
             models.append(random_postselection_model(rng))
         for model in models:
             for s in CONTEXTS:
-                m = model.exact_expectation(s)
+                m = law_moments(model.law(), s)
                 assert 0.0 <= m.c <= 1.0 + 1e-12
                 for value in (m.e_ab, m.e_a, m.e_b):
                     if value is not None:
@@ -503,22 +510,24 @@ class TestMomentBounds:
 
 class TestMonteCarloAgreement:
     def test_million_draw_deviation_under_five_sigma(self):
-        # Spec invariant: n = 1e6 draws match the exact law within 5 sigma.
-        cases = [
-            (QuantumSingletModel(angles=angles_with_theta(math.pi / 4)), SettingPair(0, 0)),
-            (random_deterministic_model(np.random.default_rng(1)), SettingPair(0, 1)),
-            (random_stochastic_model(np.random.default_rng(2)), SettingPair(1, 0)),
-            (random_contextual_model(np.random.default_rng(3)), SettingPair(1, 1)),
+        # Spec invariant: n = 1e6 draws match the exact law within 5 sigma, here
+        # in all nine cells of every context, the 0 (no detection) cells included.
+        models = [
+            QuantumSingletModel(angles=angles_with_theta(math.pi / 4)),
+            random_deterministic_model(np.random.default_rng(1)),
+            random_stochastic_model(np.random.default_rng(2)),
+            random_contextual_model(np.random.default_rng(3)),
+            random_postselection_model(np.random.default_rng(4)),
         ]
         n = 1_000_000
-        for i, (model, s) in enumerate(cases):
-            exact = model.exact_expectation(s).e_ab
-            a, b = sample_batch(
-                model, np.full(n, s.x), np.full(n, s.y), stream(100 + i, "sampling", 0)
-            )
-            est = float((a.astype(float) * b).mean())
-            sigma = math.sqrt(max(1.0 - exact**2, 1e-12) / n)
-            assert abs(est - exact) < 5 * sigma + 1e-12
+        for i, model in enumerate(models):
+            g = stream(100 + i, "sampling", 0)
+            x = g.integers(0, 2, n, dtype=np.int8)
+            y = g.integers(0, 2, n, dtype=np.int8)
+            table = ContextTable.from_arrays(x, y, *sample_batch(model, x, y, g))
+            trials, law = table.counts.sum(axis=(2, 3), keepdims=True), model.law()
+            sigma = np.sqrt(trials * law * (1.0 - law))
+            assert (np.abs(table.counts - trials * law) <= 5 * sigma + 1e-9).all()
 
     def test_singlet_quarter_pi_example(self):
         m = QuantumSingletModel(angles=angles_with_theta(math.pi / 4))
@@ -544,6 +553,58 @@ def local_model(family: str, rng: np.random.Generator):
     return disjoint_support_model()
 
 
+FAMILIES = ["singlet", "deterministic", "stochastic", "contextual", "postselection", "pearle", "disjoint_support", "starved"]
+#: The families whose responses may be 0 ("no detection").
+ZERO_OUTCOME_FAMILIES = ("postselection", "pearle", "disjoint_support", "starved")
+
+
+def family_model(family: str, rng: np.random.Generator):
+    """A random member of any family, or a preset; "starved" is a post-selection model whose
+    contexts (1, 0) and (1, 1) retain nothing, as Alice never detects at setting 1."""
+    if family == "starved":
+        m = random_postselection_model(rng)
+        alice = np.stack([np.where(m.alice[0] == 0, 1, m.alice[0]), 0 * m.alice[1]])
+        return dataclasses.replace(m, alice=alice, bob=np.where(m.bob == 0, -1, m.bob))
+    if family == "singlet":
+        theta = rng.uniform(0, 2 * math.pi, 4)
+        angles = AngleAssignment(alice=tuple(theta[:2]), bob=tuple(theta[2:]))
+        return QuantumSingletModel(angles=angles, visibility=rng.uniform())
+    if family == "contextual":
+        return random_contextual_model(rng)
+    return local_model(family, rng)
+
+
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_law_moments_match_the_reference_moments(family, seed):
+    """E_ab, E_a, E_b and C read from ``law()`` are each family's closed-form moments."""
+    model = family_model(family, np.random.default_rng(seed))
+    law = model.law()
+    for s in CONTEXTS:
+        got, want = law_moments(law, s), reference_moments(model, s)
+        assert (got.e_ab is None) == (want.e_ab is None)  # a starved context starves in both
+        assert abs(got.c - want.c) <= 1e-15
+        if want.e_ab is not None:
+            for g, w in ((got.e_ab, want.e_ab), (got.e_a, want.e_a), (got.e_b, want.e_b)):
+                assert abs(g - w) <= 1e-15
+
+
+@given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_every_law_is_a_read_only_distribution_per_context(family, seed):
+    """A (2, 2, 3, 3) float table, nonnegative, summing to 1 in each context.
+
+    Only post-selection models have 0 ("no detection") outcomes; in every
+    other family the 0 row and column are empty.
+    """
+    law = family_model(family, np.random.default_rng(seed)).law()
+    assert law.shape == (2, 2, 3, 3) and law.dtype == np.float64 and not law.flags.writeable
+    assert (law >= 0.0).all()
+    assert np.abs(law.sum(axis=(2, 3)) - 1.0).max() <= NORM_TOL
+    if family not in ZERO_OUTCOME_FAMILIES:
+        assert not law[:, :, 2, :].any() and not law[:, :, :, 2].any()
+
+
 @given(
     st.sampled_from(["deterministic", "stochastic", "postselection", "pearle", "disjoint_support"]),
     st.integers(0, 2**32 - 1),
@@ -553,11 +614,9 @@ def test_raw_marginals_do_not_signal(family, seed):
     """Each station's raw marginal, zeros kept, is free of the remote setting."""
     model = local_model(family, np.random.default_rng(seed))
 
-    def exact(s):  # E[A], E[B] over all trials, zeros included
-        if isinstance(model, PostSelectionModel):
-            return raw_moments(model, s)[1:]
-        moments = model.exact_expectation(s)
-        return moments.e_a, moments.e_b
+    def exact(s):  # E[A], E[B] over all trials, zeros included, from the law
+        law = model.law()[s.x, s.y]
+        return float(law.sum(axis=1) @ OUTCOMES), float(OUTCOMES @ law.sum(axis=0))
 
     n = 20_000
     drawn = {
