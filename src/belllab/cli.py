@@ -269,8 +269,8 @@ _BUILDERS = {
 
 MODEL_FAMILIES = tuple(_BUILDERS)
 
-#: Families whose angles a theta sweep can set.
-THETA_FAMILIES = ("quantum_singlet", "pearle")
+#: Families whose angles a theta sweep can set: those whose builder reads ``angles``.
+THETA_FAMILIES = tuple(f for f, b in _BUILDERS.items() if "angles" in b.keys)
 
 
 def build_model(spec: dict, path: str) -> CouplingModel:

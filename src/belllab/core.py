@@ -56,11 +56,13 @@ __all__ = [
 _TABLE_ORDER = [2, 0, 1]
 
 
-def codes(name: str, values, allowed: tuple[int, ...]) -> np.ndarray:
+def codes(name: str, values, allowed: tuple[int, ...], *, rows: bool = False) -> np.ndarray:
     """A read-only int8 copy of ``values``, every one of which must be in ``allowed``.
 
     The values are checked as given, before narrowing: int8 would read 257 as
-    1, 255 as -1 and 1.5 as 1. Raises ``ValueError`` naming ``name`` otherwise.
+    1, 255 as -1 and 1.5 as 1. Raises ``ValueError`` naming ``name`` otherwise;
+    with ``rows``, a column's message names its first offending entry as
+    ``data row N``, counted from 1, and its value.
     """
     values = np.asarray(values)
     if values.dtype.kind in "biuf":
@@ -69,10 +71,14 @@ def codes(name: str, values, allowed: tuple[int, ...]) -> np.ndarray:
         permitted = out == allowed[0]
         for value in allowed[1:]:
             permitted |= out == value
-        exact = values.dtype == np.int8 or (out == values).all()
-        if exact and permitted.all():
+        if values.dtype != np.int8:
+            permitted &= out == values
+        if permitted.all():
             out.setflags(write=False)
             return out
+        if rows and values.ndim == 1:
+            i = int(np.argmin(permitted))
+            raise ValueError(f"{name} must be in {allowed}: data row {i + 1} has {values[i]}")
     raise ValueError(f"{name} must be in {allowed}")
 
 
@@ -117,10 +123,6 @@ class AngleAssignment:
             if not math.isfinite(theta):
                 raise ValueError("angles must be finite")
 
-    def theta(self, s: SettingPair) -> float:
-        """Relative angle theta_x - theta_y for context ``s``."""
-        return self.alice[s.x] - self.bob[s.y]
-
 
 #: Angle assignment at which the singlet reaches |S| = 2*sqrt(2) (S negative
 #: under this package's sign convention).
@@ -135,7 +137,7 @@ class ContextTable:
 
     ``counts`` is a read-only int64 copy of shape (2, 2, 3, 3) indexed
     ``[x, y, a, b]``, with the outcomes of ``a`` and ``b`` in the order
-    (+1, -1, 0). Two tables are equal when their counts are.
+    (+1, -1, 0).
     """
 
     counts: np.ndarray
@@ -148,11 +150,6 @@ class ContextTable:
             raise ValueError("counts must be nonnegative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ContextTable):
-            return NotImplemented
-        return bool(np.array_equal(self.counts, other.counts))
 
     @classmethod
     def from_arrays(

@@ -17,7 +17,7 @@ Families:
 * ``StochasticLHVModel`` - conditionally independent +/-1 outcomes given the
   hidden value; same bound.
 * ``ContextualModel`` - adds instrument variables drawn by context, the label
-  ``2 * x + y`` of ``_draw_by``; outcomes stay locally generated but
+  ``2 * x + y`` of ``_draw``; outcomes stay locally generated but
   statistical independence fails, so |S| may exceed 2.
 * ``PostSelectionModel`` - instrument values drawn by each station's own
   setting; responses may be 0 ("no detection") and reported expectations
@@ -28,13 +28,15 @@ All hidden-variable sets are finite and explicitly tabulated. No contextual
 instance shipped here reproduces the full singlet law without post-selection;
 none is known to us and we do not attempt a construction.
 
-A tabulated value is drawn by inverse CDF: ``_draw`` and ``_draw_by`` return,
-per uniform u, the first entry of the law's cumulative above u. They find it
-through a guide table of four buckets per entry (Chen & Asau 1974), starting
-one bucket below u's own to cover the rounding of the bucket edges, and fall
-back to a binary search for a law whose entries crowd a few buckets, or a
-batch shorter than the table. Both give the same index, so every stream a
-model draws is the one a search over the whole cumulative gives.
+A tabulated value is drawn by inverse CDF through one function, ``_draw``:
+per uniform u it returns the first entry above u of the cumulative of one
+law, or of the law its row's label picks. It finds that entry through a
+guide table of four buckets per entry (Chen & Asau 1974), starting one
+bucket below u's own to cover the rounding of the bucket edges, and falls
+back to one binary search per label for laws whose entries crowd a few
+buckets, or a batch shorter than the table. Both give the same index, so
+every stream a model draws is the one a search over the whole cumulative
+gives.
 """
 
 from __future__ import annotations
@@ -174,32 +176,23 @@ def _guided_search(cum: np.ndarray, u: np.ndarray, labels: np.ndarray | None = N
     return idx
 
 
-def _draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One draw from ``law`` per uniform in ``u``, as an index array per axis of ``law``.
+def _draw(laws: np.ndarray, u: np.ndarray, labels: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """One draw per uniform in ``u``, as an index array per axis of a law.
 
-    The cumulative runs over the positive entries only, and the search result
-    is mapped back to their indices. That returns the index a search over the
-    whole cumulative would: adding 0.0 leaves a float partial sum unchanged,
-    and a right-side search lands only where the cumulative steps up, which
-    is on a positive entry. Entries in [-WEIGHT_EPS, 0] carry no weight.
-    The search goes through a guide table (``_guided_search``), or is a
-    binary search where that falls back; both give the same index.
+    ``laws`` is one law, or with ``labels`` one law per label on its leading
+    axis, and ``u[i]`` draws from ``laws[labels[i]]``. Each label's cumulative
+    runs over its positive entries only, and the search result is mapped back
+    to their indices. That returns the index a search over the whole
+    cumulative would: adding 0.0 leaves a float partial sum unchanged, and a
+    right-side search lands only where the cumulative steps up, which is on a
+    positive entry. Entries in [-WEIGHT_EPS, 0] carry no weight. Every row is
+    searched in one pass through one guide table per label, on a common
+    bucket count set by the widest support (``_guided_search``); where that
+    falls back, by one binary search per label over the same cumulative. Both
+    give the same index.
     """
-    support, cum = _support(law)
-    idx = _guided_search(cum[None], u)
-    if idx is None:
-        idx = np.searchsorted(cum, u, side="right")
-    return np.unravel_index(np.take(support, idx, out=idx, mode="clip"), law.shape)
-
-
-def _draw_by(laws: np.ndarray, labels: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One draw per uniform in ``u`` from ``laws[labels[i]]``, as an index array per axis of a law.
-
-    Every row is drawn in one pass through one guide table per label, on a
-    common bucket count set by the widest support. Where ``_guided_search``
-    falls back, the rows of each label are drawn together by one ``_draw``, in
-    label order. Either way a row gets the index ``_draw`` gives it.
-    """
+    if labels is None:
+        laws = laws[None]
     parts = [_support(law) for law in laws]
     width = max(len(support) for support, _ in parts)
     supports = np.zeros((len(laws), width), dtype=np.intp)
@@ -208,13 +201,12 @@ def _draw_by(laws: np.ndarray, labels: np.ndarray, u: np.ndarray) -> tuple[np.nd
         supports[label, : len(support)] = support
         cum[label, : len(c)] = c
     idx = _guided_search(cum, u, labels)
-    if idx is not None:
-        return np.unravel_index(np.take(supports, idx, out=idx, mode="clip"), laws.shape[1:])
-    out = np.empty((laws.ndim - 1, len(u)), dtype=np.int64)
-    for label, law in enumerate(laws):
-        rows = np.flatnonzero(labels == label)
-        out[:, rows] = _draw(law, u[rows])
-    return tuple(out)
+    if idx is None:
+        idx = np.empty(len(u), dtype=np.intp)
+        for label, row in enumerate(cum):
+            rows = slice(None) if labels is None else np.flatnonzero(labels == label)
+            idx[rows] = np.searchsorted(row, u[rows], side="right") + label * width
+    return np.unravel_index(np.take(supports, idx, out=idx, mode="clip"), laws.shape[1:])
 
 
 def _one_hot(responses: np.ndarray) -> np.ndarray:
@@ -385,7 +377,7 @@ class ContextualModel:
         k1, k2 = _draw(self.source_weights, u_src)
         # The label is the context, 2 * x + y, its position in CONTEXTS: both settings pick the law.
         laws = self.instrument_weights.reshape(4, *self.instrument_weights.shape[2:])
-        mu_x, mu_y = _draw_by(laws, 2 * x + y, u_ins)
+        mu_x, mu_y = _draw(laws, u_ins, 2 * x + y)
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 
@@ -435,8 +427,8 @@ class PostSelectionModel:
         u_b = rng.random(n)
         k1, k2 = _draw(self.source_weights, u_src)
         # The label is the station's own setting: neither law sees the other setting.
-        (mu_x,) = _draw_by(self.alice_instrument, x, u_a)
-        (mu_y,) = _draw_by(self.bob_instrument, y, u_b)
+        (mu_x,) = _draw(self.alice_instrument, u_a, x)
+        (mu_y,) = _draw(self.bob_instrument, u_b, y)
         return self.alice[x, k1, mu_x], self.bob[y, k2, mu_y]
 
 
@@ -506,18 +498,18 @@ def statistical_dependence(model: ContextualModel | PostSelectionModel) -> float
 def rejection_curve(kind: str, *, max_reject: float = 0.8, exponent: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """Named decreasing rejection curves r(c) on c = |cos| in [0, 1].
 
-    ``linear``: r(c) = max_reject * (1 - c).
     ``power``:  r(c) = max_reject * (1 - c) ** exponent.
+    ``linear``: the power curve at exponent 1, the only exponent it takes.
     """
     if not (0.0 <= max_reject < 1.0):
         raise ValueError(f"max_reject must be in [0, 1), got {max_reject!r}")
     if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent!r}")
-    if kind == "linear":
-        return lambda c: max_reject * (1.0 - c)
-    if kind == "power":
-        return lambda c: max_reject * (1.0 - c) ** exponent
-    raise ValueError(f"unknown rejection curve kind: {kind!r}")
+    if kind not in ("linear", "power"):
+        raise ValueError(f"unknown rejection curve kind: {kind!r}")
+    if kind == "linear" and exponent != 1.0:
+        raise ValueError(f"a linear curve has exponent 1, got {exponent!r}")
+    return lambda c: max_reject * (1.0 - c) ** exponent
 
 
 def pearle_model(

@@ -196,8 +196,10 @@ def read_trials_csv(path: Path) -> PairedRawData:
     """
     columns = ("trial_id", "x", "y", "a", "b", "ready")
     _, (x, y, a, b, ready) = _read_int_csv(path, "trials", columns)
-    if not ((ready == 0) | (ready == 1)).all():
-        raise ConfigError(str(path), "ready must be 0 or 1")
+    known = (ready == 0) | (ready == 1)
+    if not known.all():
+        i = int(np.argmin(known))
+        raise ConfigError(str(path), f"ready must be 0 or 1: data row {i + 1} has {ready[i]}")
     ready = ready == 1
     settings_known = ((x == 0) | (x == 1)) & ((y == 0) | (y == 1))
     valid = settings_known & ((a == 1) | (a == -1)) & ((b == 1) | (b == -1))

@@ -24,7 +24,6 @@ from belllab.couplings import (
     PostSelectionModel,
     QuantumSingletModel,
     StochasticLHVModel,
-    _draw,
 )
 from belllab.pipeline import UNKNOWN_SETTING, PairedRawData, RawEventStream
 
@@ -170,42 +169,43 @@ def full_cumulative_draw(law: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ..
 
 
 # The instrument draws as the two instrument-variable samplers first wrote
-# them, one loop over the contexts or over the setting labels: the references
-# for ``couplings._draw_by``.
+# them, one loop over the contexts or over the setting labels, each label's
+# rows drawn by ``full_cumulative_draw``: the references for ``couplings._draw``
+# with labels.
 
 
 def contextual_batch_by_context(
     model: ContextualModel, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``ContextualModel.sample_batch`` with a ``_draw`` of the instrument pair per context."""
+    """``ContextualModel.sample_batch`` with a draw of the instrument pair per context."""
     n = len(x)
     u_src = rng.random(n)
     u_ins = rng.random(n)
-    k1, k2 = _draw(model.source_weights, u_src)
+    k1, k2 = full_cumulative_draw(model.source_weights, u_src)
     mu_x = np.empty(n, dtype=np.int64)
     mu_y = np.empty(n, dtype=np.int64)
     for s in CONTEXTS:
         rows = np.flatnonzero((x == s.x) & (y == s.y))
-        mu_x[rows], mu_y[rows] = _draw(model.instrument_weights[s.x, s.y], u_ins[rows])
+        mu_x[rows], mu_y[rows] = full_cumulative_draw(model.instrument_weights[s.x, s.y], u_ins[rows])
     return model.alice[x, k1, mu_x], model.bob[y, k2, mu_y]
 
 
 def postselection_batch_by_setting(
     model: PostSelectionModel, x: np.ndarray, y: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``PostSelectionModel.sample_batch`` with a ``_draw`` per station and setting label."""
+    """``PostSelectionModel.sample_batch`` with a draw per station and setting label."""
     n = len(x)
     u_src = rng.random(n)
     u_a = rng.random(n)
     u_b = rng.random(n)
-    k1, k2 = _draw(model.source_weights, u_src)
+    k1, k2 = full_cumulative_draw(model.source_weights, u_src)
     mu_x = np.empty(n, dtype=np.int64)
     mu_y = np.empty(n, dtype=np.int64)
     for lbl in (0, 1):
         rows = np.flatnonzero(x == lbl)
-        (mu_x[rows],) = _draw(model.alice_instrument[lbl], u_a[rows])
+        (mu_x[rows],) = full_cumulative_draw(model.alice_instrument[lbl], u_a[rows])
         rows = np.flatnonzero(y == lbl)
-        (mu_y[rows],) = _draw(model.bob_instrument[lbl], u_b[rows])
+        (mu_y[rows],) = full_cumulative_draw(model.bob_instrument[lbl], u_b[rows])
     return model.alice[x, k1, mu_x], model.bob[y, k2, mu_y]
 
 
@@ -278,7 +278,7 @@ def reference_moments(model, s: SettingPair) -> Moments:
     for the laws.
     """
     if isinstance(model, QuantumSingletModel):
-        return Moments(e_ab=-model.visibility * math.cos(model.angles.theta(s)), e_a=0.0, e_b=0.0, c=1.0)
+        return Moments(e_ab=-model.visibility * math.cos(model.angles.alice[s.x] - model.angles.bob[s.y]), e_a=0.0, e_b=0.0, c=1.0)
     if isinstance(model, DeterministicLHVModel):
         a = model.alice[s.x].astype(np.float64)
         b = model.bob[s.y].astype(np.float64)
@@ -396,7 +396,7 @@ def rotation_invariant_contextual(
     evaluated at theta_x - theta_y for each context, which enforces the
     rotational-invariance constraint structurally.
     """
-    tables = [np.asarray(instrument_law(angles.theta(s))) for s in CONTEXTS]
+    tables = [np.asarray(instrument_law(angles.alice[s.x] - angles.bob[s.y])) for s in CONTEXTS]
     instrument_weights = np.zeros((2, 2, *tables[0].shape))
     for s, t in zip(CONTEXTS, tables):
         instrument_weights[s.x, s.y] = t

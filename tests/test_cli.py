@@ -612,6 +612,11 @@ PEARLE_EXPONENT_0 = {
     "angles": CANONICAL_ANGLES_JSON,
     "rejection": {"kind": "power", "exponent": 0},
 }
+PEARLE_LINEAR_EXPONENT_3 = {
+    "family": "pearle",
+    "angles": CANONICAL_ANGLES_JSON,
+    "rejection": {"kind": "linear", "max_reject": 0.8, "exponent": 3.0},
+}
 LATTICE_15 = {"width_ns": 15}
 BAD_TAGS = "# belllab schema_version=1 kind=timetags seed=1 station=A\ntime_ns,setting,outcome\n5,257,1\n"
 BAD_PAIRS = "# belllab schema_version=1 kind=pairs seed=1\nx,y,a,b\n0,0,255,1\n"
@@ -703,6 +708,12 @@ MALFORMED = {
         "error: model.rejection: max_reject must be in [0, 1), got 1.0",
     ),
     "exponent_zero": ("simulate", lambda tmp: source_config(PEARLE_EXPONENT_0), "model.rejection: exponent"),
+    # A linear curve is the power curve at exponent 1; any other exponent is refused, not dropped.
+    "linear_exponent_three": (
+        "simulate",
+        lambda tmp: source_config(PEARLE_LINEAR_EXPONENT_3),
+        "error: model.rejection: a linear curve has exponent 1, got 3.0",
+    ),
     "duration_zero": ("simulate", lambda tmp: source_config(duration=0), "protocol: duration"),
     "huge_integer_rate": (
         "simulate",

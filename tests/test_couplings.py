@@ -23,7 +23,6 @@ from belllab.couplings import (
     StochasticLHVModel,
     _GUIDE_BUCKETS,
     _draw,
-    _draw_by,
     _guided_search,
     _law,
     _support,
@@ -642,7 +641,7 @@ def test_raw_marginals_do_not_signal(family, seed):
 )
 @settings(max_examples=300)
 def test_draw_over_the_support_matches_the_full_cumulative(ndim, kind, short, seed):
-    """``_draw`` returns the oracle's indices, zero runs and tiny negatives included.
+    """``_draw`` of one law (no labels) returns the oracle's indices, zero runs and tiny negatives included.
 
     The uniforms include every guide-table bucket edge k/K and the floats on
     each side of it. A skewed law, and a batch shorter than K, take the binary
@@ -699,10 +698,13 @@ def test_draw_over_the_support_matches_the_full_cumulative(ndim, kind, short, se
 
 def reshaped_laws(laws, kind, rng):
     """A copy of ``laws``, one per label on the leading axis: as given, with ``label`` zero
-    entries in the law of each label (unequal supports), or with one label's law a point mass."""
+    entries in the law of each label (unequal supports), with one label's law a point mass,
+    or with every label's law skewed, Dirichlet(0.1)."""
     laws = laws.copy()
     flat = laws.reshape(len(laws), -1)
-    if kind == "unequal_support":
+    if kind == "skewed":
+        flat[:] = rng.dirichlet(np.full(flat.shape[1], 0.1), size=len(flat))
+    elif kind == "unequal_support":
         for label, row in enumerate(flat):
             row[rng.choice(row.size, size=min(label, row.size - 1), replace=False)] = 0.0
             row /= row.sum()
@@ -713,10 +715,19 @@ def reshaped_laws(laws, kind, rng):
     return laws
 
 
+def padded_cumulative(laws):
+    """One row per law of its cumulative over the positive entries, padded with +inf, as ``_draw`` stacks them."""
+    cums = [_support(law)[1] for law in laws]
+    cum = np.full((len(cums), max(map(len, cums))), np.inf)
+    for row, c in zip(cum, cums):
+        row[: len(c)] = c
+    return cum
+
+
 @given(
     st.sampled_from(["contextual", "postselection"]),
     st.sampled_from(["mixed", "context_missing", "one_setting", "one_row", "empty"]),
-    st.sampled_from(["distinct", "unequal_support", "point_mass", "pearle"]),
+    st.sampled_from(["distinct", "unequal_support", "point_mass", "skewed", "pearle"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=300)
@@ -725,10 +736,14 @@ def test_instrument_draw_by_label_matches_the_loops(family, batch, laws, seed):
 
     The laws of the labels may differ in support size, one may be a point
     mass, and the Pearle preset's two 64-entry laws are drawn on batches on
-    both sides of its guide table's 256 buckets.
+    both sides of its guide table's 256 buckets. Skewed 200-entry laws crowd
+    the guide table's windows, so a batch at least as long as its 800 buckets
+    takes the binary search per label too.
     """
     rng = np.random.default_rng(seed)
     n1, n2, mx, my = (int(k) for k in rng.integers([1, 1, 2, 2], [4, 4, 5, 5]))
+    if laws == "skewed":
+        mx, my = (10, 20) if family == "contextual" else (200, 200)
     if laws == "pearle":
         model = pearle_model(CANONICAL_ANGLES, bins=32)
         reference = postselection_batch_by_setting
@@ -741,23 +756,29 @@ def test_instrument_draw_by_label_matches_the_loops(family, batch, laws, seed):
         stacked = model.instrument_weights.reshape(4, -1)
         assert all(not np.array_equal(p, q) for p, q in itertools.combinations(stacked, 2))
     else:
-        model = random_postselection_model(rng, n1, n2, mx, my)
-        alice, bob = (reshaped_laws(law, laws, rng) for law in (model.alice_instrument, model.bob_instrument))
         try:
+            model = random_postselection_model(rng, n1, n2, mx, my)
+            alice, bob = (reshaped_laws(law, laws, rng) for law in (model.alice_instrument, model.bob_instrument))
             model = dataclasses.replace(model, alice_instrument=alice, bob_instrument=bob)
-        except ValueError:  # the zeroed entries starve every context
+        except ValueError:  # the random responses, or the zeroed entries, starve every context
             assume(False)
         reference = postselection_batch_by_setting
         for law in (model.alice_instrument, model.bob_instrument):
             assert not np.array_equal(law[0], law[1])
-    most = 1000 if laws == "pearle" else 400
-    n = {"one_row": 1, "empty": 0}.get(batch, int(rng.integers(40, most)))
+    least, most = {"pearle": (40, 1000), "skewed": (1200, 2400)}.get(laws, (40, 400))
+    n = {"one_row": 1, "empty": 0}.get(batch, int(rng.integers(least, most)))
     x, y = rng.integers(0, 2, size=(2, n)).astype(np.int8)
     if batch == "context_missing":
         s = CONTEXTS[rng.integers(4)]
         x, y = (v[(x != s.x) | (y != s.y)] for v in (x, y))
     elif batch == "one_setting":
         x[:] = rng.integers(2)
+    if laws == "skewed" and len(x) >= _GUIDE_BUCKETS * 200:
+        if family == "contextual":
+            stacked, labels = model.instrument_weights.reshape(4, -1), 2 * x + y
+        else:
+            stacked, labels = model.alice_instrument, x
+        assert _guided_search(padded_cumulative(stacked), np.zeros(len(x)), labels) is None
     got = sample_batch(model, x, y, np.random.default_rng(seed + 1))
     want = reference(model, x, y, np.random.default_rng(seed + 1))
     for g, w in zip(got, want):
@@ -788,7 +809,7 @@ def test_pearle_instrument_draw_by_label_holds_under_20_bytes_per_uniform():
     labels = (stream(2, "sampling").random(len(u)) < 0.5).astype(np.int8)
     tracemalloc.start()
     try:
-        _draw_by(laws, labels, u)
+        _draw(laws, u, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -266,6 +266,20 @@ def test_code_cell_in_int16_range_fails_the_code_check(tmp_path, name, row, mess
         read(_csv(tmp_path / name, header, columns, [good, row]))
 
 
+@pytest.mark.parametrize(
+    "name, row, message",
+    [
+        ("tags.csv", "2,2,1", r"tags\.csv: stream settings must be in \(0, 1\): data row 3 has 2$"),
+        ("pairs.csv", "0,5,1,1", r"pairs\.csv: settings must be in \(-1, 0, 1\): data row 3 has 5$"),
+        ("trials.csv", "2,0,1,1,-1,3", r"trials\.csv: ready must be 0 or 1: data row 3 has 3$"),
+    ],
+)
+def test_code_message_names_the_first_offending_data_row(tmp_path, name, row, message):
+    (header, columns, good), read = READERS[name]
+    with pytest.raises(ConfigError, match=message):
+        read(_csv(tmp_path / name, header, columns, [good, good, row, row]))
+
+
 @pytest.mark.parametrize("cell", ["32768", "70000", "-32769"])
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_code_cell_beyond_int16_names_the_file(tmp_path, name, cell):

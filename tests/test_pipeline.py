@@ -482,7 +482,7 @@ class TestWindowSweep:
                 assert getattr(final, k).tolist() == getattr(alone, k).tolist()
             assert final.meta == alone.meta == point.meta
             assert c_table == alone_c
-            assert point.table == alone.to_context_table()
+            assert np.array_equal(point.table.counts, alone.to_context_table().counts)
             assert {s: point.summary[s].c for s in CONTEXTS} == alone_c
 
     @given(
@@ -505,7 +505,7 @@ class TestWindowSweep:
         for w, point in zip(widths, window_sweep(*streams, widths, strategy)):
             raw = match_coincidences(*streams, CoincidencePolicy(window_ns=w, strategy=strategy))
             final, _ = postselect(raw)
-            assert point.table == final.to_context_table()
+            assert np.array_equal(point.table.counts, final.to_context_table().counts)
             assert point.meta == final.meta
 
     @pytest.mark.parametrize("strategy", ["lattice", "greedy"])

@@ -66,7 +66,7 @@ class TestEventReady:
         run = run_event_ready(cfg, QuantumSingletModel(CANONICAL_ANGLES, visibility=v), seed=11)
         summary = estimate(ContextTable.from_arrays(run.x, run.y, run.a, run.b))
         for s in CONTEXTS:
-            expected = -(2 * fa - 1) * (2 * fb - 1) * v * math.cos(CANONICAL_ANGLES.theta(s))
+            expected = -(2 * fa - 1) * (2 * fb - 1) * v * math.cos(CANONICAL_ANGLES.alice[s.x] - CANONICAL_ANGLES.bob[s.y])
             est = summary[s].e_ab
             sigma = math.sqrt((1 - expected**2) / summary[s].n_pairs)
             assert est == pytest.approx(expected, abs=5 * sigma)
