@@ -56,13 +56,13 @@ __all__ = [
 _TABLE_ORDER = [2, 0, 1]
 
 
-def codes(name: str, values, allowed: tuple[int, ...], *, rows: bool = False) -> np.ndarray:
+def codes(name: str, values, allowed: tuple[int, ...]) -> np.ndarray:
     """A read-only int8 copy of ``values``, every one of which must be in ``allowed``.
 
     The values are checked as given, before narrowing: int8 would read 257 as
     1, 255 as -1 and 1.5 as 1. Raises ``ValueError`` naming ``name`` otherwise;
-    with ``rows``, a column's message names its first offending entry as
-    ``data row N``, counted from 1, and its value.
+    a column's message also names its first offending entry as ``data row N``,
+    counted from 1 as a file's data rows are, and its value.
     """
     values = np.asarray(values)
     if values.dtype.kind in "biuf":
@@ -76,7 +76,7 @@ def codes(name: str, values, allowed: tuple[int, ...], *, rows: bool = False) ->
         if permitted.all():
             out.setflags(write=False)
             return out
-        if rows and values.ndim == 1:
+        if values.ndim == 1:
             i = int(np.argmin(permitted))
             raise ValueError(f"{name} must be in {allowed}: data row {i + 1} has {values[i]}")
     raise ValueError(f"{name} must be in {allowed}")
@@ -137,7 +137,8 @@ class ContextTable:
 
     ``counts`` is a read-only int64 copy of shape (2, 2, 3, 3) indexed
     ``[x, y, a, b]``, with the outcomes of ``a`` and ``b`` in the order
-    (+1, -1, 0).
+    (+1, -1, 0). Compare two tables by ``np.array_equal(t.counts, u.counts)``:
+    ``==`` on tables is identity.
     """
 
     counts: np.ndarray

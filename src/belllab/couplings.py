@@ -201,11 +201,15 @@ def _draw(laws: np.ndarray, u: np.ndarray, labels: np.ndarray | None = None) -> 
         supports[label, : len(support)] = support
         cum[label, : len(c)] = c
     idx = _guided_search(cum, u, labels)
-    if idx is None:
+    if idx is None and labels is None:
+        idx = np.searchsorted(cum[0], u, side="right")
+    elif idx is None:
         idx = np.empty(len(u), dtype=np.intp)
         for label, row in enumerate(cum):
-            rows = slice(None) if labels is None else np.flatnonzero(labels == label)
-            idx[rows] = np.searchsorted(row, u[rows], side="right") + label * width
+            rows = np.flatnonzero(labels == label)
+            found = np.searchsorted(row, u[rows], side="right")
+            found += label * width
+            idx[rows] = found
     return np.unravel_index(np.take(supports, idx, out=idx, mode="clip"), laws.shape[1:])
 
 

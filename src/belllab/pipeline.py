@@ -112,9 +112,9 @@ class PairedRawData:
             raise ValueError("paired-data columns must have equal length")
         settings, outcomes = (UNKNOWN_SETTING, 0, 1), (-1, 0, 1)
         for name in "xy":
-            object.__setattr__(self, name, codes("settings", getattr(self, name), settings, rows=True))
+            object.__setattr__(self, name, codes("settings", getattr(self, name), settings))
         for name in "ab":
-            object.__setattr__(self, name, codes("outcomes", getattr(self, name), outcomes, rows=True))
+            object.__setattr__(self, name, codes("outcomes", getattr(self, name), outcomes))
 
     def __len__(self) -> int:
         return len(self.x)
@@ -150,8 +150,8 @@ class RawEventStream:
             times = given.astype(np.int64)
         if given.dtype.kind not in "iuf" or not (times == given).all():
             raise ValueError(f"stream {self.station} times must be integers in int64 range")
-        settings = codes("stream settings", self.settings, (0, 1), rows=True)
-        outcomes = codes("stream outcomes", self.outcomes, (-1, 1), rows=True)
+        settings = codes("stream settings", self.settings, (0, 1))
+        outcomes = codes("stream outcomes", self.outcomes, (-1, 1))
         if not (len(times) == len(settings) == len(outcomes)):
             raise ValueError("stream columns must have equal length")
         bad = np.flatnonzero(times[1:] < times[:-1])

@@ -101,12 +101,15 @@ class TestCodes:
     @example((-1, 0, 1), np.array([1.0, -0.0, -1.0]))
     @settings(max_examples=300)
     def test_accepts_exactly_the_allowed_values(self, allowed, values):
-        if np.isin(values, allowed).all():
+        permitted = np.isin(values, allowed)
+        if permitted.all():
             out = codes("column", values, allowed)
             assert out.dtype == np.int8 and not out.flags.writeable
             assert out.tolist() == values.tolist()
         else:
-            with pytest.raises(ValueError, match=f"^column must be in {re.escape(str(allowed))}$"):
+            i = int(np.argmin(permitted))
+            message = f"column must be in {allowed}: data row {i + 1} has {values[i]}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 codes("column", values, allowed)
 
     def test_rejects_non_numeric_values(self):
